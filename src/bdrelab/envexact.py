@@ -21,16 +21,16 @@ simulation grid.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import ConfigError
 from .model import ModelParams
 from .rng import RngStream
-from .sde import ENSEMBLE_BATCH, SchemeConfig, _batch_plan, _run_batches
+from .sde import ENSEMBLE_BATCH, SchemeConfig, _checkpoint_steps, _run_batches
 
 __all__ = [
     "EnvPath",
@@ -162,6 +162,69 @@ def dufresne_functional(
     return float(dufresne_samples(params, horizon, 1, dt, rng.seed, stream_base=rng.stream_index)[0])
 
 
+def _environment_batches(
+    params: ModelParams,
+    times: Sequence[float],
+    dt: float,
+    n: int,
+    seed: int,
+    threads: int,
+    scale: float,
+    reduce: Callable,
+    stream_base: int = 0,
+) -> list:
+    """Per batch of environments, {t: reduce(t, I_t)} at each time.
+
+    The last time T sets the grid: round(T / dt) steps of equal length,
+    at least one or ConfigError, and every other time must sit on it. S
+    takes exact Gaussian increments and I_t = scale * Int_0^t e^{-S_s} ds
+    the trapezoid rule; scale = sigma_b^2 / 2 gives the I_t of the
+    quenched law, scale = 1 the raw Dufresne functional. I_t is the
+    running array, final only at T. Batch b draws from stream
+    stream_base + b.
+    """
+    times = sorted(float(t) for t in times)
+    if not dt > 0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+    n_steps = int(round(times[-1] / dt))
+    if n_steps < 1:
+        raise ConfigError(f"t = {times[-1]} is shorter than half a step dt = {dt}")
+    step = times[-1] / n_steps
+    at = _checkpoint_steps(times, step, n_steps)
+    sq = math.sqrt(step)
+    weight = scale * 0.5 * step
+
+    def worker(bidx: int, b: int):
+        g = RngStream(seed, stream_base + bidx).generator()
+        s = np.zeros(b)
+        acc = np.zeros(b)
+        prev = np.ones(b)
+        out = {}
+        if 0 in at:
+            out[at[0]] = reduce(at[0], acc)
+        for k in range(1, n_steps + 1):
+            s += params.alpha * step + params.sigma_e * sq * g.standard_normal(b)
+            cur = np.exp(-s)
+            acc += weight * (prev + cur)
+            prev = cur
+            if k in at:
+                out[at[k]] = reduce(at[k], acc)
+        return out
+
+    return _run_batches(worker, n, ENSEMBLE_BATCH, threads)
+
+
+def _sums(q: NDArray[np.float64]) -> tuple[float, float]:
+    return float(q.sum()), float((q**2).sum())
+
+
+def _mean_se(sums: list, n: int) -> tuple[float, float]:
+    """(mean, std_error) of n values from per-batch (sum, sum of squares)."""
+    mean = sum(s1 for s1, _ in sums) / n
+    var = max(sum(s2 for _, s2 in sums) / n - mean**2, 0.0)
+    return mean, math.sqrt(var / n)
+
+
 def dufresne_samples(
     params: ModelParams,
     horizon: float,
@@ -174,26 +237,10 @@ def dufresne_samples(
     """n truncated samples of Int_0^T e^{-S_s} ds, trapezoid on the grid."""
     if params.alpha <= 0:
         raise ValueError("the exponential functional requires alpha > 0")
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("dt and horizon must be positive")
-    n_steps = max(1, int(round(horizon / dt)))
-    step = horizon / n_steps
-    sq = math.sqrt(step)
-
-    def worker(bidx: int, b: int):
-        g = RngStream(seed, stream_base + bidx).generator()
-        s = np.zeros(b)
-        acc = np.zeros(b)
-        prev = np.ones(b)
-        for _ in range(n_steps):
-            s += params.alpha * step + params.sigma_e * sq * g.standard_normal(b)
-            cur = np.exp(-s)
-            acc += 0.5 * step * (prev + cur)
-            prev = cur
-        return acc
-
-    parts = _run_batches(worker, n, ENSEMBLE_BATCH, threads)
-    return np.concatenate(parts)
+    parts = _environment_batches(
+        params, [horizon], dt, n, seed, threads, 1.0, lambda t, i_t: i_t, stream_base
+    )
+    return np.concatenate([p[float(horizon)] for p in parts])
 
 
 def environment_survival_curve(
@@ -219,52 +266,18 @@ def environment_survival_curve(
     if params.sigma_b <= 0:
         raise ValueError("conditional probabilities need sigma_b > 0")
     z = params.z0
-    checkpoints = sorted(float(t) for t in checkpoints)
-    n_steps = int(round(checkpoints[-1] / dt))
-    step = checkpoints[-1] / n_steps
-    steps_at = {}
-    for t in checkpoints:
-        k = int(round(t / step))
-        if abs(k * step - t) > 1e-9 * max(1.0, t):
-            raise ValueError(f"checkpoint {t} not on the dt grid")
-        steps_at[k] = t
-    half = params.sigma_b**2 / 2.0
-    sq = math.sqrt(step)
+    survival = collect == "survival"
 
-    def worker(bidx: int, b: int):
-        g = RngStream(seed, bidx).generator()
-        s = np.zeros(b)
-        acc = np.zeros(b)
-        prev = np.ones(b)
-        sums = {}
-        if 0 in steps_at:
-            q0 = np.zeros(b) if collect == "survival" else np.ones(b)
-            if z > 0:
-                q0 = 1.0 - q0 if collect == "survival" else q0 * 0.0
-            # at t=0, I=0: extinct prob is 0 for z>0 (1 for z=0), survival complement
-            sums[steps_at[0]] = (float(q0.sum()), float((q0**2).sum()))
-        for k in range(1, n_steps + 1):
-            s += params.alpha * step + params.sigma_e * sq * g.standard_normal(b)
-            cur = np.exp(-s)
-            acc += half * 0.5 * step * (prev + cur)
-            prev = cur
-            if k in steps_at:
-                if collect == "survival":
-                    q = -np.expm1(-z / acc)
-                else:
-                    q = np.exp(-z / acc)
-                sums[steps_at[k]] = (float(q.sum()), float((q**2).sum()))
-        return sums
+    def reduce(t, i_t):
+        if t == 0.0:
+            # I_0 = 0: survival is certain for z > 0, extinction for z = 0
+            return _sums(np.full(i_t.shape, float((z > 0) == survival)))
+        return _sums(-np.expm1(-z / i_t) if survival else np.exp(-z / i_t))
 
-    parts = _run_batches(worker, n, ENSEMBLE_BATCH, threads)
-    out = {}
-    for t in steps_at.values():
-        s1 = sum(p[t][0] for p in parts)
-        s2 = sum(p[t][1] for p in parts)
-        mean = s1 / n
-        var = max(s2 / n - mean**2, 0.0)
-        out[t] = (mean, math.sqrt(var / n))
-    return out
+    parts = _environment_batches(
+        params, checkpoints, dt, n, seed, threads, params.sigma_b**2 / 2.0, reduce
+    )
+    return {t: _mean_se([p[t] for p in parts], n) for t in parts[0]}
 
 
 def environment_laplace(
@@ -287,36 +300,14 @@ def environment_laplace(
     lambdas = [float(l) for l in lambdas]
     if any(l < 0 for l in lambdas):
         raise ValueError("lambda must be nonnegative")
-    n_steps = int(round(t / dt))
-    step = t / n_steps
-    half = params.sigma_b**2 / 2.0
-    sq = math.sqrt(step)
 
-    def worker(bidx: int, b: int):
-        g = RngStream(seed, bidx).generator()
-        s = np.zeros(b)
-        acc = np.zeros(b)
-        prev = np.ones(b)
-        for _ in range(n_steps):
-            s += params.alpha * step + params.sigma_e * sq * g.standard_normal(b)
-            cur = np.exp(-s)
-            acc += half * 0.5 * step * (prev + cur)
-            prev = cur
-        out = {}
-        for lam in lambdas:
-            if lam == 0.0:
-                q = np.ones(b)
-            else:
-                q = np.exp(-z / (acc + 1.0 / lam))
-            out[lam] = (float(q.sum()), float((q**2).sum()))
-        return out
+    def reduce(_, i_t):
+        return {
+            lam: _sums(np.ones(i_t.shape) if lam == 0.0 else np.exp(-z / (i_t + 1.0 / lam)))
+            for lam in lambdas
+        }
 
-    parts = _run_batches(worker, n, ENSEMBLE_BATCH, threads)
-    result = {}
-    for lam in lambdas:
-        s1 = sum(p[lam][0] for p in parts)
-        s2 = sum(p[lam][1] for p in parts)
-        mean = s1 / n
-        var = max(s2 / n - mean**2, 0.0)
-        result[lam] = (mean, math.sqrt(var / n))
-    return result
+    parts = _environment_batches(
+        params, [t], dt, n, seed, threads, params.sigma_b**2 / 2.0, reduce
+    )
+    return {lam: _mean_se([p[float(t)][lam] for p in parts], n) for lam in lambdas}

@@ -17,12 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .envexact import (
-    environment_laplace,
-    environment_survival_curve,
-    sample_z_given_env_batch,
-    simulate_environment,
-)
+from .envexact import environment_laplace, environment_survival_curve
 from .model import (
     ModelParams,
     QuenchedVariant,
@@ -31,7 +26,6 @@ from .model import (
     extinction_probability,
     scale_U,
 )
-from .rng import RngStream
 from .sde import (
     Scheme,
     SchemeConfig,
@@ -194,7 +188,6 @@ def estimate_conditioned_survival(
     cfg: SchemeConfig,
     seed: int,
     threads: int = 1,
-    env_draws: int = 0,
 ) -> MCEstimate:
     """P(Z_t > 0) for the process conditioned on eventual extinction.
 
@@ -202,10 +195,7 @@ def estimate_conditioned_survival(
     counts survivors. NegatedAlphaSim runs the plain quenched SDE with
     alpha negated, which has the same law. Reweighting never conditions:
     it reweights unconditioned paths by the scale function,
-    E[U(Z_t) 1{Z_t > 0}]/U(z0); with env_draws > 0 the population at t is
-    drawn exactly given each environment (env_draws per environment)
-    instead of discretized, a conditional-sampling refinement of the same
-    identity.
+    E[U(Z_t) 1{Z_t > 0}]/U(z0).
     """
     if params.alpha <= 0:
         raise ValueError("conditioning on extinction requires alpha > 0")
@@ -225,28 +215,12 @@ def estimate_conditioned_survival(
             QuenchedVariant.UNCONDITIONED, neg, run_cfg, [t], n, seed, threads=threads
         )[t]
         return MCEstimate.from_samples((z > 0).astype(float), route.value)
-    if env_draws > 0:
-        return _reweight_env_rb(params, t, n, env_draws, run_cfg.dt, seed)
     states = ensemble_final_states("bdre", params, run_cfg, [t], n, seed, threads=threads)
     z, _ = states[t]
     w = np.where(z > 0, scale_U(np.maximum(z, 0.0), params), 0.0) / scale_U(
         params.z0, params
     )
     return MCEstimate.from_samples(w, route.value)
-
-
-def _reweight_env_rb(
-    params: ModelParams, t: float, n_env: int, m: int, dt: float, seed: int
-) -> MCEstimate:
-    u0 = scale_U(params.z0, params)
-    cfg = SchemeConfig(dt=dt, horizon=t, scheme=Scheme.EULER_FULL_TRUNCATION)
-    per_env = np.empty(n_env)
-    for i in range(n_env):
-        env = simulate_environment(params, cfg, RngStream(seed, 2 * i))
-        z = sample_z_given_env_batch(env, t, params.z0, RngStream(seed, 2 * i + 1), m)
-        w = np.where(z > 0, scale_U(np.maximum(z, 0.0), params), 0.0) / u0
-        per_env[i] = w.mean()
-    return MCEstimate.from_samples(per_env, f"{SurvivalRoute.REWEIGHTING.value}+env")
 
 
 def survival_points(

@@ -23,6 +23,12 @@ with one environment increment per step used in both coordinates. When
 sigma_b = 0 the population equation is reducible (d log Z = dS exactly)
 and the engine uses the exact multiplicative update, so Z_t e^{-S_t}
 stays constant on the grid to machine precision.
+
+Every kernel advances its paths with one full-truncation Euler step,
+`_euler_step`: a negative population proposal is clamped to 0, except in
+the survival-conditioned variants, which retry it as two half steps with
+fresh noise. The `simulate_*` loops use a `math`-module twin of the step,
+because one path at a time pays numpy's per-call cost on every operation.
 """
 
 from __future__ import annotations
@@ -73,8 +79,9 @@ MAX_HALVINGS = 20
 
 
 class Scheme(enum.Enum):
+    """The discretization; full truncation is the only one."""
+
     EULER_FULL_TRUNCATION = "EulerFullTruncation"
-    EULER_REFLECT = "EulerReflect"
 
 
 @dataclass(frozen=True)
@@ -119,118 +126,166 @@ class _Variant(enum.Enum):
     COND_SURVIVAL = "cond-survival"
 
 
-def _drifts(variant: _Variant, z, params: ModelParams):
-    """Structural (drift_z, drift_s) for a state vector or scalar."""
-    if variant is _Variant.BDRE:
+# Variants whose proposals at or below 0 are retried rather than clamped.
+_GUARDED = (_Variant.COND_SURVIVAL, QuenchedVariant.COND_SURVIVAL)
+# The step tests its kind on every call; an enum attribute lookup costs
+# about 0.2 us on Python 3.11, several percent of a narrow absorption step.
+_BDRE = _Variant.BDRE
+
+
+def _drifts(kind, z, params: ModelParams):
+    """(drift_z, drift_s) of a step kind for a state vector or scalar.
+
+    For the quenched kinds drift_z is the coefficient c(z) of c(z) Z dt
+    and drift_s the drift of the environment the variant carries.
+    """
+    if kind is _BDRE:
         return 0.5 * params.sigma_e**2 * z, params.alpha
-    if variant is _Variant.COND_EXTINCTION:
-        pair = drift_conditioned_extinction(z, params)
-    else:
+    if type(kind) is QuenchedVariant:
+        env = -params.alpha if kind is QuenchedVariant.COND_EXTINCTION else params.alpha
+        # c depends on z only under survival conditioning; a scalar c
+        # spares an array
+        state = z if kind in _GUARDED else 0.0
+        return quenched_drift_coefficient(kind, state, params), env
+    if kind in _GUARDED:
         pair = drift_conditioned_survival(z, params)
+    else:
+        pair = drift_conditioned_extinction(z, params)
     return pair.drift_z, pair.drift_s
 
 
-def _apply_scheme(z_prop, scheme: Scheme):
-    if scheme is Scheme.EULER_REFLECT:
-        return np.abs(z_prop)
-    return np.maximum(z_prop, 0.0)
+def _euler_step(kind, params: ModelParams, Z, dt: float, dwe, dwb):
+    """One full-truncation Euler step of a path vector; returns (Z, ds).
+
+    kind is a _Variant or a QuenchedVariant, Z is nonnegative and ds is
+    the environment increment the step used. A sigma_b = 0 population
+    takes the exact multiplicative update. The survival-conditioned kinds
+    return the raw proposal, which _guarded_step retries where it is not
+    positive.
+    """
+    dz, d_s = _drifts(kind, Z, params)
+    ds = d_s * dt + params.sigma_e * dwe
+    if type(kind) is QuenchedVariant:
+        if params.sigma_b == 0:
+            return Z * np.exp((dz - 0.5 * params.sigma_e**2) * dt + params.sigma_e * dwe), ds
+        prop = Z + dz * Z * dt + params.sigma_e * Z * dwe + params.sigma_b * np.sqrt(Z) * dwb
+    else:
+        if params.sigma_b == 0:
+            return Z * np.exp(ds), ds
+        prop = Z + dz * dt + Z * ds + params.sigma_b * np.sqrt(Z) * dwb
+    if kind in _GUARDED:
+        return prop, ds
+    return np.maximum(prop, 0.0), ds
 
 
-def _simulate_2d(
-    variant: _Variant, params: ModelParams, cfg: SchemeConfig, rng: RngStream
-) -> Path:
+def _guarded_step(kind, params: ModelParams, Z, S, dt: float, dwe, dwb, g, depth: int = 0):
+    """_euler_step of a survival-conditioned kind with rejection; returns (Z, S).
+
+    Paths whose proposal is at or below 0 take the step as two half steps
+    instead (_halve). Z stays positive and S adds the increments of the
+    steps actually taken.
+    """
+    prop, ds = _euler_step(kind, params, Z, dt, dwe, dwb)
+    S_next = S + ds
+    bad = np.flatnonzero(prop <= 0)
+    if bad.size:
+        prop[bad], S_next[bad] = _halve(kind, params, Z[bad], S[bad], dt, g, depth + 1)
+    return prop, S_next
+
+
+def _halve(kind, params: ModelParams, Z, S, dt: float, g, depth: int):
+    """Two guarded half steps with fresh noise in place of a rejected step.
+
+    A proposal at or below 0 is rejected, not clamped, because the true
+    process never reaches 0 and clamping would fabricate an atom there.
+    Gives up after MAX_HALVINGS levels. Each half step draws the
+    environment noise of all its paths, then their branching noise, so a
+    path retried alone draws in the order of a one-path recursion.
+    """
+    if depth > MAX_HALVINGS:
+        raise NumericalFailure(
+            f"step-halving exhausted after {MAX_HALVINGS} levels at z={Z.min():.3e}"
+        )
+    half = dt / 2.0
+    sq = math.sqrt(half)
+    for _ in range(2):
+        dwe = sq * g.standard_normal(Z.size)
+        dwb = sq * g.standard_normal(Z.size)
+        Z, S = _guarded_step(kind, params, Z, S, half, dwe, dwb, g, depth)
+    return Z, S
+
+
+def _euler_step_scalar(kind, params: ModelParams, z: float, dt: float, sqdt: float, ne, nb):
+    """math-module twin of _euler_step for one path, from raw normals.
+
+    Several noise terms round in another order than in _euler_step (the
+    coefficient times sqrt(dt) first, then the normal); that order fixes
+    the last bits of every recorded path, so keep it.
+    """
+    dz, d_s = _drifts(kind, z, params)
+    dwe = sqdt * ne
+    guarded = kind in _GUARDED
+    if type(kind) is QuenchedVariant:
+        ds = d_s * dt + params.sigma_e * dwe
+        if params.sigma_b == 0:
+            return z * math.exp((dz - 0.5 * params.sigma_e**2) * dt + params.sigma_e * dwe), ds
+        prop = z + dz * z * dt + params.sigma_e * z * dwe + params.sigma_b * math.sqrt(z) * sqdt * nb
+    else:
+        if guarded:
+            ds = d_s * dt + params.sigma_e * dwe
+            branch = params.sigma_b * math.sqrt(z) * (sqdt * nb)
+        else:
+            ds = d_s * dt + params.sigma_e * sqdt * ne
+            branch = params.sigma_b * math.sqrt(z) * sqdt * nb
+        if params.sigma_b == 0:
+            return z * math.exp(ds), ds
+        prop = z + dz * dt + z * ds + branch
+    return (prop if guarded else max(prop, 0.0)), ds
+
+
+def _simulate(kind, params: ModelParams, cfg: SchemeConfig, rng: RngStream) -> Path:
+    """One path of any step kind: recording, absorption and guard.
+
+    An absorbed path keeps stepping at Z = 0, where the step leaves Z at 0
+    and S moves with the environment alone.
+    """
     n_steps = cfg.n_steps
     dt = cfg.horizon / n_steps
     sqdt = math.sqrt(dt)
     g = rng.generator()
-    noise = g.standard_normal((n_steps, 2))
-
-    exact_b0 = params.sigma_b == 0
-    guard = variant is _Variant.COND_SURVIVAL
+    noise = g.standard_normal((n_steps, 2)).tolist()
+    guarded = kind in _GUARDED
+    absorbing = params.sigma_b > 0 and not guarded
 
     z = params.z0
     s = 0.0
     absorbed_at: Optional[float] = None
-
     stride = cfg.store_stride
     keep = [0.0]
     zs = [z]
     ss = [s]
-    for k in range(n_steps):
-        if absorbed_at is None:
-            if guard:
-                z, s = _cond_surv_step_scalar(
-                    z, s, dt, params, sqdt * noise[k, 0], sqdt * noise[k, 1], g, 0
-                )
-            else:
-                z_in = max(z, 0.0)
-                dz_drift, ds_drift = _drifts(variant, z_in, params)
-                ds = ds_drift * dt + params.sigma_e * sqdt * noise[k, 0]
-                if exact_b0:
-                    z = z * math.exp(ds)
-                else:
-                    prop = (
-                        z
-                        + dz_drift * dt
-                        + z_in * ds
-                        + params.sigma_b * math.sqrt(z_in) * sqdt * noise[k, 1]
-                    )
-                    z = float(_apply_scheme(prop, cfg.scheme))
-                s += ds
-            if (
-                params.sigma_b > 0
-                and not guard
-                and z <= cfg.absorption_threshold
-                and absorbed_at is None
-            ):
-                z = 0.0
-                absorbed_at = (k + 1) * dt
+    for k, (ne, nb) in enumerate(noise):
+        prop, ds = _euler_step_scalar(kind, params, z, dt, sqdt, ne, nb)
+        if guarded and prop <= 0:
+            # standard_normal(1) draws what standard_normal() would
+            zv, sv = _halve(kind, params, np.array([z]), np.array([s]), dt, g, 1)
+            z, s = float(zv[0]), float(sv[0])
         else:
-            # absorbed: population frozen at 0, environment keeps moving
-            _, ds_drift = _drifts(variant, 0.0, params)
-            s += ds_drift * dt + params.sigma_e * sqdt * noise[k, 0]
+            z = prop
+            s += ds
+        if absorbing and absorbed_at is None and z <= cfg.absorption_threshold:
+            z = 0.0
+            absorbed_at = (k + 1) * dt
         if (k + 1) % stride == 0 or k + 1 == n_steps:
             keep.append((k + 1) * dt)
             zs.append(z)
             ss.append(s)
-
     return Path(
         times=np.asarray(keep),
         z_values=np.asarray(zs),
         s_values=np.asarray(ss),
         absorbed_at=absorbed_at,
-        model_tag=variant.value,
-    )
-
-
-def _cond_surv_step_scalar(z, s, dt, params: ModelParams, dwe, dwb, g, depth):
-    """One guarded step of the survival-conditioned system.
-
-    A proposal that lands at or below 0 is rejected and replaced by two
-    half steps with fresh noise, recursively, because the true process
-    never reaches 0 and clamping would fabricate an atom there. Gives up
-    after MAX_HALVINGS levels.
-    """
-    if z <= 0:
-        raise NumericalFailure("survival-conditioned state reached 0")
-    pair = drift_conditioned_survival(z, params)
-    ds = pair.drift_s * dt + params.sigma_e * dwe
-    if params.sigma_b == 0:
-        return z * math.exp(ds), s + ds
-    prop = z + pair.drift_z * dt + z * ds + params.sigma_b * math.sqrt(z) * dwb
-    if prop > 0:
-        return prop, s + ds
-    if depth >= MAX_HALVINGS:
-        raise NumericalFailure(
-            f"step-halving exhausted after {MAX_HALVINGS} levels at z={z:.3e}"
-        )
-    half = dt / 2.0
-    sq = math.sqrt(half)
-    z1, s1 = _cond_surv_step_scalar(
-        z, s, half, params, sq * g.standard_normal(), sq * g.standard_normal(), g, depth + 1
-    )
-    return _cond_surv_step_scalar(
-        z1, s1, half, params, sq * g.standard_normal(), sq * g.standard_normal(), g, depth + 1
+        model_tag=kind.value if isinstance(kind, _Variant) else f"quenched-{kind.value}",
     )
 
 
@@ -238,7 +293,7 @@ def simulate_bdre(params: ModelParams, cfg: SchemeConfig, rng: RngStream) -> Pat
     """One path of the unconditioned two-dimensional system."""
     if params.sigma_b == 0 and params.z0 == 0:
         raise ValueError("need sigma_b + z0 > 0")
-    return _simulate_2d(_Variant.BDRE, params, cfg, rng)
+    return _simulate(_Variant.BDRE, params, cfg, rng)
 
 
 def simulate_conditioned_extinction(
@@ -249,7 +304,7 @@ def simulate_conditioned_extinction(
         raise ValueError("extinction conditioning requires alpha > 0")
     if params.sigma_b == 0 and params.z0 == 0:
         raise ValueError("need sigma_b + z0 > 0")
-    return _simulate_2d(_Variant.COND_EXTINCTION, params, cfg, rng)
+    return _simulate(_Variant.COND_EXTINCTION, params, cfg, rng)
 
 
 def simulate_conditioned_survival(
@@ -260,7 +315,7 @@ def simulate_conditioned_survival(
         raise ValueError("survival conditioning requires alpha > 0")
     if params.z0 <= 0:
         raise ValueError("survival conditioning requires z0 > 0")
-    return _simulate_2d(_Variant.COND_SURVIVAL, params, cfg, rng)
+    return _simulate(_Variant.COND_SURVIVAL, params, cfg, rng)
 
 
 def simulate_quenched(
@@ -282,81 +337,7 @@ def simulate_quenched(
         raise ValueError("need sigma_b + z0 > 0")
     if variant is QuenchedVariant.COND_SURVIVAL and params.z0 <= 0:
         raise ValueError("survival conditioning requires z0 > 0")
-    n_steps = cfg.n_steps
-    dt = cfg.horizon / n_steps
-    sqdt = math.sqrt(dt)
-    g = rng.generator()
-    noise = g.standard_normal((n_steps, 2))
-
-    env_drift = -params.alpha if variant is QuenchedVariant.COND_EXTINCTION else params.alpha
-    guard = variant is QuenchedVariant.COND_SURVIVAL
-
-    z = params.z0
-    s = 0.0
-    absorbed_at: Optional[float] = None
-    keep = [0.0]
-    zs = [z]
-    ss = [s]
-    stride = cfg.store_stride
-    for k in range(n_steps):
-        dwe = sqdt * noise[k, 0]
-        s += env_drift * dt + params.sigma_e * dwe
-        if absorbed_at is None:
-            z_in = max(z, 0.0)
-            c = quenched_drift_coefficient(variant, z_in, params)
-            if params.sigma_b == 0:
-                z = z * math.exp((c - 0.5 * params.sigma_e**2) * dt + params.sigma_e * dwe)
-            else:
-                prop = (
-                    z
-                    + c * z_in * dt
-                    + params.sigma_e * z_in * dwe
-                    + params.sigma_b * math.sqrt(z_in) * sqdt * noise[k, 1]
-                )
-                if guard and prop <= 0:
-                    prop = _quenched_surv_retry(z, dt, params, g, 0)
-                z = float(_apply_scheme(prop, cfg.scheme))
-            if (
-                params.sigma_b > 0
-                and not guard
-                and z <= cfg.absorption_threshold
-                and absorbed_at is None
-            ):
-                z = 0.0
-                absorbed_at = (k + 1) * dt
-        if (k + 1) % stride == 0 or k + 1 == n_steps:
-            keep.append((k + 1) * dt)
-            zs.append(z)
-            ss.append(s)
-    return Path(
-        times=np.asarray(keep),
-        z_values=np.asarray(zs),
-        s_values=np.asarray(ss),
-        absorbed_at=absorbed_at,
-        model_tag=f"quenched-{variant.value}",
-    )
-
-
-def _quenched_surv_retry(z, dt, params: ModelParams, g, depth):
-    if depth >= MAX_HALVINGS:
-        raise NumericalFailure(
-            f"step-halving exhausted after {MAX_HALVINGS} levels at z={z:.3e}"
-        )
-    half = dt / 2.0
-    sq = math.sqrt(half)
-    cur = z
-    for _ in range(2):
-        c = quenched_drift_coefficient(QuenchedVariant.COND_SURVIVAL, cur, params)
-        prop = (
-            cur
-            + c * cur * half
-            + params.sigma_e * cur * sq * g.standard_normal()
-            + params.sigma_b * math.sqrt(cur) * sq * g.standard_normal()
-        )
-        if prop <= 0:
-            prop = _quenched_surv_retry(cur, half, params, g, depth + 1)
-        cur = prop
-    return cur
+    return _simulate(variant, params, cfg, rng)
 
 
 def simulate_discrete_bpre(
@@ -450,7 +431,8 @@ def _run_batches(
         return [f.result() for f in futs]  # submission order == batch order
 
 
-def _checkpoint_steps(checkpoints: Sequence[float], dt: float, n_steps: int):
+def _checkpoint_steps(checkpoints: Sequence[float], dt: float, n_steps: int) -> dict:
+    """{step index: time} for checkpoints on the grid k dt, 0 <= k <= n_steps."""
     table = {}
     for t in checkpoints:
         k = int(round(t / dt))
@@ -458,6 +440,47 @@ def _checkpoint_steps(checkpoints: Sequence[float], dt: float, n_steps: int):
             raise ValueError(f"checkpoint {t} not on the grid")
         table[k] = float(t)
     return table
+
+
+def _ensemble(kind, params, cfg, checkpoints, n, seed, threads, batch_size) -> dict:
+    """{checkpoint: (Z, S)} over n paths of a step kind, in batch order."""
+    n_steps = cfg.n_steps
+    dt = cfg.horizon / n_steps
+    sqdt = math.sqrt(dt)
+    cps = _checkpoint_steps(checkpoints, dt, n_steps)
+    guarded = kind in _GUARDED
+    threshold = cfg.absorption_threshold
+    absorbing = threshold > 0 and params.sigma_b > 0
+
+    def worker(bidx: int, b: int):
+        g = RngStream(seed, bidx).generator()
+        Z = np.full(b, float(params.z0))
+        S = np.zeros(b)
+        out = {}
+        if 0 in cps:
+            out[cps[0]] = (Z.copy(), S.copy())
+        for k in range(1, n_steps + 1):
+            dwe = sqdt * g.standard_normal(b)
+            dwb = sqdt * g.standard_normal(b)
+            if guarded:
+                Z, S = _guarded_step(kind, params, Z, S, dt, dwe, dwb, g)
+            else:
+                Z, ds = _euler_step(kind, params, Z, dt, dwe, dwb)
+                if absorbing:
+                    Z[Z <= threshold] = 0.0
+                S = S + ds
+            if k in cps:
+                out[cps[k]] = (Z.copy(), S.copy())
+        return out
+
+    parts = _run_batches(worker, n, batch_size, threads)
+    return {
+        t: (
+            np.concatenate([p[t][0] for p in parts]),
+            np.concatenate([p[t][1] for p in parts]),
+        )
+        for t in cps.values()
+    }
 
 
 def ensemble_final_states(
@@ -475,68 +498,12 @@ def ensemble_final_states(
     variant is one of 'bdre', 'cond-extinction', 'cond-survival'. Returns
     {checkpoint: (Z, S)} with arrays of length n in batch order. Absorbed
     paths carry Z = 0 and keep evolving in S. The survival-conditioned
-    variant routes the rare nonpositive proposals through the scalar
-    guarded step.
+    variant retries its rare nonpositive proposals as guarded half steps.
     """
     var = _Variant(variant)
     if var is not _Variant.BDRE and params.alpha <= 0:
         raise ValueError("conditioned variants require alpha > 0")
-    n_steps = cfg.n_steps
-    dt = cfg.horizon / n_steps
-    sqdt = math.sqrt(dt)
-    cps = _checkpoint_steps(checkpoints, dt, n_steps)
-    exact_b0 = params.sigma_b == 0
-    guard = var is _Variant.COND_SURVIVAL
-
-    def worker(bidx: int, b: int):
-        g = RngStream(seed, bidx).generator()
-        Z = np.full(b, float(params.z0))
-        S = np.zeros(b)
-        out = {}
-        if 0 in cps:
-            out[cps[0]] = (Z.copy(), S.copy())
-        for k in range(1, n_steps + 1):
-            dwe = sqdt * g.standard_normal(b)
-            dwb = sqdt * g.standard_normal(b)
-            z_in = np.maximum(Z, 0.0)
-            if guard:
-                # survival conditioning rejects z = 0; clamp the evaluation
-                # state away from 0 (paths there are retried anyway)
-                pair = drift_conditioned_survival(np.maximum(z_in, 1e-300), params)
-                dz_drift, ds_drift = pair.drift_z, pair.drift_s
-            else:
-                dz_drift, ds_drift = _drifts(var, z_in, params)
-            ds = ds_drift * dt + params.sigma_e * dwe
-            if exact_b0:
-                Z = Z * np.exp(ds)
-            else:
-                prop = Z + dz_drift * dt + z_in * ds + params.sigma_b * np.sqrt(z_in) * dwb
-                if guard:
-                    bad = np.flatnonzero(prop <= 0)
-                    for i in bad:
-                        zi, _ = _cond_surv_step_scalar(
-                            float(Z[i]), 0.0, dt, params,
-                            float(dwe[i]), float(dwb[i]), g, 1,
-                        )
-                        prop[i] = zi
-                    Z = prop
-                else:
-                    Z = _apply_scheme(prop, cfg.scheme)
-                    if cfg.absorption_threshold > 0:
-                        Z[Z <= cfg.absorption_threshold] = 0.0
-            S = S + ds
-            if k in cps:
-                out[cps[k]] = (Z.copy(), S.copy())
-        return out
-
-    parts = _run_batches(worker, n, batch_size, threads)
-    return {
-        t: (
-            np.concatenate([p[t][0] for p in parts]),
-            np.concatenate([p[t][1] for p in parts]),
-        )
-        for t in cps.values()
-    }
+    return _ensemble(var, params, cfg, checkpoints, n, seed, threads, batch_size)
 
 
 def ensemble_quenched_final(
@@ -550,52 +517,10 @@ def ensemble_quenched_final(
     batch_size: int = ENSEMBLE_BATCH,
 ) -> dict:
     """Vectorized ensemble of the one-dimensional quenched SDE: {t: Z}."""
-    n_steps = cfg.n_steps
-    dt = cfg.horizon / n_steps
-    sqdt = math.sqrt(dt)
-    cps = _checkpoint_steps(checkpoints, dt, n_steps)
-    guard = variant is QuenchedVariant.COND_SURVIVAL
-    if guard and params.z0 <= 0:
+    if variant is QuenchedVariant.COND_SURVIVAL and params.z0 <= 0:
         raise ValueError("survival conditioning requires z0 > 0")
-
-    def worker(bidx: int, b: int):
-        g = RngStream(seed, bidx).generator()
-        Z = np.full(b, float(params.z0))
-        out = {}
-        if 0 in cps:
-            out[cps[0]] = Z.copy()
-        for k in range(1, n_steps + 1):
-            dwe = sqdt * g.standard_normal(b)
-            dwb = sqdt * g.standard_normal(b)
-            z_in = np.maximum(Z, 0.0)
-            if guard:
-                c = quenched_drift_coefficient(variant, np.maximum(z_in, 1e-300), params)
-            else:
-                c = quenched_drift_coefficient(variant, z_in, params)
-            if params.sigma_b == 0:
-                Z = Z * np.exp((c - 0.5 * params.sigma_e**2) * dt + params.sigma_e * dwe)
-            else:
-                prop = (
-                    Z
-                    + c * z_in * dt
-                    + params.sigma_e * z_in * dwe
-                    + params.sigma_b * np.sqrt(z_in) * dwb
-                )
-                if guard:
-                    bad = np.flatnonzero(prop <= 0)
-                    for i in bad:
-                        prop[i] = _quenched_surv_retry(float(Z[i]), dt, params, g, 1)
-                    Z = prop
-                else:
-                    Z = _apply_scheme(prop, cfg.scheme)
-                    if cfg.absorption_threshold > 0:
-                        Z[Z <= cfg.absorption_threshold] = 0.0
-            if k in cps:
-                out[cps[k]] = Z.copy()
-        return out
-
-    parts = _run_batches(worker, n, batch_size, threads)
-    return {t: np.concatenate([p[t] for p in parts]) for t in cps.values()}
+    states = _ensemble(variant, params, cfg, checkpoints, n, seed, threads, batch_size)
+    return {t: z for t, (z, _) in states.items()}
 
 
 def ensemble_functional_means(
@@ -648,8 +573,10 @@ def coupled_refinement_means(
     dt_f = dt_c / 2.0
     sq_f = math.sqrt(dt_f)
     cps = _checkpoint_steps(checkpoints, dt_c, n_coarse)
-    se2 = params.sigma_e**2
-    exact_b0 = params.sigma_b == 0
+
+    def advance(Z, S, z_dt, dwe, dwb):
+        Z, ds = _euler_step(_BDRE, params, Z, z_dt, dwe, dwb)
+        return Z, S + ds
 
     def worker(bidx: int, b: int):
         g = RngStream(seed, bidx).generator()
@@ -658,20 +585,6 @@ def coupled_refinement_means(
         Zc = np.full(b, float(params.z0))
         Sc = np.zeros(b)
         out = {}
-
-        def advance(Z, S, z_dt, dwe, dwb):
-            z_in = np.maximum(Z, 0.0)
-            ds = params.alpha * z_dt + params.sigma_e * dwe
-            if exact_b0:
-                return Z * np.exp(ds), S + ds
-            prop = (
-                Z
-                + 0.5 * se2 * z_in * z_dt
-                + z_in * ds
-                + params.sigma_b * np.sqrt(z_in) * dwb
-            )
-            return _apply_scheme(prop, cfg.scheme), S + ds
-
         for k in range(1, n_coarse + 1):
             dwe1 = sq_f * g.standard_normal(b)
             dwb1 = sq_f * g.standard_normal(b)
@@ -731,7 +644,6 @@ def absorbed_fraction(
     n_steps = cfg.n_steps
     dt = cfg.horizon / n_steps
     sqdt = math.sqrt(dt)
-    se2 = params.sigma_e**2
 
     def worker(bidx: int, b: int):
         g = RngStream(seed, bidx).generator()
@@ -743,9 +655,7 @@ def absorbed_fraction(
                 break
             dwe = sqdt * g.standard_normal(na)
             dwb = sqdt * g.standard_normal(na)
-            ds = params.alpha * dt + params.sigma_e * dwe
-            Z = Z + 0.5 * se2 * Z * dt + Z * ds + params.sigma_b * np.sqrt(Z) * dwb
-            Z = _apply_scheme(Z, cfg.scheme)
+            Z, _ = _euler_step(_BDRE, params, Z, dt, dwe, dwb)
             dead = Z <= cfg.absorption_threshold
             absorbed += int(np.count_nonzero(dead))
             Z = Z[~dead & (Z < escape_level)]

@@ -33,7 +33,6 @@ __all__ = [
     "DomainMap",
     "QuadratureConfig",
     "DEFAULT_QUAD",
-    "GammaLaw",
     "Reading",
     "integrate_semi_infinite",
     "psi",
@@ -76,23 +75,6 @@ class QuadratureConfig:
 
 
 DEFAULT_QUAD = QuadratureConfig()
-
-
-@dataclass(frozen=True)
-class GammaLaw:
-    """Gamma law with shape nu and scale fixed at 1."""
-
-    nu: float
-
-    def __post_init__(self) -> None:
-        if not (self.nu > 0) or not math.isfinite(self.nu):
-            raise ValueError("gamma shape nu must be positive and finite")
-
-    def pdf(self, x):
-        return _gamma_dist.pdf(x, a=self.nu)
-
-    def sample(self, generator: np.random.Generator, size: int):
-        return generator.standard_gamma(self.nu, size=size)
 
 
 class Reading(Enum):
@@ -350,13 +332,12 @@ def laplace_Y(
     inv_lam = 0.0 if math.isinf(lam) else 1.0 / lam
     beta = params.beta
     ratio = params.sigma_b**2 / params.sigma_e**2
-    law = GammaLaw(beta)
 
     def integrand(g: float) -> float:
         if g <= 0.0:
             return 0.0
         b = ratio * g if reading is Reading.AS_PRINTED else ratio / g
-        return math.exp(-z / (b + inv_lam)) * float(law.pdf(g))
+        return math.exp(-z / (b + inv_lam)) * float(_gamma_dist.pdf(g, a=beta))
 
     val = integrate_semi_infinite(integrand, q)
     return min(max(val, 0.0), 1.0)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -184,6 +184,7 @@ class CriterionOutcome:
     records: list
     duration_s: float
     notes: list
+    sub_durations: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -349,9 +350,8 @@ def _criterion_2(ctx: _Ctx) -> CriterionOutcome:
         f"pathwise {pw.mean:.5f} (se {pw.std_error:.5f}, {pw_s:.1f}s)",
         f"max pairwise z {worst_z:.2f}; se ratio pathwise/RB {ratio:.2f}",
     ]
-    out = CriterionOutcome(2, "extinction-probability triangle", passed, records, 0.0, notes)
-    out.sub_durations = {"rao_blackwell": rb_s, "pathwise": pw_s}
-    return out
+    return CriterionOutcome(2, "extinction-probability triangle", passed, records, 0.0, notes,
+                            {"rao_blackwell": rb_s, "pathwise": pw_s})
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +712,7 @@ def run_verify(
         out = fn(ctx)
         out.duration_s = time.perf_counter() - t0
         durations[f"criterion_{out.index}"] = out.duration_s
-        for label, sub in getattr(out, "sub_durations", {}).items():
+        for label, sub in out.sub_durations.items():
             durations[f"criterion_{out.index}.{label}"] = sub
         outcomes.append(out)
     t0 = time.perf_counter()

@@ -54,6 +54,19 @@ def test_verify_rejects_unknown_preset(capsys):
     assert code == 2
 
 
+def test_reflecting_scheme_is_rejected(tmp_path, capsys):
+    # reflection hid every absorption, so the pathwise estimate read 0
+    cfg = tmp_path / "reflect.cfg"
+    cfg.write_text("scheme.scheme = EulerReflect\nn = 100\n")
+    code, out, err = run(capsys, [
+        "estimate", "--experiment", "extinction", "--config", str(cfg),
+        "--output-dir", str(tmp_path), "--threads", "1",
+    ])
+    assert code == 2
+    assert "EulerReflect" in err
+    assert out == ""
+
+
 def test_estimate_extinction_writes_records(tmp_path, capsys):
     code, out, _ = run(capsys, [
         "estimate", "--experiment", "extinction", "--n", "200",

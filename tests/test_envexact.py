@@ -15,6 +15,7 @@ from bdrelab.envexact import (
     sample_z_given_env_batch,
     simulate_environment,
 )
+from bdrelab.errors import ConfigError
 from bdrelab.model import ModelParams
 from bdrelab.rng import RngStream
 from bdrelab.sde import Scheme, SchemeConfig
@@ -96,3 +97,13 @@ def test_dufresne_truncated_mean():
 def test_dufresne_requires_positive_drift():
     with pytest.raises(ValueError):
         dufresne_samples(ModelParams(-1.0, 1.0, 1.0, 1.0), horizon=10.0, n=10, dt=0.01, seed=1)
+
+
+def test_time_shorter_than_half_a_step_is_a_config_error():
+    # round(t / dt) = 0 leaves no grid to step on
+    with pytest.raises(ConfigError):
+        environment_survival_curve(STD, [0.004], n=10, dt=0.01, seed=1)
+    with pytest.raises(ConfigError):
+        environment_laplace(STD, [1.0], t=0.004, n=10, dt=0.01, seed=1)
+    with pytest.raises(ConfigError):
+        dufresne_samples(STD, horizon=0.004, n=10, dt=0.01, seed=1)

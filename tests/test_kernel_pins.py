@@ -1,0 +1,249 @@
+"""Small-n outputs of the Monte Carlo kernels, pinned to their known values.
+
+The environment reducer and the Euler step are shared by many kernels, so
+a change to either must keep every kernel's draw order and arithmetic.
+These values are checked at rel 1e-12. The survival-conditioned ensembles
+are left out: the draws a retried path takes depend on which other paths
+are retried in the same step.
+"""
+
+import numpy as np
+import pytest
+
+from bdrelab.envexact import dufresne_samples, environment_laplace, environment_survival_curve
+from bdrelab.model import ModelParams, QuenchedVariant
+from bdrelab.rng import RngStream
+from bdrelab.sde import (
+    SchemeConfig,
+    absorbed_fraction,
+    coupled_refinement_means,
+    ensemble_final_states,
+    ensemble_quenched_final,
+    simulate_bdre,
+    simulate_conditioned_extinction,
+    simulate_conditioned_survival,
+    simulate_quenched,
+)
+
+STD = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
+NOISY = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=2.0, z0=0.05)  # frequent absorption
+NO_BRANCHING = ModelParams(alpha=0.4, sigma_e=0.8, sigma_b=0.0, z0=2.0)
+CFG = SchemeConfig(dt=0.01, horizon=0.5)
+CPS = [0.0, 0.25, 0.5]
+
+
+def _summary(x) -> list:
+    x = np.asarray(x, dtype=float)
+    return [float(x.sum()), float(x[0]), float(x[len(x) // 2]), float(x[-1])]
+
+
+def _states(variant, params, cfg=CFG):
+    out = ensemble_final_states(variant, params, cfg, CPS, 200, seed=11)
+    return [v for t in CPS for arr in out[t] for v in _summary(arr)]
+
+
+def _quenched(variant, params):
+    out = ensemble_quenched_final(variant, params, CFG, CPS, 200, seed=13)
+    return [v for t in CPS for v in _summary(out[t])]
+
+
+def _coupled(params):
+    out = coupled_refinement_means(params, CFG, [0.25, 0.5], 200, seed=17)
+    return [
+        v
+        for t in (0.25, 0.5)
+        for name in ("U_of_Z", "V_of_S", "Z_over_expS")
+        for key in ("coarse", "fine", "diff")
+        for v in out[t][name][key]
+    ]
+
+
+def _path(path) -> list:
+    absorbed = -1.0 if path.absorbed_at is None else path.absorbed_at
+    return _summary(path.z_values) + _summary(path.s_values) + [absorbed]
+
+
+def _curve(out) -> list:
+    return [v for t in sorted(out) for v in out[t]]
+
+
+def compute() -> dict:
+    """Every pinned quantity, as a flat list of floats per case."""
+    coarse = SchemeConfig(dt=0.25, horizon=5.0)
+    return {
+        # two batches: 60 000 > ENSEMBLE_BATCH
+        "dufresne_two_batches": _summary(dufresne_samples(STD, 0.05, 60_000, 0.01, seed=3)),
+        "dufresne": _summary(dufresne_samples(STD, 1.0, 50, 0.1, seed=5, stream_base=2)),
+        "survival_curve_two_batches": _curve(
+            environment_survival_curve(STD, [0.02, 0.05], 60_000, 0.01, seed=7)
+        ),
+        "extinct_curve": _curve(
+            environment_survival_curve(STD, [0.0, 0.5, 1.0], 500, 0.05, seed=9, collect="extinct")
+        ),
+        "laplace": _curve(environment_laplace(STD, [0.0, 0.5, 2.0], 1.0, 500, 0.05, seed=19)),
+        "states_bdre": _states("bdre", STD),
+        "states_bdre_absorbing": _states(
+            "bdre", NOISY, SchemeConfig(dt=0.01, horizon=0.5, absorption_threshold=0.01)
+        ),
+        "states_bdre_no_branching": _states("bdre", NO_BRANCHING),
+        # without branching noise nothing is absorbed, whatever the threshold
+        "states_no_branching_threshold": _states(
+            "bdre", NO_BRANCHING, SchemeConfig(dt=0.01, horizon=0.5, absorption_threshold=2.0)
+        ),
+        "states_cond_extinction": _states("cond-extinction", STD),
+        "quenched_unconditioned": _quenched(QuenchedVariant.UNCONDITIONED, NOISY),
+        "quenched_no_branching": _quenched(QuenchedVariant.UNCONDITIONED, NO_BRANCHING),
+        "quenched_cond_extinction": _quenched(QuenchedVariant.COND_EXTINCTION, STD),
+        "coupled": _coupled(STD),
+        "coupled_no_branching": _coupled(NO_BRANCHING),
+        "absorbed_fraction": list(absorbed_fraction(NOISY, SchemeConfig(dt=0.01, horizon=2.0),
+                                                    500, seed=23)),
+        "simulate_bdre": _path(simulate_bdre(NOISY, CFG, RngStream(29, 0))),
+        "simulate_cond_extinction": _path(
+            simulate_conditioned_extinction(STD, CFG, RngStream(29, 1))
+        ),
+        # at dt 0.25 each of streams 8, 10 and 11 retries a nonpositive proposal
+        "simulate_cond_survival": [
+            v for i in (8, 10, 11) for v in _path(simulate_conditioned_survival(
+                STD, coarse, RngStream(7, i)))
+        ],
+        "simulate_quenched": _path(simulate_quenched(NOISY, CFG, RngStream(29, 3))),
+        # Z only: S on a retried step follows its half steps (test_sde checks it)
+        "simulate_quenched_cond_survival": [
+            v for i in (8, 10, 11) for v in _summary(simulate_quenched(
+                STD, coarse, RngStream(7, i), QuenchedVariant.COND_SURVIVAL).z_values)
+        ],
+    }
+
+
+# reference values, computed before the kernels shared one step and one reducer
+PINNED = {
+    'absorbed_fraction': [
+        0.968, 0.007870959280799264,
+    ],
+    'coupled': [
+        0.24730050939496778, 0.013132568248714713, 0.24747986626748492, 0.01302507817589768,
+        -0.00017935687251712423, 0.0008077600052625963, 0.8691608064438304,
+        0.08071411272284115, 0.8691608064438304, 0.08071411272284115, -8.98586760555986e-18,
+        3.9203548567445103e-17, 0.9555552140372313, 0.031440641087688376,
+        0.9526129931792846, 0.031132237290786992, 0.002942220857946882,
+        0.0029071709590215333, 0.26626284371507725, 0.018638038233299604,
+        0.26579515431796386, 0.01845408154046682, 0.00046768939711331773,
+        0.0012558563604748297, 0.8056857807255802, 0.11046012506246107, 0.80568578072558,
+        0.11046012506246108, 8.571268694801403e-17, 8.95720786565445e-17,
+        0.9244532722082792, 0.0440484170035421, 0.92230756097014, 0.043919594260989084,
+        0.002145711238139335, 0.004125185016921055,
+    ],
+    'coupled_no_branching': [
+        0.6851493337359403, 0.02581758051873932, 0.6851493337359404, 0.025817580518739332,
+        -1.837419105754634e-16, 4.428957902382841e-17, 0.9328196839430256,
+        0.0351502163307157, 0.9328196839430256, 0.0351502163307157, 2.1649348980190553e-17,
+        1.4306550325160854e-17, 2.0, 5.5270733170055636e-17, 1.9999999999999993,
+        7.161415303712348e-17, 3.9523939676655573e-16, 8.851270385592775e-17,
+        0.6808719975071077, 0.035658332834745766, 0.6808719975071081, 0.03565833283474579,
+        -3.440997486947595e-16, 6.529532513047571e-17, 0.926996160175818,
+        0.04854824069297335, 0.926996160175818, 0.048548240692973345, 4.85722573273506e-19,
+        1.68802993110361e-17, 1.9999999999999993, 7.445522995102725e-17, 1.9999999999999987,
+        1.0195430065305917e-16, 7.23865412055602e-16, 1.3282857043117337e-16,
+    ],
+    'dufresne': [
+        39.7837471964092, 0.43009473599652687, 0.7904797501656499, 0.6601154507671909,
+    ],
+    'dufresne_two_batches': [
+        2960.7480248202883, 0.039934097071483626, 0.04043150814368893, 0.04558012364177317,
+    ],
+    'extinct_curve': [
+        0.0, 0.0, 0.020439552631484934, 0.0016212477301888527, 0.08741578853273074,
+        0.004735082997993335,
+    ],
+    'laplace': [
+        1.0, 0.0, 0.657157334673236, 0.001073757007026907, 0.31878123690766486,
+        0.0035905390049503724,
+    ],
+    'quenched_cond_extinction': [
+        200.0, 1.0, 1.0, 1.0, 181.66276699544974, 0.7097838539032179, 0.6106401896507349,
+        1.4487668377744503, 153.07585743388108, 0.16934545092330178, 1.2607925521590455,
+        1.8330430874785086,
+    ],
+    'quenched_no_branching': [
+        400.0, 2.0, 2.0, 2.0, 496.3993475355364, 2.291432146475545, 3.4228692242153542,
+        3.262664325278468, 581.2626392808485, 1.2043965627547566, 5.5061404907733635,
+        3.849039062430574,
+    ],
+    'quenched_unconditioned': [
+        10.0, 0.05, 0.05, 0.05, 15.949049146941114, 0.0, 0.0, 0.0, 20.567916381315353, 0.0,
+        0.0, 0.0,
+    ],
+    'simulate_bdre': [
+        0.22652233428539276, 0.05, 0.0, 0.0, 18.860109563333257, 0.0, 0.12574274696140883,
+        0.941209971235139, 0.06,
+    ],
+    'simulate_cond_extinction': [
+        28.415458199358852, 1.0, 0.46081021470101374, 0.2518395317215024,
+        22.090563389984226, 0.0, 0.13921199060343578, 0.9000505635320778, -1.0,
+    ],
+    'simulate_cond_survival': [
+        3540.722365007663, 1.0, 51.686783624257345, 1096.1742638997075, 77.65773928565216,
+        0.0, 4.152072125211862, 7.019251663530902, -1.0, 119.43695579566142, 1.0,
+        10.707371469255285, 1.4032580811434077, 29.778366498840416, 0.0, 2.0636224637948857,
+        1.643784444954794, -1.0, 266.3473779044056, 1.0, 8.342416505982671,
+        81.77254244005131, 27.531066100264283, 0.0, 1.2841728438726348, 4.467721209912696,
+        -1.0,
+    ],
+    'simulate_quenched': [
+        1.5894593486917739, 0.05, 0.0, 0.0, 37.1561117024392, 0.0, 1.1497515216625818,
+        0.43598580781402885, 0.13,
+    ],
+    'simulate_quenched_cond_survival': [
+        3540.7223650076635, 1.0, 51.68678362425734, 1096.1742638997075, 119.43695579566142,
+        1.0, 10.707371469255284, 1.4032580811434077, 266.34737790440556, 1.0,
+        8.34241650598267, 81.7725424400513,
+    ],
+    'states_bdre': [
+        200.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 310.6572282730607, 3.8379312032777895,
+        0.48477948643004487, 0.7457860902577926, 54.75925785647374, 0.5934610073955491,
+        -0.33733791634250365, 0.10483014821490097, 438.4352862709644, 4.159540581395724,
+        0.4110111426039498, 0.8602094563662891, 101.3067889721647, 0.6000066555198507,
+        -0.6191638487272656, -0.5802396927185538,
+    ],
+    'states_bdre_absorbing': [
+        10.0, 0.05, 0.05, 0.05, 0.0, 0.0, 0.0, 0.0, 18.019528415737504, 1.8423412279002447,
+        0.0, 0.0, 54.75925785647374, 0.5934610073955491, -0.33733791634250365,
+        0.10483014821490097, 24.04136997211821, 2.294063624636628, 0.0, 0.0,
+        101.3067889721647, 0.6000066555198507, -0.6191638487272656, -0.5802396927185538,
+    ],
+    'states_bdre_no_branching': [
+        400.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 488.47115793754006, 2.9093101361873415,
+        1.3816478036835493, 1.9679872090291184, 23.807406285178992, 0.3747688059164394,
+        -0.3698703330740031, -0.016135881428079146, 579.3434084962353, 2.6462737144991517,
+        0.9978184845492535, 1.029378710322309, 41.04543117773176, 0.28000532441588055,
+        -0.6953310789818128, -0.6641917541748431,
+    ],
+    'states_no_branching_threshold': [
+        400.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 488.47115793754006, 2.9093101361873415,
+        1.3816478036835493, 1.9679872090291184, 23.807406285178992, 0.3747688059164394,
+        -0.3698703330740031, -0.016135881428079146, 579.3434084962353, 2.6462737144991517,
+        0.9978184845492535, 1.029378710322309, 41.04543117773176, 0.28000532441588055,
+        -0.6953310789818128, -0.6641917541748431,
+    ],
+    'states_cond_extinction': [
+        200.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 190.13222992664072, 2.5140105217700714,
+        0.2396670853485297, 0.42191433837992287, 8.130082527274308, 0.26991996688409536,
+        -0.5148488391763646, -0.07758099822429988, 162.7309449985741, 1.6671719884852763,
+        0.09390681281320463, 0.4123492476135598, 15.90343451846011, -0.0687973985838328,
+        -0.8725017479756366, -0.8320362008265431,
+    ],
+    'survival_curve_two_batches': [
+        1.0, 0.0, 0.9999999999999812, 0.0,
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def outputs():
+    return compute()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_kernel_output_is_pinned(outputs, case):
+    assert outputs[case] == pytest.approx(PINNED[case], rel=1e-12, abs=0.0)

@@ -5,11 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from bdrelab.model import ModelParams, QuenchedVariant, scale_U
+from bdrelab.envexact import environment_survival_curve
+from bdrelab.errors import NumericalFailure
+from bdrelab.model import ModelParams, QuenchedVariant, drift_conditioned_survival, scale_U
 from bdrelab.rng import RngStream
 from bdrelab.sde import (
+    MAX_HALVINGS,
     Scheme,
     SchemeConfig,
+    _guarded_step,
+    _halve,
+    _Variant,
     coupled_refinement_means,
     ensemble_final_states,
     ensemble_functional_means,
@@ -92,6 +98,46 @@ def test_ensemble_thread_count_does_not_change_results():
     m1 = ensemble_functional_means(STD, CFG, [1.0, 2.0], 4000, seed=31, threads=1)
     m4 = ensemble_functional_means(STD, CFG, [1.0, 2.0], 4000, seed=31, threads=4)
     assert m1 == m4
+    # the environment reducer, over two batches
+    c1 = environment_survival_curve(STD, [0.02, 0.05], 60_000, 0.01, seed=7, threads=1)
+    c2 = environment_survival_curve(STD, [0.02, 0.05], 60_000, 0.01, seed=7, threads=2)
+    assert c1 == c2
+
+
+def test_survival_guard_retries_with_half_steps_and_carries_s():
+    z = np.array([0.05, 1.0, 0.02])
+    s = np.array([0.1, 0.2, 0.3])
+    dt = 0.25
+    dwe = np.array([0.1, 0.1, 0.1])
+    dwb = np.array([-3.0, 0.0, -3.0])  # drives paths 0 and 2 below zero
+
+    def step(zi, si, h, we, wb):
+        pair = drift_conditioned_survival(zi, STD)
+        ds = pair.drift_s * h + STD.sigma_e * we
+        return zi + pair.drift_z * h + zi * ds + STD.sigma_b * math.sqrt(zi) * wb, si + ds
+
+    assert step(0.05, 0.1, dt, 0.1, -3.0)[0] <= 0 and step(0.02, 0.3, dt, 0.1, -3.0)[0] <= 0
+    got_z, got_s = _guarded_step(
+        _Variant.COND_SURVIVAL, STD, z, s, dt, dwe, dwb, np.random.default_rng(5)
+    )
+
+    # hand replay: the two rejected paths take two half steps each, drawing
+    # environment noise for both, then branching noise for both, per half
+    g = np.random.default_rng(5)
+    sq = math.sqrt(dt / 2)
+    want = {1: step(1.0, 0.2, dt, 0.1, 0.0)}
+    state = {0: (0.05, 0.1), 2: (0.02, 0.3)}
+    for _ in range(2):
+        we, wb = sq * g.standard_normal(2), sq * g.standard_normal(2)
+        for j, i in enumerate((0, 2)):
+            state[i] = step(*state[i], dt / 2, we[j], wb[j])
+            assert state[i][0] > 0  # no deeper halving at this seed
+    want.update(state)
+    for i in range(3):
+        assert got_z[i] == pytest.approx(want[i][0], rel=1e-14)
+        assert got_s[i] == pytest.approx(want[i][1], rel=1e-14)
+    with pytest.raises(NumericalFailure):
+        _halve(_Variant.COND_SURVIVAL, STD, z, s, dt, g, MAX_HALVINGS + 1)
 
 
 def test_ensemble_checkpoint_must_sit_on_grid():
