@@ -60,7 +60,6 @@ from .results import Provenance, ResultFormat, ResultRecord, read_results_csv, w
 from .rng import RngStream
 from .sde import (
     Path,
-    Scheme,
     SchemeConfig,
     bridge_extinction_frequency,
     simulate_bdre,
@@ -132,7 +131,6 @@ __all__ = [
     "write_results",
     "RngStream",
     "Path",
-    "Scheme",
     "SchemeConfig",
     "bridge_extinction_frequency",
     "simulate_bdre",

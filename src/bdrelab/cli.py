@@ -32,7 +32,6 @@ from .config import (
     read_config,
     seed_from_environment,
 )
-from .envexact import dufresne_samples
 from .errors import ConfigError, NotComputableError, NumericalFailure
 from .estimators import (
     ExtinctionMethod,
@@ -64,8 +63,6 @@ from .results import (
 )
 from .rng import RngStream
 from .sde import (
-    Scheme,
-    SchemeConfig,
     bridge_extinction_frequency,
     simulate_bdre,
     simulate_conditioned_extinction,
@@ -146,7 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=_cmd_specfun)
 
     p_ver = sub.add_parser("verify", help="run the full verification checklist")
-    p_ver.add_argument("--preset", default="standard")
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--output-dir", default=None)
     p_ver.add_argument("--threads", type=int, default=None)
@@ -296,7 +292,8 @@ def _cmd_estimate(args) -> int:
                                     est.std_error, est.n, ref, Provenance.SIMULATION))
     elif exp is Experiment.LAPLACE:
         pts = laplace_limit_test(cfg.model, cfg.lambda_grid, cfg.scheme.horizon,
-                                 cfg.n, cfg.scheme, cfg.seed, threads=threads)
+                                 cfg.n, cfg.scheme, cfg.seed, q=cfg.quadrature,
+                                 threads=threads)
         for pt in pts:
             records.append(_rec(cfg, f"laplace.lam={pt.lam:g}", pt.estimate.mean,
                                 pt.estimate.std_error, pt.estimate.n, pt.reference,
@@ -396,7 +393,7 @@ def _cmd_verify(args) -> int:
     if args.seed is not None:
         seed = args.seed
     report = run_verify(seed=seed, output_dir=args.output_dir,
-                        threads=_threads(args), preset=args.preset)
+                        threads=_threads(args))
     sys.stdout.write(format_summary(report) + "\n")
     return 0 if report.passed else 1
 

@@ -21,7 +21,7 @@ from enum import Enum
 
 from .errors import ConfigError
 from .model import ModelParams
-from .sde import Scheme, SchemeConfig
+from .sde import SchemeConfig
 from .specfun import DomainMap, QuadratureConfig
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
 
 DEFAULT_SEED = 20260821
 ENV_SEED_VAR = "BDRE_LAB_SEED"
+# scheme.scheme stays in the format, fixed, so config files and hashes do not change
+_SCHEME = "EulerFullTruncation"
 
 
 class Experiment(Enum):
@@ -60,9 +62,7 @@ class ExperimentConfig:
     """
 
     model: ModelParams = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
-    scheme: SchemeConfig = SchemeConfig(
-        dt=0.01, horizon=30.0, scheme=Scheme.EULER_FULL_TRUNCATION
-    )
+    scheme: SchemeConfig = SchemeConfig(dt=0.01, horizon=30.0)
     quadrature: QuadratureConfig = QuadratureConfig()
     experiment: Experiment = Experiment.EXTINCTION
     n: int = 100_000
@@ -82,8 +82,6 @@ class ExperimentConfig:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, Enum):
@@ -100,7 +98,7 @@ def _semantic_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
         ("model.z0", _fmt(m.z0)),
         ("scheme.dt", _fmt(s.dt)),
         ("scheme.horizon", _fmt(s.horizon)),
-        ("scheme.scheme", _fmt(s.scheme)),
+        ("scheme.scheme", _SCHEME),
         ("scheme.absorption_threshold", _fmt(s.absorption_threshold)),
         ("scheme.store_stride", _fmt(s.store_stride)),
         ("quadrature.rel_tol", _fmt(q.rel_tol)),
@@ -170,6 +168,9 @@ def config_from_text(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{key}: bad list: {raw!r}") from exc
 
+    scheme_name = take("scheme.scheme", _SCHEME)
+    if scheme_name != _SCHEME:
+        raise ConfigError(f"scheme.scheme: {scheme_name!r} is not the one scheme, {_SCHEME}")
     try:
         model = ModelParams(
             alpha=as_float("model.alpha", "1.0"),
@@ -180,7 +181,6 @@ def config_from_text(text: str) -> ExperimentConfig:
         scheme = SchemeConfig(
             dt=as_float("scheme.dt", "0.01"),
             horizon=as_float("scheme.horizon", "30.0"),
-            scheme=as_enum("scheme.scheme", Scheme, "EulerFullTruncation"),
             absorption_threshold=as_float("scheme.absorption_threshold", "0.0"),
             store_stride=as_int("scheme.store_stride", "1"),
         )

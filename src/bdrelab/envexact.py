@@ -29,8 +29,8 @@ from numpy.typing import NDArray
 
 from .errors import ConfigError
 from .model import ModelParams
-from .rng import RngStream
-from .sde import ENSEMBLE_BATCH, SchemeConfig, _checkpoint_steps, _run_batches
+from .rng import RngStream, _run_batches
+from .sde import SchemeConfig, _checkpoint_steps
 
 __all__ = [
     "EnvPath",
@@ -148,18 +148,14 @@ def sample_z_given_env_batch(
     return math.exp(s_t) * x
 
 
-def dufresne_functional(
-    params: ModelParams, horizon: float, rng: RngStream, dt: float = 0.01
-) -> float:
-    """One truncated sample of Int_0^T e^{-S_s} ds (raw, no sigma_b factor).
+def dufresne_functional(params: ModelParams, horizon: float, rng: RngStream) -> float:
+    """One truncated sample of Int_0^T e^{-S_s} ds (raw, no sigma_b factor), at dt 0.01.
 
     The infinite-horizon limit exists only for alpha > 0; the truncation
     tail is exponentially suppressed (for the T used in tests, far below
     sampling noise).
     """
-    if params.alpha <= 0:
-        raise ValueError("the exponential functional requires alpha > 0")
-    return float(dufresne_samples(params, horizon, 1, dt, rng.seed, stream_base=rng.stream_index)[0])
+    return float(dufresne_samples(params, horizon, 1, 0.01, rng.seed, stream_base=rng.stream_index)[0])
 
 
 def _environment_batches(
@@ -194,8 +190,7 @@ def _environment_batches(
     sq = math.sqrt(step)
     weight = scale * 0.5 * step
 
-    def worker(bidx: int, b: int):
-        g = RngStream(seed, stream_base + bidx).generator()
+    def worker(g, b: int):
         s = np.zeros(b)
         acc = np.zeros(b)
         prev = np.ones(b)
@@ -211,7 +206,7 @@ def _environment_batches(
                 out[at[k]] = reduce(at[k], acc)
         return out
 
-    return _run_batches(worker, n, ENSEMBLE_BATCH, threads)
+    return _run_batches(worker, n, seed, threads, stream_base)
 
 
 def _sums(q: NDArray[np.float64]) -> tuple[float, float]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import ks_2samp
@@ -27,7 +27,6 @@ from .model import (
     scale_U,
 )
 from .sde import (
-    Scheme,
     SchemeConfig,
     absorbed_fraction,
     ensemble_final_states,
@@ -252,7 +251,7 @@ def survival_points(
         return environment_survival_curve(
             neg, t_grid, n_per_t, dt, seed, collect="survival", threads=threads
         )
-    cfg = SchemeConfig(dt=dt, horizon=max(t_grid), scheme=Scheme.EULER_FULL_TRUNCATION)
+    cfg = SchemeConfig(dt=dt, horizon=max(t_grid))
     out = {}
     for i, t in enumerate(t_grid):
         est = estimate_conditioned_survival(
@@ -311,11 +310,9 @@ def fit_decay_rate(
     n_per_t: int,
     route: SurvivalRoute,
     seed: int,
-    dt: float = 0.01,
-    threads: int = 1,
 ) -> RateFit:
-    """Estimate survival on the grid, then fit the decay rate."""
-    pts = survival_points(params, t_grid, n_per_t, route, seed, dt=dt, threads=threads)
+    """Estimate survival on the grid at dt 0.01, then fit the decay rate."""
+    pts = survival_points(params, t_grid, n_per_t, route, seed)
     return fit_decay_rate_from_points(params, pts)
 
 

@@ -1,4 +1,4 @@
-"""Reproducible random-number streams.
+"""Reproducible random-number streams and the batch scheduler.
 
 A stream is addressed by (seed, stream_index). Distinct addresses give
 statistically independent generators (SeedSequence spawning guarantees),
@@ -9,13 +9,17 @@ batches are scheduled across threads.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["RngStream"]
+__all__ = ["RngStream", "ENSEMBLE_BATCH"]
 
 _U64 = 2**64
+
+ENSEMBLE_BATCH = 50_000
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,26 @@ class RngStream:
             np.random.SeedSequence((self.seed % _U64, self.stream_index))
         )
 
-    def child(self, offset: int) -> "RngStream":
-        """A stream addressed relative to this one (same seed, shifted index)."""
-        return RngStream(self.seed, self.stream_index + offset)
+
+def _run_batches(
+    worker: Callable[[np.random.Generator, int], object],
+    n: int,
+    seed: int,
+    threads: int,
+    stream_base: int = 0,
+) -> list:
+    """worker(g, b) for each batch of at most ENSEMBLE_BATCH of n items, in order.
+
+    Batch k draws from g, the generator of RngStream(seed, stream_base + k),
+    built in the thread that runs the batch.
+    """
+
+    def job(k: int):
+        g = RngStream(seed, stream_base + k).generator()
+        return worker(g, min(ENSEMBLE_BATCH, n - k * ENSEMBLE_BATCH))
+
+    batches = range(-(-n // ENSEMBLE_BATCH))  # ceil(n / ENSEMBLE_BATCH)
+    if threads <= 1 or len(batches) <= 1:
+        return [job(k) for k in batches]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(job, batches))  # in batch order

@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,10 +51,9 @@ from .model import (
     scale_U,
     scale_V,
 )
-from .rng import RngStream
+from .rng import RngStream, _run_batches
 
 __all__ = [
-    "Scheme",
     "SchemeConfig",
     "Path",
     "simulate_bdre",
@@ -70,25 +68,15 @@ __all__ = [
     "coupled_refinement_means",
     "absorbed_fraction",
     "bridge_extinction_frequency",
-    "ENSEMBLE_BATCH",
 ]
 
-ENSEMBLE_BATCH = 50_000
-
 MAX_HALVINGS = 20
-
-
-class Scheme(enum.Enum):
-    """The discretization; full truncation is the only one."""
-
-    EULER_FULL_TRUNCATION = "EulerFullTruncation"
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
     dt: float
     horizon: float
-    scheme: Scheme = Scheme.EULER_FULL_TRUNCATION
     absorption_threshold: float = 0.0
     store_stride: int = 1
 
@@ -345,7 +333,6 @@ def simulate_discrete_bpre(
     params: ModelParams,
     horizon: float,
     rng: RngStream,
-    store_stride: Optional[int] = None,
 ) -> Path:
     """One rescaled path of the discrete-generation pre-limit process.
 
@@ -357,8 +344,8 @@ def simulate_discrete_bpre(
     params.sigma_b; params.sigma_b is ignored here.
 
     Returns the rescaled pair (Z_gen / n, sum of log-means) on the time
-    grid gen / n. The quenched-mean identity E[Z_gen | env] = z0 n e^{S}
-    holds exactly for every generation under this convention.
+    grid gen / n at every max(1, n // 10)-th generation. Under this
+    convention E[Z_gen | env] = z0 n e^{S} holds exactly for every generation.
     """
     if n_scale < 1:
         raise ValueError("n_scale must be >= 1")
@@ -366,7 +353,7 @@ def simulate_discrete_bpre(
         raise ValueError("horizon must be positive")
     g = rng.generator()
     n_gens = int(round(horizon * n_scale))
-    stride = store_stride if store_stride is not None else max(1, n_scale // 10)
+    stride = max(1, n_scale // 10)
     mu = params.alpha / n_scale
     sd = params.sigma_e / math.sqrt(n_scale)
 
@@ -397,38 +384,22 @@ def simulate_discrete_bpre(
     )
 
 
+def _functionals(Z, S, params: ModelParams) -> dict:
+    """The three tracked functionals U(Z), V(S) and Z e^{-S}, by name."""
+    return {
+        "U_of_Z": scale_U(Z, params),
+        "V_of_S": scale_V(S, params),
+        "Z_over_expS": Z * np.exp(-S),
+    }
+
+
 def path_functionals(path: Path, params: ModelParams) -> dict:
     """Pointwise U(Z_t), V(S_t), Z_t e^{-S_t} along a path. No aggregation."""
-    return {
-        "U_of_Z": scale_U(path.z_values, params),
-        "V_of_S": scale_V(path.s_values, params),
-        "Z_over_expS": path.z_values * np.exp(-path.s_values),
-    }
+    return _functionals(path.z_values, path.s_values, params)
 
 
 # ---------------------------------------------------------------------------
 # ensemble kernels
-
-
-def _batch_plan(n: int, batch_size: int) -> Iterable[tuple[int, int]]:
-    done = 0
-    bidx = 0
-    while done < n:
-        b = min(batch_size, n - done)
-        yield bidx, b
-        done += b
-        bidx += 1
-
-
-def _run_batches(
-    worker: Callable[[int, int], object], n: int, batch_size: int, threads: int
-) -> list:
-    plan = list(_batch_plan(n, batch_size))
-    if threads <= 1 or len(plan) <= 1:
-        return [worker(bidx, b) for bidx, b in plan]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(worker, bidx, b) for bidx, b in plan]
-        return [f.result() for f in futs]  # submission order == batch order
 
 
 def _checkpoint_steps(checkpoints: Sequence[float], dt: float, n_steps: int) -> dict:
@@ -442,7 +413,7 @@ def _checkpoint_steps(checkpoints: Sequence[float], dt: float, n_steps: int) -> 
     return table
 
 
-def _ensemble(kind, params, cfg, checkpoints, n, seed, threads, batch_size) -> dict:
+def _ensemble(kind, params, cfg, checkpoints, n, seed, threads) -> dict:
     """{checkpoint: (Z, S)} over n paths of a step kind, in batch order."""
     n_steps = cfg.n_steps
     dt = cfg.horizon / n_steps
@@ -452,8 +423,7 @@ def _ensemble(kind, params, cfg, checkpoints, n, seed, threads, batch_size) -> d
     threshold = cfg.absorption_threshold
     absorbing = threshold > 0 and params.sigma_b > 0
 
-    def worker(bidx: int, b: int):
-        g = RngStream(seed, bidx).generator()
+    def worker(g, b: int):
         Z = np.full(b, float(params.z0))
         S = np.zeros(b)
         out = {}
@@ -473,7 +443,7 @@ def _ensemble(kind, params, cfg, checkpoints, n, seed, threads, batch_size) -> d
                 out[cps[k]] = (Z.copy(), S.copy())
         return out
 
-    parts = _run_batches(worker, n, batch_size, threads)
+    parts = _run_batches(worker, n, seed, threads)
     return {
         t: (
             np.concatenate([p[t][0] for p in parts]),
@@ -491,7 +461,6 @@ def ensemble_final_states(
     n: int,
     seed: int,
     threads: int = 1,
-    batch_size: int = ENSEMBLE_BATCH,
 ) -> dict:
     """Vectorized ensemble of the two-dimensional system.
 
@@ -503,7 +472,7 @@ def ensemble_final_states(
     var = _Variant(variant)
     if var is not _Variant.BDRE and params.alpha <= 0:
         raise ValueError("conditioned variants require alpha > 0")
-    return _ensemble(var, params, cfg, checkpoints, n, seed, threads, batch_size)
+    return _ensemble(var, params, cfg, checkpoints, n, seed, threads)
 
 
 def ensemble_quenched_final(
@@ -514,12 +483,11 @@ def ensemble_quenched_final(
     n: int,
     seed: int,
     threads: int = 1,
-    batch_size: int = ENSEMBLE_BATCH,
 ) -> dict:
     """Vectorized ensemble of the one-dimensional quenched SDE: {t: Z}."""
     if variant is QuenchedVariant.COND_SURVIVAL and params.z0 <= 0:
         raise ValueError("survival conditioning requires z0 > 0")
-    states = _ensemble(variant, params, cfg, checkpoints, n, seed, threads, batch_size)
+    states = _ensemble(variant, params, cfg, checkpoints, n, seed, threads)
     return {t: z for t, (z, _) in states.items()}
 
 
@@ -537,18 +505,13 @@ def ensemble_functional_means(
     Z e^{-S} over n unconditioned paths.
     """
     states = ensemble_final_states("bdre", params, cfg, checkpoints, n, seed, threads)
-    out = {}
-    for t, (Z, S) in states.items():
-        fn = {
-            "U_of_Z": scale_U(Z, params),
-            "V_of_S": scale_V(S, params),
-            "Z_over_expS": Z * np.exp(-S),
-        }
-        out[t] = {
+    return {
+        t: {
             name: (float(v.mean()), float(v.std(ddof=1) / math.sqrt(n)))
-            for name, v in fn.items()
+            for name, v in _functionals(Z, S, params).items()
         }
-    return out
+        for t, (Z, S) in states.items()
+    }
 
 
 def coupled_refinement_means(
@@ -578,8 +541,7 @@ def coupled_refinement_means(
         Z, ds = _euler_step(_BDRE, params, Z, z_dt, dwe, dwb)
         return Z, S + ds
 
-    def worker(bidx: int, b: int):
-        g = RngStream(seed, bidx).generator()
+    def worker(g, b: int):
         Zf = np.full(b, float(params.z0))
         Sf = np.zeros(b)
         Zc = np.full(b, float(params.z0))
@@ -597,7 +559,7 @@ def coupled_refinement_means(
                 out[cps[k]] = (Zc.copy(), Sc.copy(), Zf.copy(), Sf.copy())
         return out
 
-    parts = _run_batches(worker, n, ENSEMBLE_BATCH, threads)
+    parts = _run_batches(worker, n, seed, threads)
     result = {}
     for t in cps.values():
         if t == 0.0:
@@ -606,12 +568,10 @@ def coupled_refinement_means(
         Sc = np.concatenate([p[t][1] for p in parts])
         Zf = np.concatenate([p[t][2] for p in parts])
         Sf = np.concatenate([p[t][3] for p in parts])
+        fine = _functionals(Zf, Sf, params)
         per = {}
-        for name, fc, ff in (
-            ("U_of_Z", scale_U(Zc, params), scale_U(Zf, params)),
-            ("V_of_S", scale_V(Sc, params), scale_V(Sf, params)),
-            ("Z_over_expS", Zc * np.exp(-Sc), Zf * np.exp(-Sf)),
-        ):
+        for name, fc in _functionals(Zc, Sc, params).items():
+            ff = fine[name]
             d = fc - ff
             per[name] = {
                 "coarse": (float(fc.mean()), float(fc.std(ddof=1) / math.sqrt(n))),
@@ -628,16 +588,14 @@ def absorbed_fraction(
     n: int,
     seed: int,
     threads: int = 1,
-    escape_level: float = 1e4,
 ) -> tuple[float, float]:
     """Fraction of unconditioned paths absorbed by the horizon, with its se.
 
     Tracks only the still-active, still-small paths; a path whose
-    population exceeds escape_level is counted as surviving (its residual
-    extinction probability is below (1 + escape_level)^(-beta), about 1e-8
-    at the default level for the standard parameters, far below Monte
-    Carlo resolution). Arrays shrink as paths resolve and the batch exits
-    early once none remain.
+    population exceeds 1e4 is counted as surviving (its residual
+    extinction probability is below (1 + 1e4)^(-beta), about 1e-8 for the
+    standard parameters, far below Monte Carlo resolution). Arrays shrink
+    as paths resolve and the batch exits early once none remain.
     """
     if params.sigma_b == 0:
         return 0.0, 0.0
@@ -645,8 +603,7 @@ def absorbed_fraction(
     dt = cfg.horizon / n_steps
     sqdt = math.sqrt(dt)
 
-    def worker(bidx: int, b: int):
-        g = RngStream(seed, bidx).generator()
+    def worker(g, b: int):
         Z = np.full(b, float(params.z0))
         absorbed = 0
         for _ in range(n_steps):
@@ -658,10 +615,10 @@ def absorbed_fraction(
             Z, _ = _euler_step(_BDRE, params, Z, dt, dwe, dwb)
             dead = Z <= cfg.absorption_threshold
             absorbed += int(np.count_nonzero(dead))
-            Z = Z[~dead & (Z < escape_level)]
+            Z = Z[~dead & (Z < 1e4)]
         return absorbed
 
-    counts = _run_batches(worker, n, ENSEMBLE_BATCH, threads)
+    counts = _run_batches(worker, n, seed, threads)
     p = sum(counts) / n
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / n)
     return p, se
@@ -673,22 +630,21 @@ def bridge_extinction_frequency(
     n_reps: int,
     seed: int,
     horizon: float = 30.0,
-    escape_multiple: int = 100,
 ) -> tuple[float, float]:
     """Extinction frequency of the discrete bridge across replications.
 
     All replications evolve in one vectorized generation loop; a
-    replication whose population reaches escape_multiple * n_scale
-    individuals is counted as surviving (residual extinction probability
-    (1 + escape_multiple/2)^(-2) ~ 4e-4 at the default, an order below the
-    Monte Carlo standard error at 10^4 replications).
+    replication whose population reaches 100 * n_scale individuals is
+    counted as surviving (residual extinction probability
+    (1 + 100/2)^(-2) ~ 4e-4, an order below the Monte Carlo standard
+    error at 10^4 replications).
     """
     if n_scale < 1 or n_reps < 1:
         raise ValueError("n_scale and n_reps must be >= 1")
     g = RngStream(seed, 0).generator()
     mu = params.alpha / n_scale
     sd = params.sigma_e / math.sqrt(n_scale)
-    cap = escape_multiple * n_scale
+    cap = 100 * n_scale
     Z = np.full(n_reps, int(round(params.z0 * n_scale)), dtype=np.int64)
     extinct = 0
     for _ in range(int(round(horizon * n_scale))):

@@ -15,10 +15,11 @@ a half-trusted number.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import integrate as _integrate
@@ -26,7 +27,7 @@ from scipy import special as _special
 from scipy.stats import gamma as _gamma_dist
 
 from .errors import NotComputableError, NumericalFailure
-from .model import ModelParams, Regime
+from .model import ModelParams, Regime, classify_regime
 
 __all__ = [
     "INFINITE",
@@ -87,7 +88,6 @@ class Reading(Enum):
 def integrate_semi_infinite(
     f: Callable[[float], float],
     cfg: QuadratureConfig = DEFAULT_QUAD,
-    map_override: Optional[DomainMap] = None,
 ) -> float:
     """Adaptive quadrature of f over (0, inf) via a (0,1) substitution.
 
@@ -95,8 +95,7 @@ def integrate_semi_infinite(
     y = tan(pi u / 2). Raises NumericalFailure if QUADPACK does not
     converge within the subdivision budget.
     """
-    dmap = map_override if map_override is not None else cfg.infinite_domain_map
-    if dmap is DomainMap.EXP_SUBSTITUTION:
+    if cfg.infinite_domain_map is DomainMap.EXP_SUBSTITUTION:
 
         def g(u: float) -> float:
             if u >= 1.0:
@@ -177,11 +176,10 @@ def integral_a_psi(
     if use_closed_form:
         fn = lambda a: a * psi_closed_form(a) if a > 0 else 0.0
     else:
-        inner_cfg = QuadratureConfig(
+        inner_cfg = replace(
+            q,
             rel_tol=min(q.rel_tol, 1e-11),
             abs_tol=min(q.abs_tol, 1e-13),
-            max_subdivisions=q.max_subdivisions,
-            infinite_domain_map=q.infinite_domain_map,
         )
         fn = lambda a: a * psi(a, inner_cfg) if a > 0 else 0.0
     return integrate_semi_infinite(fn, q)
@@ -230,17 +228,17 @@ def phi_beta(a: float, beta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float
     # (the outer integrand carries the inner quadrature's own noise), so
     # both passes run with floors well inside the 1e-6 route-agreement
     # budget but loose enough for QUADPACK to reach.
-    inner_cfg = QuadratureConfig(
+    inner_cfg = replace(
+        q,
         rel_tol=max(q.rel_tol, 1e-10),
         abs_tol=max(q.abs_tol, 1e-12),
-        max_subdivisions=q.max_subdivisions,
         infinite_domain_map=DomainMap.EXP_SUBSTITUTION,
     )
-    outer_cfg = QuadratureConfig(
+    outer_cfg = replace(
+        q,
         rel_tol=max(q.rel_tol, 1e-9),
         abs_tol=max(q.abs_tol, 1e-12),
-        max_subdivisions=q.max_subdivisions,
-        infinite_domain_map=q.infinite_domain_map,
+        infinite_domain_map=DomainMap.TAN_SUBSTITUTION,
     )
 
     def outer(u: float) -> float:
@@ -254,7 +252,7 @@ def phi_beta(a: float, beta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float
         )
         return math.exp(log_w) * inner
 
-    raw = integrate_semi_infinite(outer, outer_cfg, map_override=DomainMap.TAN_SUBSTITUTION)
+    raw = integrate_semi_infinite(outer, outer_cfg)
     pref = (
         math.gamma(0.5 * (beta + 2.0))
         / (math.sqrt(2.0) * math.pi)
@@ -263,27 +261,36 @@ def phi_beta(a: float, beta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float
     return pref * raw
 
 
-def phi_beta_tensor_oracle(
-    a: float, beta: float, n_laguerre: int = 200, n_legendre: int = 2000
-) -> float:
+@functools.cache
+def _legendre_rule() -> tuple:
+    """The oracle's 2000-node Gauss-Legendre rule, read-only; built on first
+    use, not at import, because the build takes about a second."""
+    x, w = np.polynomial.legendre.leggauss(2000)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def phi_beta_tensor_oracle(a: float, beta: float) -> float:
     """Independent brute-force route for phi_beta on a fixed tensor grid.
 
-    Generalized Gauss-Laguerre (weight u^{(beta-1)/2} e^{-u}) handles the
-    u direction exactly; Gauss-Legendre on a truncated xi interval handles
-    the other. No adaptivity and no shared code path with phi_beta, which
-    is the point: the two routes agree only if both are right.
+    Generalized Gauss-Laguerre (weight u^{(beta-1)/2} e^{-u}, 200 nodes)
+    handles the u direction exactly; Gauss-Legendre (2000 nodes) on a
+    truncated xi interval handles the other. No adaptivity and no shared
+    code path with phi_beta, which is the point: the two routes agree only
+    if both are right.
     """
     if not (a > 0 and beta > 0):
         raise ValueError("phi_beta requires a > 0 and beta > 0")
-    u_nodes, u_weights = _special.roots_genlaguerre(n_laguerre, 0.5 * (beta - 1.0))
+    u_nodes, u_weights = _special.roots_genlaguerre(200, 0.5 * (beta - 1.0))
     xi_hi = max(60.0, 800.0 / (beta + 2.0))
-    x, w = np.polynomial.legendre.leggauss(n_legendre)
+    x, w = _legendre_rule()
     xi = 0.5 * xi_hi * (x + 1.0)
     xi_w = 0.5 * xi_hi * w
     lsinh = np.where(xi > 20.0, xi + np.log1p(-np.exp(-2.0 * xi)) - math.log(2.0), np.log(np.sinh(xi)))
     lcosh = np.where(xi > 20.0, xi + np.log1p(np.exp(-2.0 * xi)) - math.log(2.0), np.log(np.cosh(xi)))
     log_a = math.log(a)
-    # (n_laguerre, n_legendre) grid of the log kernel
+    # (Laguerre, Legendre) grid of the log kernel
     ld = np.logaddexp(np.log(u_nodes)[:, None], log_a + 2.0 * lcosh[None, :])
     le = (lsinh + lcosh + np.log(xi))[None, :] - 0.5 * (beta + 2.0) * ld
     kern = np.where(le < -745.0, 0.0, np.exp(le))
@@ -364,8 +371,6 @@ def theorem1_constant(
         Regime.STRONGLY_SUPERCRITICAL,
     ):
         raise ValueError("theorem1_constant applies to supercritical regimes only")
-    from .model import classify_regime
-
     actual = classify_regime(params)
     if actual is not regime:
         raise ValueError(

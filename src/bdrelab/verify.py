@@ -41,12 +41,10 @@ from .config import DEFAULT_SEED, ExperimentConfig, config_hash
 from .envexact import (
     dufresne_functional,
     dufresne_samples,
-    env_from_samples,
     quenched_extinct_by,
     sample_z_given_env,
     simulate_environment,
 )
-from .errors import ConfigError
 from .estimators import (
     KS_CRITICAL_1PCT,
     ExtinctionMethod,
@@ -57,6 +55,7 @@ from .estimators import (
     estimate_extinction,
     fit_decay_rate,
     fit_decay_rate_from_points,
+    functional_reference,
     laplace_limit_test,
     martingale_test,
     survival_points,
@@ -74,8 +73,6 @@ from .model import (
     generator_apply,
     quenched_drift_coefficient,
     rao_blackwell_se_ratio,
-    scale_U,
-    scale_V,
     survival_ratio,
 )
 from .results import (
@@ -88,7 +85,6 @@ from .results import (
 )
 from .rng import RngStream
 from .sde import (
-    Scheme,
     SchemeConfig,
     bridge_extinction_frequency,
     coupled_refinement_means,
@@ -296,20 +292,20 @@ def _criterion_2(ctx: _Ctx) -> CriterionOutcome:
     p = STANDARD
     closed = estimate_extinction(
         p, ExtinctionMethod.CLOSED_FORM, 1, 30.0,
-        SchemeConfig(dt=0.01, horizon=30.0, scheme=Scheme.EULER_FULL_TRUNCATION),
+        SchemeConfig(dt=0.01, horizon=30.0),
         _seed(ctx, 2),
     )
     t0 = time.perf_counter()
     rb = estimate_extinction(
         p, ExtinctionMethod.RAO_BLACKWELL, 100_000, 30.0,
-        SchemeConfig(dt=0.01, horizon=30.0, scheme=Scheme.EULER_FULL_TRUNCATION),
+        SchemeConfig(dt=0.01, horizon=30.0),
         _seed(ctx, 2, 1), threads=ctx.threads,
     )
     rb_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     pw = estimate_extinction(
         p, ExtinctionMethod.PATHWISE, 100_000, 30.0,
-        SchemeConfig(dt=1e-3, horizon=30.0, scheme=Scheme.EULER_FULL_TRUNCATION),
+        SchemeConfig(dt=1e-3, horizon=30.0),
         _seed(ctx, 2, 2), threads=ctx.threads,
     )
     pw_s = time.perf_counter() - t0
@@ -370,9 +366,9 @@ def _criterion_3(ctx: _Ctx) -> CriterionOutcome:
     p = STANDARD
     n = 100_000
     cps = [0.5, 1.0, 2.0]
-    cfg = SchemeConfig(dt=0.01, horizon=2.0, scheme=Scheme.EULER_FULL_TRUNCATION)
+    cfg = SchemeConfig(dt=0.01, horizon=2.0)
     data = coupled_refinement_means(p, cfg, cps, n, _seed(ctx, 3), threads=ctx.threads)
-    refs = {"U_of_Z": float(scale_U(p.z0, p)), "V_of_S": 1.0, "Z_over_expS": p.z0}
+    refs = {f.value: functional_reference(f, p) for f in Functional}
     records = []
     notes = []
     for t in cps:
@@ -409,7 +405,7 @@ def _criterion_3(ctx: _Ctx) -> CriterionOutcome:
 
 def _criterion_4(ctx: _Ctx) -> CriterionOutcome:
     p = STANDARD
-    cfg = SchemeConfig(dt=0.01, horizon=1.0, scheme=Scheme.EULER_FULL_TRUNCATION)
+    cfg = SchemeConfig(dt=0.01, horizon=1.0)
     ks = conditioned_law_equivalence_test(p, 1.0, 10_000, cfg, _seed(ctx, 4), threads=ctx.threads)
     ctrl = conditioned_law_equivalence_test(
         p, 1.0, 10_000, cfg, _seed(ctx, 4, 7), negative_control=True, threads=ctx.threads
@@ -543,7 +539,7 @@ def _criterion_6(ctx: _Ctx) -> CriterionOutcome:
 
 def _criterion_7(ctx: _Ctx) -> CriterionOutcome:
     p = STANDARD
-    cfg = SchemeConfig(dt=0.0025, horizon=20.0, scheme=Scheme.EULER_FULL_TRUNCATION)
+    cfg = SchemeConfig(dt=0.0025, horizon=20.0)
     points = laplace_limit_test(
         p, (0.5, 1.0, 2.0, 10.0), 20.0, 100_000, cfg, _seed(ctx, 7), threads=ctx.threads
     )
@@ -640,7 +636,7 @@ def _criterion_9(ctx: _Ctx) -> CriterionOutcome:
 
 def _coverage_probe(ctx: _Ctx) -> None:
     p = STANDARD
-    cfg = SchemeConfig(dt=0.01, horizon=0.5, scheme=Scheme.EULER_FULL_TRUNCATION)
+    cfg = SchemeConfig(dt=0.01, horizon=0.5)
     assert classify_regime(p) is Regime.INTERMEDIATE_SUPERCRITICAL
     assert abs(survival_ratio(1.0, p) - 1.0 / 3.0) < 1e-12
     pair_e = drift_conditioned_extinction(1.0, p)
@@ -657,7 +653,7 @@ def _coverage_probe(ctx: _Ctx) -> None:
     simulate_quenched(p, cfg, RngStream(_seed(ctx, 11), 3), QuenchedVariant.COND_EXTINCTION)
     simulate_discrete_bpre(50, p, horizon=1.0, rng=RngStream(_seed(ctx, 11), 4))
 
-    env = simulate_environment(p, SchemeConfig(dt=0.01, horizon=2.0, scheme=Scheme.EULER_FULL_TRUNCATION),
+    env = simulate_environment(p, SchemeConfig(dt=0.01, horizon=2.0),
                                RngStream(_seed(ctx, 11), 5))
     q_ext = quenched_extinct_by(env, 2.0, p.z0)
     assert 0.0 <= q_ext <= 1.0
@@ -665,10 +661,9 @@ def _coverage_probe(ctx: _Ctx) -> None:
     d = dufresne_functional(p, horizon=20.0, rng=RngStream(_seed(ctx, 11), 7))
     assert d > 0
 
-    small_cfg = SchemeConfig(dt=0.01, horizon=0.5, scheme=Scheme.EULER_FULL_TRUNCATION)
     for j, route in enumerate(SurvivalRoute):
-        estimate_conditioned_survival(p, 0.5, route, 2000, small_cfg, _seed(ctx, 12, j))
-    martingale_test(p, Functional.U_OF_Z, [0.5], 2000, small_cfg, _seed(ctx, 12, 9))
+        estimate_conditioned_survival(p, 0.5, route, 2000, cfg, _seed(ctx, 12, j))
+    martingale_test(p, Functional.U_OF_Z, [0.5], 2000, cfg, _seed(ctx, 12, 9))
     fit_decay_rate(p, (4.0, 6.0, 8.0, 10.0, 12.0), 20_000,
                    SurvivalRoute.NEGATED_ALPHA_SIM, _seed(ctx, 12, 10))
 
@@ -693,11 +688,8 @@ def run_verify(
     seed: int = DEFAULT_SEED,
     output_dir: Optional[str] = None,
     threads: int = 1,
-    preset: str = "standard",
 ) -> VerifyReport:
     """Run the whole checklist; optionally write records, tables and plots."""
-    if preset != "standard":
-        raise ConfigError(f"unknown verify preset: {preset!r}")
     cfg = ExperimentConfig(seed=seed)
     cfg_hash = config_hash(cfg)
     ctx = _Ctx(seed, cfg_hash, threads)

@@ -67,6 +67,18 @@ def test_reflecting_scheme_is_rejected(tmp_path, capsys):
     assert out == ""
 
 
+def test_laplace_applies_the_quadrature_settings(tmp_path, capsys):
+    # one subdivision cannot meet even rel_tol 0.5 for laplace_Y
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text("quadrature.max_subdivisions = 1\nquadrature.rel_tol = 0.5\n")
+    code, _, err = run(capsys, [
+        "estimate", "--experiment", "laplace", "--config", str(cfg), "--n", "200",
+        "--seed", "3", "--horizon", "2", "--output-dir", str(tmp_path), "--threads", "1",
+    ])
+    assert code == 3
+    assert "numerical failure" in err
+
+
 def test_estimate_extinction_writes_records(tmp_path, capsys):
     code, out, _ = run(capsys, [
         "estimate", "--experiment", "extinction", "--n", "200",

@@ -31,13 +31,13 @@ from bdrelab.results import (
     write_gnuplot_script,
     write_results,
 )
-from bdrelab.sde import Scheme, SchemeConfig
+from bdrelab.sde import SchemeConfig
 
 
 def sample_config():
     return ExperimentConfig(
         model=ModelParams(alpha=0.5, sigma_e=1.2, sigma_b=0.8, z0=2.0),
-        scheme=SchemeConfig(dt=0.005, horizon=12.0, scheme=Scheme.EULER_FULL_TRUNCATION),
+        scheme=SchemeConfig(dt=0.005, horizon=12.0),
         experiment=Experiment.RATES,
         n=12_345,
         seed=99,
@@ -83,6 +83,13 @@ def test_config_rejects_malformed_text():
         config_from_text("model.alfa = 1.0\n")  # unknown key
     with pytest.raises(ConfigError):
         config_from_text("n = not-a-number\n")
+
+
+def test_config_format_and_hash_are_pinned():
+    # records carry this hash; a change to the format would orphan them
+    cfg = ExperimentConfig()
+    assert config_hash(cfg) == "57554dc0721b"
+    assert "scheme.scheme = EulerFullTruncation" in config_to_text(cfg).splitlines()
 
 
 def test_config_validation_errors():

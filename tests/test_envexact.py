@@ -18,10 +18,10 @@ from bdrelab.envexact import (
 from bdrelab.errors import ConfigError
 from bdrelab.model import ModelParams
 from bdrelab.rng import RngStream
-from bdrelab.sde import Scheme, SchemeConfig
+from bdrelab.sde import SchemeConfig
 
 STD = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
-CFG = SchemeConfig(dt=0.01, horizon=2.0, scheme=Scheme.EULER_FULL_TRUNCATION)
+CFG = SchemeConfig(dt=0.01, horizon=2.0)
 
 
 def test_quenched_extinction_formula_on_flat_environment():

@@ -25,13 +25,13 @@ from bdrelab.model import (
     rao_blackwell_se_ratio,
     scale_U,
 )
-from bdrelab.sde import Scheme, SchemeConfig
+from bdrelab.sde import SchemeConfig
 
 STD = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
 
 
 def scheme(dt=0.01, horizon=2.0):
-    return SchemeConfig(dt=dt, horizon=horizon, scheme=Scheme.EULER_FULL_TRUNCATION)
+    return SchemeConfig(dt=dt, horizon=horizon)
 
 
 def test_mcestimate_from_samples():

@@ -11,11 +11,11 @@ from bdrelab.model import ModelParams, QuenchedVariant, drift_conditioned_surviv
 from bdrelab.rng import RngStream
 from bdrelab.sde import (
     MAX_HALVINGS,
-    Scheme,
     SchemeConfig,
     _guarded_step,
     _halve,
     _Variant,
+    absorbed_fraction,
     coupled_refinement_means,
     ensemble_final_states,
     ensemble_functional_means,
@@ -28,7 +28,7 @@ from bdrelab.sde import (
 )
 
 STD = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
-CFG = SchemeConfig(dt=0.01, horizon=2.0, scheme=Scheme.EULER_FULL_TRUNCATION)
+CFG = SchemeConfig(dt=0.01, horizon=2.0)
 
 
 def test_rng_streams_are_reproducible_and_distinct():
@@ -95,13 +95,30 @@ def test_path_functionals_keys_and_values():
 
 
 def test_ensemble_thread_count_does_not_change_results():
-    m1 = ensemble_functional_means(STD, CFG, [1.0, 2.0], 4000, seed=31, threads=1)
-    m4 = ensemble_functional_means(STD, CFG, [1.0, 2.0], 4000, seed=31, threads=4)
-    assert m1 == m4
-    # the environment reducer, over two batches
-    c1 = environment_survival_curve(STD, [0.02, 0.05], 60_000, 0.01, seed=7, threads=1)
-    c2 = environment_survival_curve(STD, [0.02, 0.05], 60_000, 0.01, seed=7, threads=2)
-    assert c1 == c2
+    # 60 000 paths make two batches, so threads=2 runs them in the pool
+    short = SchemeConfig(dt=0.01, horizon=0.05)
+    noisy = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=2.0, z0=0.05)
+    n = 60_000
+    kernels = {
+        "bdre": lambda th: ensemble_final_states("bdre", STD, short, [0.05], n, 31, th),
+        "cond-survival": lambda th: ensemble_final_states(
+            "cond-survival", noisy, short, [0.05], n, 31, th
+        ),
+        "coupled": lambda th: coupled_refinement_means(STD, short, [0.05], n, 31, th),
+        "absorbed": lambda th: absorbed_fraction(noisy, short, n, 31, th),
+        "environment": lambda th: environment_survival_curve(
+            STD, [0.02, 0.05], n, 0.01, seed=7, threads=th
+        ),
+    }
+    for name, run in kernels.items():
+        one, two = run(1), run(2)
+        if name in ("bdre", "cond-survival"):
+            for (z1, s1), (z2, s2) in zip(one.values(), two.values()):
+                assert np.array_equal(z1, z2) and np.array_equal(s1, s2), name
+        else:
+            assert one == two, name
+        if name == "absorbed":
+            assert one[0] > 0, "no absorption to count"
 
 
 def test_survival_guard_retries_with_half_steps_and_carries_s():

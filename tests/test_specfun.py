@@ -1,6 +1,7 @@
 """Quadrature layer: two independent routes for everything."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -73,7 +74,9 @@ def test_phi_beta_adaptive_vs_tensor_oracle():
 
 def test_integrate_semi_infinite_both_domain_maps():
     for m in (DomainMap.EXP_SUBSTITUTION, DomainMap.TAN_SUBSTITUTION):
-        val = integrate_semi_infinite(lambda x: math.exp(-x), DEFAULT_QUAD, map_override=m)
+        val = integrate_semi_infinite(
+            lambda x: math.exp(-x), replace(DEFAULT_QUAD, infinite_domain_map=m)
+        )
         assert val == pytest.approx(1.0, rel=1e-10)
 
 
