@@ -369,11 +369,13 @@ def laplace_limit_test(
     if t_large <= 0:
         raise ValueError("t_large must be positive")
     lams = [float(l) for l in lambda_grid]
+    # the references first: a quadrature budget that cannot converge
+    # fails before any environment is simulated
+    refs = [laplace_Y(lam, params.z0, params, Reading.INVERSE_GAMMA, q) for lam in lams]
     emp = environment_laplace(params, lams, t_large, n, cfg.dt, seed, threads=threads)
     out = []
-    for lam in lams:
+    for lam, ref in zip(lams, refs):
         mean, se = emp[lam]
-        ref = laplace_Y(lam, params.z0, params, Reading.INVERSE_GAMMA, q)
         out.append(
             LaplacePoint(
                 lam=lam,

@@ -595,7 +595,9 @@ def absorbed_fraction(
     population exceeds 1e4 is counted as surviving (its residual
     extinction probability is below (1 + 1e4)^(-beta), about 1e-8 for the
     standard parameters, far below Monte Carlo resolution). Arrays shrink
-    as paths resolve and the batch exits early once none remain.
+    as paths resolve and the batch exits early once none remain. The se is
+    the binomial sqrt(p(1-p)/n), exactly 0 when no path or every path is
+    absorbed.
     """
     if params.sigma_b == 0:
         return 0.0, 0.0
@@ -620,7 +622,7 @@ def absorbed_fraction(
 
     counts = _run_batches(worker, n, seed, threads)
     p = sum(counts) / n
-    se = math.sqrt(max(p * (1.0 - p), 1e-300) / n)
+    se = math.sqrt(p * (1.0 - p) / n)
     return p, se
 
 
@@ -637,7 +639,8 @@ def bridge_extinction_frequency(
     replication whose population reaches 100 * n_scale individuals is
     counted as surviving (residual extinction probability
     (1 + 100/2)^(-2) ~ 4e-4, an order below the Monte Carlo standard
-    error at 10^4 replications).
+    error at 10^4 replications). The se is the binomial sqrt(p(1-p)/n_reps),
+    exactly 0 when no replication or every replication dies out.
     """
     if n_scale < 1 or n_reps < 1:
         raise ValueError("n_scale and n_reps must be >= 1")
@@ -657,5 +660,5 @@ def bridge_extinction_frequency(
         extinct += int(np.count_nonzero(dead))
         Z = Z[(~dead) & (Z < cap)]
     p = extinct / n_reps
-    se = math.sqrt(max(p * (1.0 - p), 1e-300) / n_reps)
+    se = math.sqrt(p * (1.0 - p) / n_reps)
     return p, se

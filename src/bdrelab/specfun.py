@@ -11,6 +11,18 @@ substitution and handed to adaptive quadrature (QUADPACK via
 scipy.integrate.quad). A quadrature that exhausts its subdivision budget
 or reports non-convergence raises NumericalFailure rather than returning
 a half-trusted number.
+
+QUADPACK calls the integrands one Python float at a time, up to a few
+hundred thousand times per phi_beta, so they use scalar math calls and not
+numpy or scipy.stats, whose per-call dispatch costs more than the
+arithmetic. Measured on a 2-core Xeon (Python 3.11, numpy 2.4, scipy 1.17):
+np.logaddexp on two floats takes 1.7 us against 0.3 us for _logaddexp,
+which puts phi_beta's inner integrand at 1.3 us instead of 4 us per
+evaluation; scipy.stats.gamma.pdf on a scalar takes 82 us against 2.4 us
+for the same formula written out in laplace_Y. Each replacement repeats
+the floating-point operations of what it replaces, so the values are
+unchanged to the last bit; laplace_Y keeps np.exp because math.exp
+differs from it in the last bit at some points.
 """
 
 from __future__ import annotations
@@ -24,7 +36,6 @@ from typing import Callable
 import numpy as np
 from scipy import integrate as _integrate
 from scipy import special as _special
-from scipy.stats import gamma as _gamma_dist
 
 from .errors import NotComputableError, NumericalFailure
 from .model import ModelParams, Regime, classify_regime
@@ -128,7 +139,11 @@ def integrate_semi_infinite(
         val, abserr = float(out[0]), float(out[1])
         if abserr <= max(cfg.abs_tol, cfg.rel_tol * abs(val)):
             return val
-        raise NumericalFailure(f"quadrature did not converge: {out[-1]}")
+        raise NumericalFailure(
+            f"quadrature did not converge within max_subdivisions={cfg.max_subdivisions}, "
+            f"rel_tol={cfg.rel_tol:g}, abs_tol={cfg.abs_tol:g}: "
+            f"QUADPACK error estimate {abserr:.3g} on value {val:.6g}"
+        )
     return float(out[0])
 
 
@@ -185,27 +200,43 @@ def integral_a_psi(
     return integrate_semi_infinite(fn, q)
 
 
-def _logsinh(x: float) -> float:
-    if x > 20.0:
-        return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
-    return math.log(math.sinh(x))
+_LN2 = math.log(2.0)
 
 
-def _logcosh(x: float) -> float:
-    if x > 20.0:
-        return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
-    return math.log(math.cosh(x))
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y), branch for branch as numpy's npy_logaddexp, so the
+    two agree to the last bit."""
+    if x == y:
+        return x + _LN2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    return y + math.log1p(math.exp(d))
 
 
-def _phi_xi_integrand(xi: float, u: float, beta: float, log_a: float) -> float:
-    # sinh(xi) cosh(xi) xi / (u + a cosh^2 xi)^{(beta+2)/2} in log space.
-    if xi <= 0.0:
-        return 0.0
-    ld = np.logaddexp(math.log(u), log_a + 2.0 * _logcosh(xi))
-    le = _logsinh(xi) + _logcosh(xi) + math.log(xi) - 0.5 * (beta + 2.0) * ld
-    if le < -745.0:
-        return 0.0
-    return math.exp(le)
+def _phi_xi_integrand(u: float, beta: float, log_a: float) -> Callable[[float], float]:
+    """The xi-integrand of phi_beta at one outer node u:
+    sinh(xi) cosh(xi) xi / (u + a cosh^2 xi)^{(beta+2)/2}, in log space."""
+    log_u = math.log(u)
+    power = 0.5 * (beta + 2.0)
+
+    def f(xi: float) -> float:
+        if xi <= 0.0:
+            return 0.0
+        if xi > 20.0:
+            e = math.exp(-2.0 * xi)
+            lsinh = xi + math.log1p(-e) - _LN2
+            lcosh = xi + math.log1p(e) - _LN2
+        else:
+            lsinh = math.log(math.sinh(xi))
+            lcosh = math.log(math.cosh(xi))
+        ld = _logaddexp(log_u, log_a + 2.0 * lcosh)
+        le = lsinh + lcosh + math.log(xi) - power * ld
+        if le < -745.0:
+            return 0.0
+        return math.exp(le)
+
+    return f
 
 
 def phi_beta(a: float, beta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float:
@@ -247,9 +278,7 @@ def phi_beta(a: float, beta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float
         log_w = 0.5 * (beta - 1.0) * math.log(u) - u
         if log_w < -720.0:
             return 0.0
-        inner = integrate_semi_infinite(
-            lambda xi: _phi_xi_integrand(xi, u, beta, log_a), inner_cfg
-        )
+        inner = integrate_semi_infinite(_phi_xi_integrand(u, beta, log_a), inner_cfg)
         return math.exp(log_w) * inner
 
     raw = integrate_semi_infinite(outer, outer_cfg)
@@ -339,12 +368,16 @@ def laplace_Y(
     inv_lam = 0.0 if math.isinf(lam) else 1.0 / lam
     beta = params.beta
     ratio = params.sigma_b**2 / params.sigma_e**2
+    log_gamma_beta = _special.gammaln(beta)
 
     def integrand(g: float) -> float:
         if g <= 0.0:
             return 0.0
         b = ratio * g if reading is Reading.AS_PRINTED else ratio / g
-        return math.exp(-z / (b + inv_lam)) * float(_gamma_dist.pdf(g, a=beta))
+        # scipy.stats.gamma.pdf(g, beta) by scipy's own formula, without
+        # its per-call argument handling; np.exp keeps its last bit
+        density = np.exp(_special.xlogy(beta - 1.0, g) - g - log_gamma_beta)
+        return math.exp(-z / (b + inv_lam)) * float(density)
 
     val = integrate_semi_infinite(integrand, q)
     return min(max(val, 0.0), 1.0)

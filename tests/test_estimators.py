@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from bdrelab import estimators
+from bdrelab.errors import NumericalFailure
 from bdrelab.estimators import (
     KS_CRITICAL_1PCT,
     ExtinctionMethod,
@@ -26,6 +28,7 @@ from bdrelab.model import (
     scale_U,
 )
 from bdrelab.sde import SchemeConfig
+from bdrelab.specfun import QuadratureConfig
 
 STD = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
 
@@ -181,6 +184,16 @@ def test_laplace_points_near_the_limit():
     assert by_lam[0.0].reference == 1.0
     for p in pts:
         assert p.within_3se, (p.lam, p.estimate.mean, p.reference)
+
+
+def test_laplace_references_fail_before_the_simulation(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("environments simulated before the references")
+
+    monkeypatch.setattr(estimators, "environment_laplace", no_simulation)
+    tight = QuadratureConfig(max_subdivisions=1, rel_tol=0.5)
+    with pytest.raises(NumericalFailure):
+        laplace_limit_test(STD, [0.5, 2.0], 2.0, 200, scheme(horizon=2.0), 3, q=tight)
 
 
 def test_ks_equivalence_and_negative_control():

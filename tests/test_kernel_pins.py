@@ -5,7 +5,13 @@ a change to either must keep every kernel's draw order and arithmetic.
 These values are checked at rel 1e-12. The survival-conditioned ensembles
 are left out: the draws a retried path takes depend on which other paths
 are retried in the same step.
+
+The quadrature values (phi_beta, laplace_Y) are deterministic and pinned
+bit for bit: their integrands call scalar math functions chosen to repeat
+numpy's and scipy's floating-point operations exactly.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +30,8 @@ from bdrelab.sde import (
     simulate_conditioned_survival,
     simulate_quenched,
 )
+from bdrelab.specfun import Reading, _logaddexp, laplace_Y, phi_beta
+from bdrelab.verify import PHI_BETA_GOLDEN
 
 STD = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
 NOISY = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=2.0, z0=0.05)  # frequent absorption
@@ -247,3 +255,57 @@ def outputs():
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_kernel_output_is_pinned(outputs, case):
     assert outputs[case] == pytest.approx(PINNED[case], rel=1e-12, abs=0.0)
+
+
+# phi_beta at the nine route-agreement pairs and laplace_Y at the standard
+# point (z = 1), computed with numpy's logaddexp and scipy.stats.gamma.pdf
+# in the integrands
+PHI_BETA_PINNED = {
+    (1.0, 1.0): 0.0991166617335015,
+    (0.5, 1.0): 0.6002633324910182,
+    (2.0, 1.0): 0.009680389691219517,
+    (1.0, 0.5): 0.46267883589479003,
+    (1.0, 2.0): 0.02188038176779681,
+    (0.5, 0.5): 2.102907275896027,
+    (2.0, 2.0): 0.0012192800784167875,
+    (5.0, 1.0): 8.091950436735238e-05,
+    (1.0, 4.0): 0.007070097742158187,
+}
+
+LAPLACE_Y_PINNED = {
+    (0.5, Reading.INVERSE_GAMMA): 0.6960630647759368,
+    (0.5, Reading.AS_PRINTED): 0.7604595956766645,
+    (1.0, Reading.INVERSE_GAMMA): 0.559418056063197,
+    (1.0, Reading.AS_PRINTED): 0.6774750858393769,
+    (2.0, Reading.INVERSE_GAMMA): 0.434711680040026,
+    (2.0, Reading.AS_PRINTED): 0.6083245160680107,
+    (10.0, Reading.INVERSE_GAMMA): 0.28886356200561114,
+    (10.0, Reading.AS_PRINTED): 0.5299806636978285,
+    (math.inf, Reading.INVERSE_GAMMA): 0.2499999999999998,
+    (math.inf, Reading.AS_PRINTED): 0.5075195091321254,
+}
+
+
+@pytest.mark.parametrize("a,beta", sorted(PHI_BETA_GOLDEN))
+def test_phi_beta_is_pinned(a, beta):
+    assert phi_beta(a, beta) == PHI_BETA_PINNED[(a, beta)]
+
+
+@pytest.mark.parametrize("lam,reading", sorted(LAPLACE_Y_PINNED, key=lambda k: (k[0], k[1].value)))
+def test_laplace_Y_is_pinned(lam, reading):
+    assert laplace_Y(lam, 1.0, STD, reading) == LAPLACE_Y_PINNED[(lam, reading)]
+
+
+def test_laplace_Y_weak_point_is_pinned():
+    weak = ModelParams(alpha=0.5, sigma_e=1.0, sigma_b=1.0, z0=1.0)
+    assert laplace_Y(math.inf, 1.0, weak, Reading.AS_PRINTED) == 0.2797317636330451
+
+
+def test_logaddexp_matches_numpy_bit_for_bit():
+    g = np.random.default_rng(20260821)
+    x = g.normal(0.0, 30.0, 20_000)
+    y = np.concatenate([g.normal(0.0, 30.0, 10_000), x[10_000:]])  # second half: ties
+    far = [(0.0, 800.0), (800.0, -800.0), (-745.0, 700.0), (1e300, -1e300), (-1e-300, 1e-300)]
+    special = [(math.inf, 1.0), (-math.inf, 3.0), (-math.inf, -math.inf), (math.inf, math.inf)]
+    pairs = list(zip(x.tolist(), y.tolist())) + far + special
+    assert [_logaddexp(a, b) for a, b in pairs] == [float(np.logaddexp(a, b)) for a, b in pairs]

@@ -16,6 +16,7 @@ from bdrelab.sde import (
     _halve,
     _Variant,
     absorbed_fraction,
+    bridge_extinction_frequency,
     coupled_refinement_means,
     ensemble_final_states,
     ensemble_functional_means,
@@ -200,3 +201,11 @@ def test_discrete_bpre_quenched_mean_identity():
     m = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     assert abs(m - STD.z0) < 4 * se
+
+
+def test_binomial_se_is_zero_when_no_path_resolves():
+    # z0 = 50 over a short horizon: nothing is absorbed, so p = 0 and the
+    # binomial se is exactly 0, not a floored 1e-152
+    far = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=50.0)
+    assert absorbed_fraction(far, SchemeConfig(dt=0.01, horizon=0.1), 200, seed=1) == (0.0, 0.0)
+    assert bridge_extinction_frequency(1, far, 200, seed=1, horizon=1.0) == (0.0, 0.0)

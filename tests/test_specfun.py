@@ -82,8 +82,11 @@ def test_integrate_semi_infinite_both_domain_maps():
 
 def test_quadrature_budget_exhaustion_raises():
     tight = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=1)
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(NumericalFailure) as failure:
         integrate_semi_infinite(lambda x: math.exp(-x) * math.cos(7.0 * x) ** 2, tight)
+    message = str(failure.value)
+    assert "\n" not in message
+    assert "max_subdivisions=1" in message
 
 
 def test_quadrature_config_validation():
