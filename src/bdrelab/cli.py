@@ -17,7 +17,6 @@ Nothing written here carries a timestamp, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -223,8 +222,7 @@ def _cmd_simulate(args) -> int:
     os.makedirs(out, exist_ok=True)
     path_file = os.path.join(out, "paths.csv")
     with open(path_file, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["path", "t", "z", "s", "model"])
+        fh.write("path,t,z,s,model\n")
         for i in range(args.n_paths):
             rng = RngStream(cfg.seed, i)
             if args.kind == "bdre":
@@ -239,9 +237,14 @@ def _cmd_simulate(args) -> int:
             else:
                 path = simulate_discrete_bpre(args.n_scale, cfg.model,
                                               cfg.scheme.horizon, rng)
-            for t, z, s in zip(path.times, path.z_values, path.s_values):
-                w.writerow([i, repr(float(t)), repr(float(z)), repr(float(s)),
-                            path.model_tag])
+            # No float repr or model tag holds a comma or a quote, so these
+            # are the rows csv.writer would write.
+            tag = path.model_tag
+            fh.write("".join(
+                f"{i},{t!r},{z!r},{s!r},{tag}\n"
+                for t, z, s in zip(path.times.tolist(), path.z_values.tolist(),
+                                   path.s_values.tolist())
+            ))
     sys.stdout.write(f"{args.n_paths} paths -> {path_file}\n")
     return 0
 

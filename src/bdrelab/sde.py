@@ -640,15 +640,19 @@ def bridge_extinction_frequency(
     counted as surviving (residual extinction probability
     (1 + 100/2)^(-2) ~ 4e-4, an order below the Monte Carlo standard
     error at 10^4 replications). The se is the binomial sqrt(p(1-p)/n_reps),
-    exactly 0 when no replication or every replication dies out.
+    exactly 0 when no replication or every replication dies out. When
+    z0 * n_scale rounds to no individual, every replication starts extinct.
     """
     if n_scale < 1 or n_reps < 1:
         raise ValueError("n_scale and n_reps must be >= 1")
+    z_start = int(round(params.z0 * n_scale))
+    if z_start == 0:
+        return 1.0, 0.0
     g = RngStream(seed, 0).generator()
     mu = params.alpha / n_scale
     sd = params.sigma_e / math.sqrt(n_scale)
     cap = 100 * n_scale
-    Z = np.full(n_reps, int(round(params.z0 * n_scale)), dtype=np.int64)
+    Z = np.full(n_reps, z_start, dtype=np.int64)
     extinct = 0
     for _ in range(int(round(horizon * n_scale))):
         if Z.shape[0] == 0:

@@ -23,6 +23,17 @@ for the same formula written out in laplace_Y. Each replacement repeats
 the floating-point operations of what it replaces, so the values are
 unchanged to the last bit; laplace_Y keeps np.exp because math.exp
 differs from it in the last bit at some points.
+
+phi_beta's inner quadratures share their nodes: QUADPACK subdivides
+(0, 1) the same way for every outer node u, so the nine PHI_BETA_GOLDEN
+calls make 996,093 inner-integrand calls over 3,051 inner quadratures at
+only 735 distinct nodes. What the inner integrand computes from its node
+alone (sinh, cosh, three logs and the exp-map log1p) therefore goes into a
+table local to one phi_beta call, filled on first use of each node; an
+evaluation then does only the u-dependent _logaddexp, one multiply, one
+exp and one division. On the same machine the nine calls take a median
+0.77 s against 1.46 s without the table (eight alternating runs each),
+every value equal to the last bit.
 """
 
 from __future__ import annotations
@@ -124,6 +135,15 @@ def integrate_semi_infinite(
             c = math.cos(h)
             return f(t) * 0.5 * math.pi / (c * c)
 
+    return _quad_unit(g, cfg)
+
+
+def _quad_unit(g: Callable[[float], float], cfg: QuadratureConfig) -> float:
+    """Adaptive quadrature of g over (0, 1) within cfg's budget.
+
+    Raises NumericalFailure if QUADPACK does not converge within the
+    subdivision budget.
+    """
     out = _integrate.quad(
         g,
         0.0,
@@ -214,15 +234,29 @@ def _logaddexp(x: float, y: float) -> float:
     return y + math.log1p(math.exp(d))
 
 
-def _phi_xi_integrand(u: float, beta: float, log_a: float) -> Callable[[float], float]:
-    """The xi-integrand of phi_beta at one outer node u:
-    sinh(xi) cosh(xi) xi / (u + a cosh^2 xi)^{(beta+2)/2}, in log space."""
-    log_u = math.log(u)
-    power = 0.5 * (beta + 2.0)
+def _phi_xi_table(
+    beta: float, log_a: float
+) -> Callable[[float], Callable[[float], float]]:
+    """Inner integrands of one phi_beta call, sharing one node table.
 
-    def f(xi: float) -> float:
+    The returned function maps an outer node u to the xi-integrand
+    sinh(xi) cosh(xi) xi / (u + a cosh^2 xi)^{(beta+2)/2}, written in the
+    exp-map variable v (xi = -log(1 - v), dxi = dv / (1 - v)) and evaluated
+    in log space. What depends on v alone is kept in a table keyed by v and
+    built on first use: (lsinh + lcosh + log xi, log a + 2 lcosh, 1 - v),
+    or () where the integrand is zero. Each entry is formed in the
+    association the direct formula uses, so every value is the same to the
+    last bit. The table lives as long as the returned function.
+    """
+    power = 0.5 * (beta + 2.0)
+    table: dict[float, tuple] = {}
+
+    def row(v: float) -> tuple:
+        if v >= 1.0:
+            return ()
+        xi = -math.log1p(-v)
         if xi <= 0.0:
-            return 0.0
+            return ()
         if xi > 20.0:
             e = math.exp(-2.0 * xi)
             lsinh = xi + math.log1p(-e) - _LN2
@@ -230,13 +264,26 @@ def _phi_xi_integrand(u: float, beta: float, log_a: float) -> Callable[[float], 
         else:
             lsinh = math.log(math.sinh(xi))
             lcosh = math.log(math.cosh(xi))
-        ld = _logaddexp(log_u, log_a + 2.0 * lcosh)
-        le = lsinh + lcosh + math.log(xi) - power * ld
-        if le < -745.0:
-            return 0.0
-        return math.exp(le)
+        return (lsinh + lcosh + math.log(xi), log_a + 2.0 * lcosh, 1.0 - v)
 
-    return f
+    def at(u: float) -> Callable[[float], float]:
+        log_u = math.log(u)
+
+        def g(v: float) -> float:
+            r = table.get(v)
+            if r is None:
+                r = table[v] = row(v)
+            if not r:
+                return 0.0
+            lk, lc2, w = r
+            le = lk - power * _logaddexp(log_u, lc2)
+            if le < -745.0:
+                return 0.0
+            return math.exp(le) / w
+
+        return g
+
+    return at
 
 
 def phi_beta(a: float, beta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float:
@@ -263,7 +310,6 @@ def phi_beta(a: float, beta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float
         q,
         rel_tol=max(q.rel_tol, 1e-10),
         abs_tol=max(q.abs_tol, 1e-12),
-        infinite_domain_map=DomainMap.EXP_SUBSTITUTION,
     )
     outer_cfg = replace(
         q,
@@ -272,13 +318,15 @@ def phi_beta(a: float, beta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float
         infinite_domain_map=DomainMap.TAN_SUBSTITUTION,
     )
 
+    xi_integrand = _phi_xi_table(beta, log_a)
+
     def outer(u: float) -> float:
         if u <= 0.0:
             return 0.0
         log_w = 0.5 * (beta - 1.0) * math.log(u) - u
         if log_w < -720.0:
             return 0.0
-        inner = integrate_semi_infinite(_phi_xi_integrand(u, beta, log_a), inner_cfg)
+        inner = _quad_unit(xi_integrand(u), inner_cfg)
         return math.exp(log_w) * inner
 
     raw = integrate_semi_infinite(outer, outer_cfg)

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdrelab import estimators
-from bdrelab.errors import NumericalFailure
+from bdrelab.envexact import dufresne_samples, environment_laplace, environment_survival_curve
+from bdrelab.errors import ConfigError, NumericalFailure
 from bdrelab.estimators import (
     KS_CRITICAL_1PCT,
     ExtinctionMethod,
@@ -27,7 +30,7 @@ from bdrelab.model import (
     rao_blackwell_se_ratio,
     scale_U,
 )
-from bdrelab.sde import SchemeConfig
+from bdrelab.sde import SchemeConfig, absorbed_fraction, bridge_extinction_frequency
 from bdrelab.specfun import QuadratureConfig
 
 STD = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
@@ -208,3 +211,62 @@ def test_ks_equivalence_and_negative_control():
 def test_ks_requires_enough_samples():
     with pytest.raises(ValueError):
         conditioned_law_equivalence_test(STD, 0.5, 500, scheme(horizon=0.5), 1)
+
+
+# Edge cases whose answers are exact, whatever the drift, the environment
+# noise and the seed.
+_alphas = st.floats(0.05, 3.0)
+_sigma_es = st.floats(0.1, 2.0)
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@given(_alphas, _sigma_es, _seeds)
+@settings(max_examples=20, deadline=None)
+def test_zero_mass_is_extinct_on_every_route(alpha, sigma_e, seed):
+    p = ModelParams(alpha=alpha, sigma_e=sigma_e, sigma_b=1.0, z0=0.0)
+    for method in (ExtinctionMethod.RAO_BLACKWELL, ExtinctionMethod.PATHWISE):
+        est = estimate_extinction(p, method, 200, 1.0, scheme(), seed)
+        assert (est.mean, est.std_error) == (1.0, 0.0)
+    curve = environment_survival_curve(p, [0.0, 0.5, 1.0], 200, 0.01, seed)
+    assert list(curve.values()) == [(0.0, 0.0)] * 3
+    lap = environment_laplace(p, [0.0, 1.0, math.inf], 1.0, 200, 0.01, seed)
+    assert list(lap.values()) == [(1.0, 0.0)] * 3
+
+
+@given(_alphas, _sigma_es, st.floats(0.01, 10.0), _seeds)
+@settings(max_examples=20, deadline=None)
+def test_no_branching_noise_absorbs_nothing(alpha, sigma_e, z0, seed):
+    p = ModelParams(alpha=alpha, sigma_e=sigma_e, sigma_b=0.0, z0=z0)
+    assert absorbed_fraction(p, scheme(horizon=1.0), 200, seed) == (0.0, 0.0)
+
+
+@given(_alphas, _sigma_es, st.floats(1e-3, 0.5), st.floats(1e-6, 0.499), _seeds)
+@settings(max_examples=20, deadline=None)
+def test_reducers_refuse_a_time_under_half_a_step(alpha, sigma_e, dt, frac, seed):
+    p = ModelParams(alpha=alpha, sigma_e=sigma_e, sigma_b=1.0, z0=1.0)
+    t = frac * dt
+    with pytest.raises(ConfigError):
+        dufresne_samples(p, t, 200, dt, seed)
+    with pytest.raises(ConfigError):
+        environment_survival_curve(p, [t], 200, dt, seed)
+    with pytest.raises(ConfigError):
+        environment_laplace(p, [1.0], t, 200, dt, seed)
+
+
+@given(st.floats(-1.0, 2.0), st.floats(0.1, 1.0), _seeds)
+@settings(max_examples=20, deadline=None)
+def test_binomial_se_is_exactly_zero_at_p_zero_and_one(alpha, sigma_e, seed):
+    short = SchemeConfig(dt=0.01, horizon=0.05)
+    # z0 = 0 sits on the absorbing boundary, so every path is absorbed at
+    # its first step; from z0 = 50, five steps would need a draw near -10
+    # sd to reach 0
+    dead = ModelParams(alpha=alpha, sigma_e=sigma_e, sigma_b=1.0, z0=0.0)
+    far = ModelParams(alpha=alpha, sigma_e=sigma_e, sigma_b=1.0, z0=50.0)
+    assert absorbed_fraction(dead, short, 200, seed) == (1.0, 0.0)
+    assert absorbed_fraction(far, short, 200, seed) == (0.0, 0.0)
+    # 1000 individuals all die in one generation with probability
+    # (1 + e^theta)^-1000, below 2e-8 unless theta falls 4 sd under its
+    # positive mean
+    crowd = ModelParams(alpha=abs(alpha) + 0.05, sigma_e=sigma_e, sigma_b=1.0, z0=1000.0)
+    assert bridge_extinction_frequency(1, dead, 200, seed) == (1.0, 0.0)
+    assert bridge_extinction_frequency(1, crowd, 200, seed, horizon=1.0) == (0.0, 0.0)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from bdrelab.envexact import dufresne_samples, environment_laplace, environment_survival_curve
+from bdrelab.errors import NumericalFailure
 from bdrelab.model import ModelParams, QuenchedVariant
 from bdrelab.rng import RngStream
 from bdrelab.sde import (
@@ -30,7 +31,7 @@ from bdrelab.sde import (
     simulate_conditioned_survival,
     simulate_quenched,
 )
-from bdrelab.specfun import Reading, _logaddexp, laplace_Y, phi_beta
+from bdrelab.specfun import DEFAULT_QUAD, QuadratureConfig, Reading, _logaddexp, laplace_Y, phi_beta
 from bdrelab.verify import PHI_BETA_GOLDEN
 
 STD = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
@@ -289,6 +290,53 @@ LAPLACE_Y_PINNED = {
 @pytest.mark.parametrize("a,beta", sorted(PHI_BETA_GOLDEN))
 def test_phi_beta_is_pinned(a, beta):
     assert phi_beta(a, beta) == PHI_BETA_PINNED[(a, beta)]
+
+
+LOOSE_QUAD = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
+
+# phi_beta away from the golden pairs and the default config, computed
+# with the xi-integrand evaluated afresh at every node. (0.05, 0.5) with
+# 1000 subdivisions evaluates the inner integrand above xi = 20, and
+# (200, 100) where its log falls below -745.
+PHI_BETA_FAR_PINNED = [
+    (1e-3, 1.0, DEFAULT_QUAD, 43116.8525778128),
+    (20.0, 6.0, DEFAULT_QUAD, 4.354609864934218e-19),
+    (3.0, 10.0, DEFAULT_QUAD, 3.3614057822311215e-07),
+    (1e-3, 1.0, LOOSE_QUAD, 43116.852578281774),
+    (20.0, 6.0, LOOSE_QUAD, 4.354609930133548e-19),
+    (3.0, 10.0, LOOSE_QUAD, 3.36140578219706e-07),
+    (0.05, 0.3, LOOSE_QUAD, 164.52724467089078),
+    (50.0, 0.2, LOOSE_QUAD, 1.592052820914716e-23),
+    (0.05, 0.5, QuadratureConfig(max_subdivisions=1000), 89.04056229444966),
+    (200.0, 100.0, DEFAULT_QUAD, 1.005632139029179e-199),
+    (200.0, 100.0, LOOSE_QUAD, 1.005632139029179e-199),
+]
+
+_BUDGET = "quadrature did not converge within max_subdivisions={}, rel_tol=1e-10, abs_tol=1e-12: "
+
+# Budgets that phi_beta cannot meet, with the message each failure carries.
+PHI_BETA_FAILURES = [
+    (0.05, 0.3, DEFAULT_QUAD, _BUDGET.format(200) + "QUADPACK error estimate 2.49e-07 on value 360.35"),
+    (50.0, 0.2, DEFAULT_QUAD, _BUDGET.format(200) + "QUADPACK error estimate 8.06e-11 on value 0.382731"),
+    (1.0, 1.0, QuadratureConfig(max_subdivisions=1),
+     _BUDGET.format(1) + "QUADPACK error estimate 1.48 on value 1.30932"),
+    (1.0, 1.0, QuadratureConfig(max_subdivisions=2),
+     _BUDGET.format(2) + "QUADPACK error estimate 0.911 on value 1.31018"),
+    (1.0, 1.0, QuadratureConfig(max_subdivisions=5),
+     _BUDGET.format(5) + "QUADPACK error estimate 0.0946 on value 1.31092"),
+]
+
+
+@pytest.mark.parametrize("a,beta,q,value", PHI_BETA_FAR_PINNED)
+def test_phi_beta_is_pinned_beyond_the_golden_pairs(a, beta, q, value):
+    assert phi_beta(a, beta, q) == value
+
+
+@pytest.mark.parametrize("a,beta,q,message", PHI_BETA_FAILURES)
+def test_phi_beta_budget_failures_are_pinned(a, beta, q, message):
+    with pytest.raises(NumericalFailure) as err:
+        phi_beta(a, beta, q)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("lam,reading", sorted(LAPLACE_Y_PINNED, key=lambda k: (k[0], k[1].value)))
