@@ -27,8 +27,15 @@ stays constant on the grid to machine precision.
 Every kernel advances its paths with one full-truncation Euler step,
 `_euler_step`: a negative population proposal is clamped to 0, except in
 the survival-conditioned variants, which retry it as two half steps with
-fresh noise. The `simulate_*` loops use a `math`-module twin of the step,
-because one path at a time pays numpy's per-call cost on every operation.
+fresh noise. The `simulate_*` loops use a scalar twin of the step,
+`_path_step`, bound once per path to its kind, parameters and dt, because
+one path at a time pays numpy's per-call cost on every operation; the
+model's drifts keep the path's Python float a float for it. Per step,
+counting each path's stream, draws and arrays (60 paths, dt 0.01, horizon
+5, median of five alternating runs on a 2-core Xeon, Python 3.11, numpy
+2.4): bdre 0.88 us against 1.74 us with a twin that tested its kind and
+built numpy 0-d arrays every step, cond-extinction 2.77 against 12.7,
+cond-survival 4.62 against 14.2, quenched 0.94 against 3.13.
 """
 
 from __future__ import annotations
@@ -121,25 +128,30 @@ _GUARDED = (_Variant.COND_SURVIVAL, QuenchedVariant.COND_SURVIVAL)
 _BDRE = _Variant.BDRE
 
 
-def _drifts(kind, z, params: ModelParams):
-    """(drift_z, drift_s) of a step kind for a state vector or scalar.
+def _drifts(kind, params: ModelParams):
+    """The drift of a step kind as a function of the state: z -> (drift_z, drift_s).
 
-    For the quenched kinds drift_z is the coefficient c(z) of c(z) Z dt
-    and drift_s the drift of the environment the variant carries.
+    z is a state vector or a float. For the quenched kinds drift_z is the
+    coefficient c(z) of c(z) Z dt and drift_s the drift of the environment
+    the variant carries.
     """
     if kind is _BDRE:
-        return 0.5 * params.sigma_e**2 * z, params.alpha
+        half_se2, alpha = 0.5 * params.sigma_e**2, params.alpha
+        return lambda z: (half_se2 * z, alpha)
     if type(kind) is QuenchedVariant:
         env = -params.alpha if kind is QuenchedVariant.COND_EXTINCTION else params.alpha
-        # c depends on z only under survival conditioning; a scalar c
-        # spares an array
-        state = z if kind in _GUARDED else 0.0
-        return quenched_drift_coefficient(kind, state, params), env
-    if kind in _GUARDED:
-        pair = drift_conditioned_survival(z, params)
-    else:
-        pair = drift_conditioned_extinction(z, params)
-    return pair.drift_z, pair.drift_s
+        if kind in _GUARDED:
+            return lambda z: (quenched_drift_coefficient(kind, z, params), env)
+        # c depends on z only under survival conditioning
+        c = quenched_drift_coefficient(kind, 0.0, params)
+        return lambda z: (c, env)
+    model = drift_conditioned_survival if kind in _GUARDED else drift_conditioned_extinction
+
+    def drift(z):
+        pair = model(z, params)
+        return pair.drift_z, pair.drift_s
+
+    return drift
 
 
 def _euler_step(kind, params: ModelParams, Z, dt: float, dwe, dwb):
@@ -151,7 +163,7 @@ def _euler_step(kind, params: ModelParams, Z, dt: float, dwe, dwb):
     return the raw proposal, which _guarded_step retries where it is not
     positive.
     """
-    dz, d_s = _drifts(kind, Z, params)
+    dz, d_s = _drifts(kind, params)(Z)
     ds = d_s * dt + params.sigma_e * dwe
     if type(kind) is QuenchedVariant:
         if params.sigma_b == 0:
@@ -203,32 +215,71 @@ def _halve(kind, params: ModelParams, Z, S, dt: float, g, depth: int):
     return Z, S
 
 
-def _euler_step_scalar(kind, params: ModelParams, z: float, dt: float, sqdt: float, ne, nb):
-    """math-module twin of _euler_step for one path, from raw normals.
+def _path_step(kind, params: ModelParams, dt: float):
+    """The Euler step of one path, bound once: step(z, ne, nb) -> (prop, ds).
 
-    Several noise terms round in another order than in _euler_step (the
-    coefficient times sqrt(dt) first, then the normal); that order fixes
-    the last bits of every recorded path, so keep it.
+    The scalar twin of _euler_step for the simulate_* loops, from raw
+    normals ne, nb: it returns the raw proposal, which the loop clamps or
+    retries. The kind is tested here once per path, not once per step,
+    and the constants are hoisted where Python's left-to-right association
+    leaves the rounding as it was. Several noise terms round in another
+    order than in _euler_step (the coefficient times sqrt(dt) first, then
+    the normal); that order fixes the last bits of every recorded path, so
+    keep it.
     """
-    dz, d_s = _drifts(kind, z, params)
-    dwe = sqdt * ne
-    guarded = kind in _GUARDED
+    drift = _drifts(kind, params)
+    se, sb = params.sigma_e, params.sigma_b
+    sqdt = math.sqrt(dt)
+    sqrt, exp = math.sqrt, math.exp
     if type(kind) is QuenchedVariant:
-        ds = d_s * dt + params.sigma_e * dwe
-        if params.sigma_b == 0:
-            return z * math.exp((dz - 0.5 * params.sigma_e**2) * dt + params.sigma_e * dwe), ds
-        prop = z + dz * z * dt + params.sigma_e * z * dwe + params.sigma_b * math.sqrt(z) * sqdt * nb
-    else:
-        if guarded:
-            ds = d_s * dt + params.sigma_e * dwe
-            branch = params.sigma_b * math.sqrt(z) * (sqdt * nb)
+        if sb == 0:
+            half_se2 = 0.5 * se**2
+
+            def step(z, ne, nb):
+                dz, d_s = drift(z)
+                dwe = sqdt * ne
+                return z * exp((dz - half_se2) * dt + se * dwe), d_s * dt + se * dwe
+
         else:
-            ds = d_s * dt + params.sigma_e * sqdt * ne
-            branch = params.sigma_b * math.sqrt(z) * sqdt * nb
-        if params.sigma_b == 0:
-            return z * math.exp(ds), ds
-        prop = z + dz * dt + z * ds + branch
-    return (prop if guarded else max(prop, 0.0)), ds
+
+            def step(z, ne, nb):
+                dz, d_s = drift(z)
+                dwe = sqdt * ne
+                prop = z + dz * z * dt + se * z * dwe + sb * sqrt(z) * sqdt * nb
+                return prop, d_s * dt + se * dwe
+
+    elif kind in _GUARDED:
+        if sb == 0:
+
+            def step(z, ne, nb):
+                dz, d_s = drift(z)
+                ds = d_s * dt + se * (sqdt * ne)
+                return z * exp(ds), ds
+
+        else:
+
+            def step(z, ne, nb):
+                dz, d_s = drift(z)
+                ds = d_s * dt + se * (sqdt * ne)
+                return z + dz * dt + z * ds + sb * sqrt(z) * (sqdt * nb), ds
+
+    else:
+        se_sqdt = se * sqdt
+        if sb == 0:
+
+            def step(z, ne, nb):
+                dz, d_s = drift(z)
+                ds = d_s * dt + se_sqdt * ne
+                return z * exp(ds), ds
+
+        else:
+
+            def step(z, ne, nb):
+                dz, d_s = drift(z)
+                ds = d_s * dt + se_sqdt * ne
+                return z + dz * dt + z * ds + sb * sqrt(z) * sqdt * nb, ds
+
+    return step
 
 
 def _simulate(kind, params: ModelParams, cfg: SchemeConfig, rng: RngStream) -> Path:
@@ -239,39 +290,41 @@ def _simulate(kind, params: ModelParams, cfg: SchemeConfig, rng: RngStream) -> P
     """
     n_steps = cfg.n_steps
     dt = cfg.horizon / n_steps
-    sqdt = math.sqrt(dt)
+    step = _path_step(kind, params, dt)
     g = rng.generator()
-    noise = g.standard_normal((n_steps, 2)).tolist()
+    ne_all, nb_all = g.standard_normal((n_steps, 2)).T.tolist()
     guarded = kind in _GUARDED
     absorbing = params.sigma_b > 0 and not guarded
+    threshold = cfg.absorption_threshold
 
     z = params.z0
     s = 0.0
     absorbed_at: Optional[float] = None
-    stride = cfg.store_stride
-    keep = [0.0]
     zs = [z]
     ss = [s]
-    for k, (ne, nb) in enumerate(noise):
-        prop, ds = _euler_step_scalar(kind, params, z, dt, sqdt, ne, nb)
+    for ne, nb in zip(ne_all, nb_all):
+        prop, ds = step(z, ne, nb)
         if guarded and prop <= 0:
             # standard_normal(1) draws what standard_normal() would
             zv, sv = _halve(kind, params, np.array([z]), np.array([s]), dt, g, 1)
             z, s = float(zv[0]), float(sv[0])
         else:
-            z = prop
+            # full truncation; a guarded proposal that gets here is positive
+            z = 0.0 if prop < 0.0 else prop
             s += ds
-        if absorbing and absorbed_at is None and z <= cfg.absorption_threshold:
+        if absorbing and absorbed_at is None and z <= threshold:
             z = 0.0
-            absorbed_at = (k + 1) * dt
-        if (k + 1) % stride == 0 or k + 1 == n_steps:
-            keep.append((k + 1) * dt)
-            zs.append(z)
-            ss.append(s)
+            absorbed_at = len(zs) * dt  # len(zs) is this step's index on the grid
+        zs.append(z)
+        ss.append(s)
+    # every store_stride-th grid point, and the last
+    kept = np.arange(0, n_steps + 1, cfg.store_stride)
+    if kept[-1] != n_steps:
+        kept = np.append(kept, n_steps)
     return Path(
-        times=np.asarray(keep),
-        z_values=np.asarray(zs),
-        s_values=np.asarray(ss),
+        times=kept * dt,
+        z_values=np.asarray(zs)[kept],
+        s_values=np.asarray(ss)[kept],
         absorbed_at=absorbed_at,
         model_tag=kind.value if isinstance(kind, _Variant) else f"quenched-{kind.value}",
     )

@@ -302,6 +302,17 @@ def phi_beta(a: float, beta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float
     if not (a > 0 and beta > 0):
         raise ValueError("phi_beta requires a > 0 and beta > 0")
     log_a = math.log(a)
+    # the prefactor first, so an overflow fails before the quadrature runs
+    try:
+        pref = (
+            math.gamma(0.5 * (beta + 2.0))
+            / (math.sqrt(2.0) * math.pi)
+            * math.exp(-a - 0.5 * beta * log_a)
+        )
+    except OverflowError:
+        pref = math.inf
+    if not math.isfinite(pref):
+        raise NumericalFailure(f"phi_beta prefactor overflows at a={a!r}, beta={beta!r}")
     # Iterated quadrature cannot certify tolerances near machine precision
     # (the outer integrand carries the inner quadrature's own noise), so
     # both passes run with floors well inside the 1e-6 route-agreement
@@ -330,11 +341,6 @@ def phi_beta(a: float, beta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float
         return math.exp(log_w) * inner
 
     raw = integrate_semi_infinite(outer, outer_cfg)
-    pref = (
-        math.gamma(0.5 * (beta + 2.0))
-        / (math.sqrt(2.0) * math.pi)
-        * math.exp(-a - 0.5 * beta * log_a)
-    )
     return pref * raw
 
 
@@ -359,6 +365,19 @@ def phi_beta_tensor_oracle(a: float, beta: float) -> float:
     """
     if not (a > 0 and beta > 0):
         raise ValueError("phi_beta requires a > 0 and beta > 0")
+    log_a = math.log(a)
+    try:
+        pref = (
+            math.gamma(0.5 * (beta + 2.0))
+            / (math.sqrt(2.0) * math.pi)
+            * math.exp(-a - 0.5 * beta * log_a)
+        )
+    except OverflowError:
+        pref = math.inf
+    if not math.isfinite(pref):
+        raise NumericalFailure(
+            f"phi_beta_tensor_oracle prefactor overflows at a={a!r}, beta={beta!r}"
+        )
     u_nodes, u_weights = _special.roots_genlaguerre(200, 0.5 * (beta - 1.0))
     xi_hi = max(60.0, 800.0 / (beta + 2.0))
     x, w = _legendre_rule()
@@ -366,17 +385,11 @@ def phi_beta_tensor_oracle(a: float, beta: float) -> float:
     xi_w = 0.5 * xi_hi * w
     lsinh = np.where(xi > 20.0, xi + np.log1p(-np.exp(-2.0 * xi)) - math.log(2.0), np.log(np.sinh(xi)))
     lcosh = np.where(xi > 20.0, xi + np.log1p(np.exp(-2.0 * xi)) - math.log(2.0), np.log(np.cosh(xi)))
-    log_a = math.log(a)
     # (Laguerre, Legendre) grid of the log kernel
     ld = np.logaddexp(np.log(u_nodes)[:, None], log_a + 2.0 * lcosh[None, :])
     le = (lsinh + lcosh + np.log(xi))[None, :] - 0.5 * (beta + 2.0) * ld
     kern = np.where(le < -745.0, 0.0, np.exp(le))
     raw = float(u_weights @ kern @ xi_w)
-    pref = (
-        math.gamma(0.5 * (beta + 2.0))
-        / (math.sqrt(2.0) * math.pi)
-        * math.exp(-a - 0.5 * beta * log_a)
-    )
     return pref * raw
 
 

@@ -1,5 +1,6 @@
 """Front-end behavior: exit codes, file outputs, seed precedence."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -47,6 +48,14 @@ def test_specfun_decay_constant_weak_regime_not_computable(capsys):
     code, _, err = run(capsys, ["specfun", "--decay-constant", "--alpha", "0.5"])
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_specfun_phi_beta_prefactor_overflow_is_a_numerical_failure(capsys):
+    code, out, err = run(capsys, ["specfun", "--phi-beta", "--a", "0.001", "--beta", "300"])
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("numerical failure: phi_beta prefactor overflows")
 
 
 def test_verify_rejects_unknown_preset(capsys):
@@ -132,6 +141,45 @@ def test_simulate_writes_deterministic_paths(tmp_path, capsys):
     code, _, _ = run(capsys, argv)
     assert code == 0
     assert (tmp_path / "paths.csv").read_bytes() == first
+
+
+# sha256 of paths.csv for every simulate kind, a run that retries
+# survival-conditioned steps and sigma_b = 0. Every value is written with
+# repr, so a change to the last bit of any recorded value changes a digest;
+# a change meant to move bytes updates these and says so.
+PATHS_CSV_SHA256 = [
+    ("--kind bdre --dt 0.01 --horizon 5 --n-paths 40 --seed 1",
+     "09a88b635138377922873a3576018990c37436fac682347c0d15ae6471f25654"),
+    ("--kind cond-extinction --dt 0.01 --horizon 5 --n-paths 40 --seed 1",
+     "77ca52ac144a337ab67d191908f8c7c3ddaddbb3ec758511822cc27d54ed28e3"),
+    ("--kind cond-survival --dt 0.01 --horizon 5 --n-paths 40 --seed 1",
+     "110d2d49d2fa3d02fc388987d7befac326b80481b7dbcd2b500c765e73150646"),
+    ("--kind quenched --dt 0.01 --horizon 5 --n-paths 40 --seed 1",
+     "4b185e5179b66756476009dd5e47a856ed67d7d82b5eda0b276805fc45bec952"),
+    ("--kind bpre --dt 0.01 --horizon 5 --n-paths 40 --seed 1",
+     "1328d0474930ae817757b41ae5de278e5e2d94d211c03d5ad69e5a61e4267be5"),
+    ("--kind bdre --dt 0.01 --horizon 5 --n-paths 40 --seed 2",
+     "ce26d36771cc19b3b8e57ca0f24dd7ee5c9b75a78048233a87cb4b6121065955"),
+    ("--kind cond-extinction --dt 0.01 --horizon 5 --n-paths 40 --seed 2",
+     "ff984e4db0df0def3723168ec114d153bf91eca305e944e2d6833e8cfbf9684c"),
+    ("--kind cond-survival --dt 0.01 --horizon 5 --n-paths 40 --seed 2",
+     "339b88b15ece80dfe30a1d0029feae180f8ecd9325b87b10b8f1f4b13714a39e"),
+    ("--kind quenched --dt 0.01 --horizon 5 --n-paths 40 --seed 2",
+     "7b2fe244e1c80b81132bff610c7784331bdaa2ab58525546b6eca0b78440f220"),
+    ("--kind bpre --dt 0.01 --horizon 5 --n-paths 40 --seed 2",
+     "9cec6a007827fa05a09db47027465a9e4f5c0b85b25b49b94df24f47d851c5c7"),
+    ("--kind cond-survival --dt 0.25 --horizon 5 --n-paths 40 --seed 7",
+     "c9112b7e1fefdb0fb80f3c6a16aa487ef0fc84f4c5159185e748fe955c4e9c03"),
+    ("--kind bdre --sigma-b 0 --dt 0.01 --horizon 5 --n-paths 40 --seed 1",
+     "e0831e6d7c73b6424599baaea209eb2a0220e5294b053e3ebd83ec567e017e04"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PATHS_CSV_SHA256)
+def test_simulate_paths_csv_bytes_are_pinned(argv, digest, tmp_path, capsys):
+    code, _, _ = run(capsys, ["simulate", *argv.split(), "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "paths.csv").read_bytes()).hexdigest() == digest
 
 
 def test_simulate_rejects_bad_path_count(capsys):

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdrelab.model import (
+    DriftPair,
     ModelParams,
     QuenchedVariant,
     Regime,
@@ -189,3 +190,50 @@ def test_beta_undefined_without_environment_noise():
     p = ModelParams(alpha=1.0, sigma_e=0.0, sigma_b=1.0, z0=1.0)
     with pytest.raises(ValueError):
         _ = p.beta
+
+
+def _outcome(f, z, p, entry=None):
+    """f(z, p) as reprs of its floats (entry `entry` of an array result), or
+    the ValueError it raises; numpy's inf and nan pass without warnings."""
+    try:
+        with np.errstate(all="ignore"):
+            out = f(z, p)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    values = (out.drift_z, out.drift_s) if isinstance(out, DriftPair) else (out,)
+    if entry is not None:
+        return tuple(repr(float(v[entry])) for v in values)
+    assert all(type(v) is float for v in values)
+    return tuple(repr(v) for v in values)
+
+
+STATE_FUNCTIONS = [
+    drift_conditioned_extinction,
+    drift_conditioned_survival,
+    survival_ratio,
+    lambda z, p: quenched_drift_coefficient(QuenchedVariant.COND_SURVIVAL, z, p),
+]
+
+conditioning_st = st.builds(
+    ModelParams,
+    alpha=st.floats(0.01, 3.0),
+    sigma_e=st.floats(0.1, 3.0),
+    sigma_b=st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
+    z0=st.just(1.0),
+)
+
+
+@given(conditioning_st, st.floats(-10.0, 100.0))
+@example(STD, -0.5)  # negative state
+@example(STD, 0.0)  # z = 0 under survival conditioning
+@example(ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=0.0, z0=1.0), 0.0)  # z = 0, sigma_b = 0
+@example(ModelParams(alpha=1.0, sigma_e=0.5, sigma_b=0.0, z0=1.0), 5e-324)  # D underflows
+@example(ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1e-170, z0=1.0), 0.5)  # sigma_b^2 underflows
+@settings(max_examples=300, deadline=None)
+def test_a_float_state_is_a_zero_d_array_and_an_array_entry(p, z):
+    # The single-path loops pass Python floats, which the model functions
+    # keep as floats; they must give numpy's values and numpy's errors.
+    for f in STATE_FUNCTIONS:
+        as_float = _outcome(f, z, p)
+        assert _outcome(f, np.array(z), p) == as_float
+        assert _outcome(f, np.array([1.0, z, 2.0]), p, entry=1) == as_float

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from bdrelab import specfun
 from bdrelab.errors import NotComputableError, NumericalFailure
 from bdrelab.model import ModelParams, Regime, classify_regime
 from bdrelab.specfun import (
@@ -70,6 +71,23 @@ def test_phi_beta_adaptive_vs_tensor_oracle():
         assert phi_beta(a, beta) == pytest.approx(
             phi_beta_tensor_oracle(a, beta), rel=1e-8
         )
+
+
+@pytest.mark.parametrize("a,beta", [(1e-3, 300.0), (0.05, 300.0)])
+def test_phi_beta_prefactor_overflow_fails_before_the_quadrature(a, beta, monkeypatch):
+    # Gamma((beta+2)/2) e^-a a^(-beta/2) overflows: math.exp raises at
+    # (1e-3, 300), the product is inf at (0.05, 300)
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran before the prefactor check")
+
+    monkeypatch.setattr(specfun, "integrate_semi_infinite", no_quadrature)
+    monkeypatch.setattr(specfun, "_quad_unit", no_quadrature)
+    for f in (phi_beta, phi_beta_tensor_oracle):
+        with pytest.raises(NumericalFailure) as failure:
+            f(a, beta)
+        message = str(failure.value)
+        assert "\n" not in message
+        assert f"a={a!r}" in message and f"beta={beta!r}" in message
 
 
 def test_integrate_semi_infinite_both_domain_maps():
