@@ -20,13 +20,9 @@ from .config import (
     write_config,
 )
 from .envexact import (
-    EnvPath,
     dufresne_samples,
     environment_laplace,
     environment_survival_curve,
-    quenched_extinct_by,
-    sample_z_given_env,
-    simulate_environment,
 )
 from .errors import ConfigError, NotComputableError, NumericalFailure
 from .estimators import (
@@ -40,7 +36,6 @@ from .estimators import (
     conditioned_law_equivalence_test,
     estimate_conditioned_survival,
     estimate_extinction,
-    fit_decay_rate,
     laplace_limit_test,
     martingale_test,
 )
@@ -91,13 +86,9 @@ __all__ = [
     "config_hash",
     "read_config",
     "write_config",
-    "EnvPath",
     "dufresne_samples",
     "environment_laplace",
     "environment_survival_curve",
-    "quenched_extinct_by",
-    "sample_z_given_env",
-    "simulate_environment",
     "ConfigError",
     "NotComputableError",
     "NumericalFailure",
@@ -111,7 +102,6 @@ __all__ = [
     "conditioned_law_equivalence_test",
     "estimate_conditioned_survival",
     "estimate_extinction",
-    "fit_decay_rate",
     "laplace_limit_test",
     "martingale_test",
     "ModelParams",

@@ -56,8 +56,7 @@ from .results import (
     ResultFormat,
     ResultRecord,
     format_records_csv,
-    write_curve_table,
-    write_gnuplot_script,
+    write_decay_plot,
     write_results,
 )
 from .rng import RngStream
@@ -335,17 +334,7 @@ def _cmd_rates(args) -> int:
         records.append(_rec(cfg, f"decay.survival.t={t:g}", m, se, cfg.n, None,
                             Provenance.SIMULATION))
     _emit(records, cfg)
-    dat = "survival_curve.dat"
-    write_curve_table(os.path.join(cfg.output_dir, dat),
-                      [(t, m, se) for t, (m, se) in sorted(pts.items())])
-    t_hi = fit.t_window[1]
-    p_hi = pts[t_hi][0]
-    amplitude = p_hi / (t_hi**fit.polynomial_power * math.exp(-fit.exponential_rate * t_hi))
-    write_gnuplot_script(
-        os.path.join(cfg.output_dir, "plot_survival.gp"), dat,
-        f"conditioned survival decay, alpha={cfg.model.alpha:g}",
-        rate=fit.exponential_rate, power=fit.polynomial_power, amplitude=amplitude,
-    )
+    write_decay_plot(cfg.output_dir, "", cfg.model.alpha, pts, fit)
     return 0
 
 

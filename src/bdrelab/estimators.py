@@ -47,7 +47,6 @@ __all__ = [
     "estimate_conditioned_survival",
     "survival_points",
     "fit_decay_rate_from_points",
-    "fit_decay_rate",
     "martingale_test",
     "functional_reference",
     "laplace_limit_test",
@@ -302,18 +301,6 @@ def fit_decay_rate_from_points(params: ModelParams, points: dict) -> RateFit:
         fit_rmse=rmse,
         t_window=(float(ts[0]), float(ts[-1])),
     )
-
-
-def fit_decay_rate(
-    params: ModelParams,
-    t_grid: Sequence[float],
-    n_per_t: int,
-    route: SurvivalRoute,
-    seed: int,
-) -> RateFit:
-    """Estimate survival on the grid at dt 0.01, then fit the decay rate."""
-    pts = survival_points(params, t_grid, n_per_t, route, seed)
-    return fit_decay_rate_from_points(params, pts)
 
 
 def functional_reference(functional: Functional, params: ModelParams) -> float:

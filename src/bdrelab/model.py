@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -112,8 +112,7 @@ class Regime(enum.Enum):
     STRONGLY_SUBCRITICAL = "StronglySubcritical"
 
 
-@dataclass(frozen=True)
-class DriftPair:
+class DriftPair(NamedTuple):
     """Structural drift coefficients of a conditioned diffusion.
 
     drift_z multiplies dt in the population equation alongside the Z dS

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -25,6 +26,7 @@ __all__ = [
     "read_results_csv",
     "write_curve_table",
     "write_gnuplot_script",
+    "write_decay_plot",
 ]
 
 CSV_COLUMNS = (
@@ -224,6 +226,30 @@ def write_gnuplot_script(
     lines.append("plot " + ", \\\n     ".join(plot))
     with open(script_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_decay_plot(output_dir: str, suffix: str, alpha: float, points: dict, fit) -> None:
+    """survival_curve{suffix}.dat and plot_survival{suffix}.gp for one decay fit.
+
+    points is {t: (mean, std_error)} and fit the RateFit made from it. The
+    fitted curve passes through the point at the end of the fit window.
+    """
+    dat = f"survival_curve{suffix}.dat"
+    write_curve_table(
+        os.path.join(output_dir, dat), [(t, m, se) for t, (m, se) in sorted(points.items())]
+    )
+    t_hi = fit.t_window[1]
+    amplitude = points[t_hi][0] / (
+        t_hi**fit.polynomial_power * math.exp(-fit.exponential_rate * t_hi)
+    )
+    write_gnuplot_script(
+        os.path.join(output_dir, f"plot_survival{suffix}.gp"),
+        dat,
+        f"conditioned survival decay, alpha={alpha:g}",
+        rate=fit.exponential_rate,
+        power=fit.polynomial_power,
+        amplitude=amplitude,
+    )
 
 
 def _gp_escape(s: str) -> str:

@@ -44,16 +44,15 @@ def _run_batches(
     n: int,
     seed: int,
     threads: int,
-    stream_base: int = 0,
 ) -> list:
     """worker(g, b) for each batch of at most ENSEMBLE_BATCH of n items, in order.
 
-    Batch k draws from g, the generator of RngStream(seed, stream_base + k),
+    Batch k draws from g, the generator of RngStream(seed, k),
     built in the thread that runs the batch.
     """
 
     def job(k: int):
-        g = RngStream(seed, stream_base + k).generator()
+        g = RngStream(seed, k).generator()
         return worker(g, min(ENSEMBLE_BATCH, n - k * ENSEMBLE_BATCH))
 
     batches = range(-(-n // ENSEMBLE_BATCH))  # ceil(n / ENSEMBLE_BATCH)

@@ -146,12 +146,7 @@ def _drifts(kind, params: ModelParams):
         c = quenched_drift_coefficient(kind, 0.0, params)
         return lambda z: (c, env)
     model = drift_conditioned_survival if kind in _GUARDED else drift_conditioned_extinction
-
-    def drift(z):
-        pair = model(z, params)
-        return pair.drift_z, pair.drift_s
-
-    return drift
+    return lambda z: model(z, params)
 
 
 def _euler_step(kind, params: ModelParams, Z, dt: float, dwe, dwb):

@@ -38,13 +38,7 @@ from scipy.stats import invgamma as _invgamma_dist
 from scipy.stats import kstest as _kstest
 
 from .config import DEFAULT_SEED, ExperimentConfig, config_hash
-from .envexact import (
-    dufresne_functional,
-    dufresne_samples,
-    quenched_extinct_by,
-    sample_z_given_env,
-    simulate_environment,
-)
+from .envexact import dufresne_samples
 from .estimators import (
     KS_CRITICAL_1PCT,
     ExtinctionMethod,
@@ -53,7 +47,6 @@ from .estimators import (
     conditioned_law_equivalence_test,
     estimate_conditioned_survival,
     estimate_extinction,
-    fit_decay_rate,
     fit_decay_rate_from_points,
     functional_reference,
     laplace_limit_test,
@@ -79,8 +72,7 @@ from .results import (
     Provenance,
     ResultFormat,
     ResultRecord,
-    write_curve_table,
-    write_gnuplot_script,
+    write_decay_plot,
     write_results,
 )
 from .rng import RngStream
@@ -152,10 +144,6 @@ REQUIRED_COVERAGE = frozenset(
         "simulate_quenched",
         "simulate_discrete_bpre",
         "path_functionals",
-        "simulate_environment",
-        "quenched_extinct_by",
-        "sample_z_given_env",
-        "dufresne_functional",
         "psi",
         "integral_a_psi",
         "phi_beta",
@@ -164,7 +152,6 @@ REQUIRED_COVERAGE = frozenset(
         "theorem1_constant",
         "estimate_extinction",
         "estimate_conditioned_survival",
-        "fit_decay_rate",
         "martingale_test",
         "laplace_limit_test",
         "conditioned_law_equivalence_test",
@@ -653,19 +640,9 @@ def _coverage_probe(ctx: _Ctx) -> None:
     simulate_quenched(p, cfg, RngStream(_seed(ctx, 11), 3), QuenchedVariant.COND_EXTINCTION)
     simulate_discrete_bpre(50, p, horizon=1.0, rng=RngStream(_seed(ctx, 11), 4))
 
-    env = simulate_environment(p, SchemeConfig(dt=0.01, horizon=2.0),
-                               RngStream(_seed(ctx, 11), 5))
-    q_ext = quenched_extinct_by(env, 2.0, p.z0)
-    assert 0.0 <= q_ext <= 1.0
-    sample_z_given_env(env, 2.0, p.z0, RngStream(_seed(ctx, 11), 6))
-    d = dufresne_functional(p, horizon=20.0, rng=RngStream(_seed(ctx, 11), 7))
-    assert d > 0
-
     for j, route in enumerate(SurvivalRoute):
         estimate_conditioned_survival(p, 0.5, route, 2000, cfg, _seed(ctx, 12, j))
     martingale_test(p, Functional.U_OF_Z, [0.5], 2000, cfg, _seed(ctx, 12, 9))
-    fit_decay_rate(p, (4.0, 6.0, 8.0, 10.0, 12.0), 20_000,
-                   SurvivalRoute.NEGATED_ALPHA_SIM, _seed(ctx, 12, 10))
 
     ctx.coverage.update(
         {
@@ -674,9 +651,7 @@ def _coverage_probe(ctx: _Ctx) -> None:
             "quenched_drift_coefficient", "simulate_bdre",
             "simulate_conditioned_extinction", "simulate_conditioned_survival",
             "simulate_quenched", "simulate_discrete_bpre", "path_functionals",
-            "simulate_environment", "quenched_extinct_by", "sample_z_given_env",
-            "dufresne_functional", "estimate_conditioned_survival",
-            "martingale_test", "fit_decay_rate",
+            "estimate_conditioned_survival", "martingale_test",
         }
     )
 
@@ -732,25 +707,7 @@ def _write_outputs(report: VerifyReport, ctx: _Ctx, output_dir: str) -> None:
     write_results(report.records, os.path.join(output_dir, "results.jsonl"), ResultFormat.JSON_LINES)
     for alpha, pts in sorted(ctx.rate_curves.items()):
         tag = f"alpha{alpha:g}".replace(".", "p")
-        dat = f"survival_curve_{tag}.dat"
-        write_curve_table(
-            os.path.join(output_dir, dat),
-            [(t, m, se) for t, (m, se) in sorted(pts.items())],
-        )
-        fit = ctx.rate_fits[alpha]
-        t_hi = fit.t_window[1]
-        p_hi = ctx.rate_curves[alpha][t_hi][0]
-        amplitude = p_hi / (
-            t_hi**fit.polynomial_power * math.exp(-fit.exponential_rate * t_hi)
-        )
-        write_gnuplot_script(
-            os.path.join(output_dir, f"plot_survival_{tag}.gp"),
-            dat,
-            f"conditioned survival decay, alpha={alpha:g}",
-            rate=fit.exponential_rate,
-            power=fit.polynomial_power,
-            amplitude=amplitude,
-        )
+        write_decay_plot(output_dir, f"_{tag}", alpha, pts, ctx.rate_fits[alpha])
     with open(os.path.join(output_dir, "verify.log"), "w", encoding="utf-8") as fh:
         fh.write(f"verify run at {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
         fh.write(f"seed {report.seed}, config hash {report.config_hash}\n\n")

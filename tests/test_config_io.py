@@ -1,12 +1,16 @@
-"""Config round trips, hashing, and the record file formats."""
+"""Config round trips, hashing, the record file formats and the public names."""
 
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 from dataclasses import replace
 
 import pytest
 
+import bdrelab
 from bdrelab.config import (
     DEFAULT_SEED,
     Experiment,
@@ -32,6 +36,7 @@ from bdrelab.results import (
     write_results,
 )
 from bdrelab.sde import SchemeConfig
+from bdrelab.verify import REQUIRED_COVERAGE
 
 
 def sample_config():
@@ -191,3 +196,19 @@ def test_gnuplot_script_without_fit(tmp_path):
 def test_record_validation():
     with pytest.raises(ValueError):
         ResultRecord("x", 1.0, -0.5, 1, None, Provenance.NONE, None, 1, "ab")
+
+
+def test_public_names_resolve():
+    modules = [
+        importlib.import_module(f"bdrelab.{m.name}") for m in pkgutil.iter_modules(bdrelab.__path__)
+    ]
+    for mod in [bdrelab, *modules]:
+        missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert not missing, f"{mod.__name__}.__all__ names what it lacks: {missing}"
+    functions = {
+        name
+        for mod in modules
+        for name, obj in vars(mod).items()
+        if inspect.isfunction(obj) and obj.__module__ == mod.__name__
+    }
+    assert sorted(REQUIRED_COVERAGE - functions) == []

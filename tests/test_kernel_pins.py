@@ -82,7 +82,7 @@ def compute() -> dict:
     return {
         # two batches: 60 000 > ENSEMBLE_BATCH
         "dufresne_two_batches": _summary(dufresne_samples(STD, 0.05, 60_000, 0.01, seed=3)),
-        "dufresne": _summary(dufresne_samples(STD, 1.0, 50, 0.1, seed=5, stream_base=2)),
+        "dufresne": _summary(dufresne_samples(STD, 1.0, 50, 0.1, seed=5)),
         "survival_curve_two_batches": _curve(
             environment_survival_curve(STD, [0.02, 0.05], 60_000, 0.01, seed=7)
         ),
@@ -156,7 +156,7 @@ PINNED = {
         1.0195430065305917e-16, 7.23865412055602e-16, 1.3282857043117337e-16,
     ],
     'dufresne': [
-        39.7837471964092, 0.43009473599652687, 0.7904797501656499, 0.6601154507671909,
+        45.064590098931646, 1.027236525269264, 0.8517126471743577, 0.5878042848750715,
     ],
     'dufresne_two_batches': [
         2960.7480248202883, 0.039934097071483626, 0.04043150814368893, 0.04558012364177317,
