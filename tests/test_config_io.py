@@ -23,6 +23,7 @@ from bdrelab.config import (
     write_config,
 )
 from bdrelab.errors import ConfigError
+from bdrelab.estimators import RateFit
 from bdrelab.model import ModelParams
 from bdrelab.results import (
     CSV_COLUMNS,
@@ -32,6 +33,7 @@ from bdrelab.results import (
     format_records_csv,
     read_results_csv,
     write_curve_table,
+    write_decay_plot,
     write_gnuplot_script,
     write_results,
 )
@@ -191,6 +193,25 @@ def test_gnuplot_script_without_fit(tmp_path):
     gp = tmp_path / "plot.gp"
     write_gnuplot_script(str(gp), "curve.dat", "decay")
     assert "exp(-" not in gp.read_text()
+
+
+def test_decay_plot_curve_passes_through_the_window_end(tmp_path):
+    points = {8.0: (0.05, 0.005), 2.0: (0.5, 0.01), 4.0: (0.2, 0.01)}
+    fit = RateFit(exponential_rate=0.3, polynomial_power=-1.5, fit_rmse=0.0,
+                  t_window=(2.0, 8.0))
+    write_decay_plot(str(tmp_path), "_alpha2", 2.0, points, fit)
+    rows = (tmp_path / "survival_curve_alpha2.dat").read_text().splitlines()[1:]
+    assert [float(r.split()[0]) for r in rows] == [2.0, 4.0, 8.0]
+    script = (tmp_path / "plot_survival_alpha2.gp").read_text()
+    assert "'survival_curve_alpha2.dat'" in script
+    assert "alpha=2" in script
+    values = dict(
+        line.split(" = ") for line in script.splitlines()
+        if line.startswith(("rate = ", "power = ", "amplitude = "))
+    )
+    assert float(values["rate"]) == 0.3 and float(values["power"]) == -1.5
+    at_end = float(values["amplitude"]) * 8.0**-1.5 * math.exp(-0.3 * 8.0)
+    assert at_end == pytest.approx(0.05, rel=1e-12)
 
 
 def test_record_validation():

@@ -19,6 +19,33 @@ def test_quenched_extinction_formula_on_flat_environment():
     assert out[0.0] == (0.0, 0.0)  # I_0 = 0, no time to die
 
 
+def test_quenched_extinction_degenerate_cases():
+    flat = ModelParams(alpha=0.0, sigma_e=0.0, sigma_b=1.0, z0=0.0)
+    out = environment_survival_curve(flat, [0.0, 1.0], 10, 0.1, 1, collect="extinct")
+    assert out == {0.0: (1.0, 0.0), 1.0: (1.0, 0.0)}  # zero mass is extinct already
+
+
+def test_conditional_population_mean_is_exact():
+    # E[Z_t e^{-S_t} | S] = z on every environment path, so the slope of the
+    # quenched transform at lambda = 0 is z, up to O(lambda) and no Monte Carlo error
+    z0, lam = 1.5, 1e-6
+    p = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=z0)
+    m, _ = environment_laplace(p, [lam], t=2.0, n=2000, dt=0.01, seed=101)[lam]
+    assert (1.0 - m) / lam == pytest.approx(z0, rel=1e-4)
+
+
+def test_conditional_atom_at_zero_matches_formula():
+    # P(Z_t = 0 | S) = e^{-z/I_t} is the lambda -> inf limit of the transform
+    # e^{-z/(I_t + 1/lambda)}, which decreases to it along the same environments
+    t, n, dt, seed = 2.0, 2000, 0.01, 103
+    lap = environment_laplace(STD, [1.0, 1e3, math.inf], t, n, dt, seed)
+    atom = environment_survival_curve(STD, [t], n, dt, seed, collect="extinct")[t]
+    alive = environment_survival_curve(STD, [t], n, dt, seed)[t]
+    assert lap[math.inf] == atom
+    assert lap[1.0][0] > lap[1e3][0] > atom[0] > 0.0
+    assert atom[0] + alive[0] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_environment_laplace_endpoints():
     out = environment_laplace(STD, [0.0, 1.0], t=2.0, n=2000, dt=0.01, seed=109)
     m0, se0 = out[0.0]

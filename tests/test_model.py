@@ -237,3 +237,14 @@ def test_a_float_state_is_a_zero_d_array_and_an_array_entry(p, z):
         as_float = _outcome(f, z, p)
         assert _outcome(f, np.array(z), p) == as_float
         assert _outcome(f, np.array([1.0, z, 2.0]), p, entry=1) == as_float
+
+
+def test_drift_pair_unpacks_as_a_pair_of_its_fields():
+    for f in (drift_conditioned_extinction, drift_conditioned_survival):
+        out = f(0.5, STD)
+        assert isinstance(out, DriftPair) and isinstance(out, tuple)
+        drift_z, drift_s = out
+        assert (drift_z, drift_s) == (out.drift_z, out.drift_s)
+        assert type(drift_z) is float and type(drift_s) is float
+        vec = f(np.array([0.5, 2.0]), STD)
+        assert vec.drift_z[0] == drift_z and vec.drift_s[0] == drift_s
