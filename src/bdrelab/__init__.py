@@ -72,6 +72,7 @@ from .specfun import (
     laplace_Y,
     phi_beta,
     psi,
+    strong_level_limit,
     theorem1_constant,
 )
 from .verify import VerifyReport, run_verify
@@ -136,6 +137,7 @@ __all__ = [
     "laplace_Y",
     "phi_beta",
     "psi",
+    "strong_level_limit",
     "theorem1_constant",
     "VerifyReport",
     "run_verify",

@@ -15,14 +15,19 @@ the whole package: only the scalar pair (S_t, I_t) has to be simulated,
 and the branching noise is integrated out in closed form.
 
 Every estimator here runs on one reducer, _environment_batches: it steps
-batches of environments and hands I_t at each checkpoint to a reduction
-of the estimator's choosing. The only approximation anywhere here is the
-trapezoid rule for I_t on the simulation grid.
+batches of environments and hands (I_t, S_t) at each checkpoint to a
+reduction of the estimator's choosing. The survival curve can sample its
+environments under an exponential tilt, dQ/dP = e^{theta S_t} / E[e^{theta S_t}],
+and weight each path by the exact likelihood ratio dP/dQ (importance
+sampling; Asmussen & Glynn, Stochastic Simulation, 2007, ch. VI). The
+only approximation anywhere here is still the trapezoid rule for I_t on
+the simulation grid.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,14 +55,15 @@ def _environment_batches(
     scale: float,
     reduce: Callable,
 ) -> list:
-    """Per batch of environments, {t: reduce(t, I_t)} at each time.
+    """Per batch of environments, {t: reduce(t, I_t, S_t)} at each time.
 
     The last time T sets the grid: round(T / dt) steps of equal length,
     at least one or ConfigError, and every other time must sit on it. S
     takes exact Gaussian increments and I_t = scale * Int_0^t e^{-S_s} ds
     the trapezoid rule; scale = sigma_b^2 / 2 gives the I_t of the
-    quenched law, scale = 1 the raw Dufresne functional. I_t is the
-    running array, final only at T. Batch k draws from RngStream(seed, k).
+    quenched law, scale = 1 the raw Dufresne functional. I_t and S_t are
+    the running arrays, final only at T, so reduce must not keep or change
+    them. Batch k draws from RngStream(seed, k).
     """
     times = sorted(float(t) for t in times)
     if not dt > 0:
@@ -76,14 +82,14 @@ def _environment_batches(
         prev = np.ones(b)
         out = {}
         if 0 in at:
-            out[at[0]] = reduce(at[0], acc)
+            out[at[0]] = reduce(at[0], acc, s)
         for k in range(1, n_steps + 1):
             s += params.alpha * step + params.sigma_e * sq * g.standard_normal(b)
             cur = np.exp(-s)
             acc += weight * (prev + cur)
             prev = cur
             if k in at:
-                out[at[k]] = reduce(at[k], acc)
+                out[at[k]] = reduce(at[k], acc, s)
         return out
 
     return _run_batches(worker, n, seed, threads)
@@ -112,7 +118,7 @@ def dufresne_samples(
     if params.alpha <= 0:
         raise ValueError("the exponential functional requires alpha > 0")
     parts = _environment_batches(
-        params, [horizon], dt, n, seed, threads, 1.0, lambda t, i_t: i_t
+        params, [horizon], dt, n, seed, threads, 1.0, lambda t, i_t, s_t: i_t
     )
     return np.concatenate([p[float(horizon)] for p in parts])
 
@@ -125,31 +131,47 @@ def environment_survival_curve(
     seed: int,
     collect: str = "survival",
     threads: int = 1,
+    tilt: float = 0.0,
 ) -> dict:
     """Conditional probabilities averaged over n environments.
 
     collect = 'survival' accumulates 1 - e^{-z/I_t}, 'extinct' accumulates
-    e^{-z/I_t}, at each checkpoint. The environment drift is params.alpha
-    as given; callers wanting the extinction-conditioned population decay
-    pass alpha negated, which by the conditioning identity turns this into
-    the survival curve of the conditioned process. Returns
-    {t: (mean, std_error)}.
+    e^{-z/I_t}, at each checkpoint. The environment drift mu is
+    params.alpha as given; callers wanting the extinction-conditioned
+    population decay pass alpha negated, which by the conditioning
+    identity turns this into the survival curve of the conditioned
+    process. Returns {t: (mean, std_error)}.
+
+    tilt = theta samples S with drift mu + theta sigma_e^2 instead and
+    multiplies each path's value at t by the exact likelihood ratio
+    exp((theta mu + theta^2 sigma_e^2 / 2) t - theta S_t), so the mean is
+    the untilted one and only the variance changes. tilt = 0 forms no
+    weight and draws, steps and sums exactly as without the option. The
+    only approximation either way is the trapezoid rule for I_t.
     """
     if collect not in ("survival", "extinct"):
         raise ValueError("collect must be 'survival' or 'extinct'")
     if params.sigma_b <= 0:
         raise ValueError("conditional probabilities need sigma_b > 0")
+    if not math.isfinite(tilt):
+        raise ValueError(f"tilt must be finite, got {tilt}")
     z = params.z0
     survival = collect == "survival"
+    theta = float(tilt)
+    log_mgf = theta * params.alpha + 0.5 * theta**2 * params.sigma_e**2  # per unit t
 
-    def reduce(t, i_t):
+    def reduce(t, i_t, s_t):
         if t == 0.0:
             # I_0 = 0: survival is certain for z > 0, extinction for z = 0
             return _sums(np.full(i_t.shape, float((z > 0) == survival)))
-        return _sums(-np.expm1(-z / i_t) if survival else np.exp(-z / i_t))
+        q = -np.expm1(-z / i_t) if survival else np.exp(-z / i_t)
+        if theta:
+            q *= np.exp(log_mgf * t - theta * s_t)
+        return _sums(q)
 
+    stepped = replace(params, alpha=params.alpha + theta * params.sigma_e**2) if theta else params
     parts = _environment_batches(
-        params, checkpoints, dt, n, seed, threads, params.sigma_b**2 / 2.0, reduce
+        stepped, checkpoints, dt, n, seed, threads, params.sigma_b**2 / 2.0, reduce
     )
     return {t: _mean_se([p[t] for p in parts], n) for t in parts[0]}
 
@@ -175,7 +197,7 @@ def environment_laplace(
     if any(l < 0 for l in lambdas):
         raise ValueError("lambda must be nonnegative")
 
-    def reduce(_, i_t):
+    def reduce(_, i_t, s_t):
         return {
             lam: _sums(np.ones(i_t.shape) if lam == 0.0 else np.exp(-z / (i_t + 1.0 / lam)))
             for lam in lambdas

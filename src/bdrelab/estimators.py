@@ -235,8 +235,15 @@ def survival_points(
     For NegatedAlphaSim the survival probability is Rao-Blackwellized over
     the environment: given the negated-drift environment,
     P(survive t | S) = 1 - e^{-z/I_t} exactly, so only environment paths
-    are simulated and the deep-t tail stays resolvable. Other routes fall
-    back to per-t ensemble estimation.
+    are simulated. The environments are sampled under the exponential
+    tilt theta = min(alpha / sigma_e^2, 1), with the positive alpha of
+    params, and each path is weighted by its exact likelihood ratio (see
+    environment_survival_curve). The tilted drift is -alpha + theta
+    sigma_e^2: 0 in the weak and intermediate regimes, sigma_e^2 - alpha
+    in the strong one. This keeps the relative error of p(t) nearly flat
+    in t, so the deep-t tail stays resolvable; the only approximation is
+    still the trapezoid rule for I_t. Other routes fall back to per-t
+    ensemble estimation.
     """
     if classify_regime(params) not in (
         Regime.WEAKLY_SUPERCRITICAL,
@@ -247,8 +254,9 @@ def survival_points(
     t_grid = sorted(float(t) for t in t_grid)
     if route is SurvivalRoute.NEGATED_ALPHA_SIM:
         neg = replace(params, alpha=-params.alpha)
+        tilt = min(params.alpha / params.sigma_e**2, 1.0)
         return environment_survival_curve(
-            neg, t_grid, n_per_t, dt, seed, collect="survival", threads=threads
+            neg, t_grid, n_per_t, dt, seed, collect="survival", threads=threads, tilt=tilt
         )
     cfg = SchemeConfig(dt=dt, horizon=max(t_grid))
     out = {}

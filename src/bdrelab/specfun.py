@@ -66,6 +66,7 @@ __all__ = [
     "mean_inverse_gamma",
     "laplace_Y",
     "theorem1_constant",
+    "strong_level_limit",
 ]
 
 # Distinguished "diverges" value. Quadrature never overflows to inf in this
@@ -484,3 +485,13 @@ def theorem1_constant(
     if m == INFINITE:
         return INFINITE
     return (z * params.sigma_e**2 / params.sigma_b**2) * m
+
+
+def strong_level_limit(params: ModelParams, z: float) -> float:
+    """Strong-regime level lim e^{(alpha - sigma_e^2/2) t} p(t) of conditioned survival.
+
+    It is z sigma_e^2 nu / sigma_b^2 with nu = 2(alpha/sigma_e^2 - 1), from
+    tilting the environment by e^{S_t} and Dufresne's identity: 2 at
+    alpha = 2 and sigma_e = sigma_b = z = 1, where theorem1_constant gives 1.
+    """
+    return z * params.sigma_e**2 * 2.0 * (params.alpha / params.sigma_e**2 - 1.0) / params.sigma_b**2

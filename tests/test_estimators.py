@@ -23,6 +23,7 @@ from bdrelab.estimators import (
     functional_reference,
     laplace_limit_test,
     martingale_test,
+    survival_points,
 )
 from bdrelab.model import (
     ModelParams,
@@ -126,6 +127,15 @@ def test_conditioned_survival_route_triangle():
         for b in ests.values():
             comb = math.hypot(a.std_error, b.std_error)
             assert abs(a.mean - b.mean) <= 4 * comb, (a.method_tag, b.method_tag)
+
+
+@pytest.mark.parametrize("alpha,sigma_e,theta", [(0.5, 1.0, 0.5), (2.0, 1.0, 1.0), (0.9, 0.6, 1.0)])
+def test_survival_points_tilts_by_min_alpha_over_sigma_e2_and_one(alpha, sigma_e, theta):
+    # theta = alpha / sigma_e^2 below the strong regime, 1 in it
+    p = ModelParams(alpha=alpha, sigma_e=sigma_e, sigma_b=1.0, z0=1.0)
+    pts = survival_points(p, [1.0, 2.0], 300, SurvivalRoute.NEGATED_ALPHA_SIM, 5, dt=0.05)
+    neg = ModelParams(alpha=-alpha, sigma_e=sigma_e, sigma_b=1.0, z0=1.0)
+    assert pts == environment_survival_curve(neg, [1.0, 2.0], 300, 0.05, 5, tilt=theta)
 
 
 def test_conditioned_survival_at_time_zero_is_one():

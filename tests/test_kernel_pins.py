@@ -4,7 +4,9 @@ The environment reducer and the Euler step are shared by many kernels, so
 a change to either must keep every kernel's draw order and arithmetic.
 These values are checked at rel 1e-12. The survival-conditioned ensembles
 are left out: the draws a retried path takes depend on which other paths
-are retried in the same step.
+are retried in the same step. The untilted environment pins also hold the
+tilt = 0 path of environment_survival_curve to its steps and sums from
+before the tilt existed; the tilted cases pin the weighted path.
 
 The quadrature values (phi_beta, laplace_Y) are deterministic and pinned
 bit for bit: their integrands call scalar math functions chosen to repeat
@@ -37,6 +39,8 @@ from bdrelab.verify import PHI_BETA_GOLDEN
 STD = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
 NOISY = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=2.0, z0=0.05)  # frequent absorption
 NO_BRANCHING = ModelParams(alpha=0.4, sigma_e=0.8, sigma_b=0.0, z0=2.0)
+STRONG_NEGATED = ModelParams(alpha=-2.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
+WEAK_NEGATED = ModelParams(alpha=-0.4, sigma_e=0.8, sigma_b=1.5, z0=2.0)
 CFG = SchemeConfig(dt=0.01, horizon=0.5)
 CPS = [0.0, 0.25, 0.5]
 
@@ -89,6 +93,13 @@ def compute() -> dict:
         "extinct_curve": _curve(
             environment_survival_curve(STD, [0.0, 0.5, 1.0], 500, 0.05, seed=9, collect="extinct")
         ),
+        # the tilts of survival_points in the strong and weak regimes, and a negative one
+        "survival_curve_tilted": _curve(environment_survival_curve(
+            STRONG_NEGATED, [0.0, 0.5, 1.0], 500, 0.05, seed=9, tilt=1.0)),
+        "survival_curve_tilted_two_batches": _curve(environment_survival_curve(
+            WEAK_NEGATED, [0.25, 1.0], 60_000, 0.05, seed=7, tilt=0.625)),
+        "extinct_curve_tilted": _curve(environment_survival_curve(
+            STD, [0.5, 1.0], 500, 0.05, seed=9, collect="extinct", tilt=-0.5)),
         "laplace": _curve(environment_laplace(STD, [0.0, 0.5, 2.0], 1.0, 500, 0.05, seed=19)),
         "states_bdre": _states("bdre", STD),
         "states_bdre_absorbing": _states(
@@ -164,6 +175,10 @@ PINNED = {
     'extinct_curve': [
         0.0, 0.0, 0.020439552631484934, 0.0016212477301888527, 0.08741578853273074,
         0.004735082997993335,
+    ],
+    # computed when the tilt was added
+    'extinct_curve_tilted': [
+        0.01945002910318362, 0.001045388904927754, 0.08703635879778747, 0.002873096514457644,
     ],
     'laplace': [
         1.0, 0.0, 0.657157334673236, 0.001073757007026907, 0.31878123690766486,
@@ -244,6 +259,14 @@ PINNED = {
     ],
     'survival_curve_two_batches': [
         1.0, 0.0, 0.9999999999999812, 0.0,
+    ],
+    # computed when the tilt was added
+    'survival_curve_tilted': [
+        1.0, 0.0, 0.8701046903894226, 0.026189339240234234, 0.45910028526382474,
+        0.013834128015135476,
+    ],
+    'survival_curve_tilted_two_batches': [
+        0.9964217960258157, 0.0010187872787080442, 0.7336198596133412, 0.0010183235977368032,
     ],
 }
 

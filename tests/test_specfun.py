@@ -22,6 +22,7 @@ from bdrelab.specfun import (
     phi_beta_tensor_oracle,
     psi,
     psi_closed_form,
+    strong_level_limit,
     theorem1_constant,
 )
 
@@ -156,6 +157,12 @@ def test_theorem1_constant_by_regime():
     )
     with pytest.raises(NotComputableError):
         theorem1_constant(weak, Regime.WEAKLY_SUPERCRITICAL, 1.0)
+
+
+def test_strong_level_limit_is_two_at_the_standard_point():
+    # z sigma_e^2 nu / sigma_b^2 with nu = 2 (alpha / sigma_e^2 - 1) = 2, where
+    # the printed constant (theorem1_constant) is 1
+    assert strong_level_limit(ModelParams(2.0, 1.0, 1.0, 1.0), 1.0) == 2.0
 
 
 def test_theorem1_constant_regime_mismatch_rejected():
