@@ -397,8 +397,10 @@ def _cmd_bridge(args) -> int:
     freq, se = bridge_extinction_frequency(args.n_scale, cfg.model,
                                            n_reps=args.n_reps, seed=cfg.seed,
                                            horizon=cfg.scheme.horizon)
+    # geometric offspring fix the limit's sigma_b at sqrt(2), whatever --sigma-b says
+    limit = replace(cfg.model, sigma_b=math.sqrt(2.0))
     try:
-        theo = float(extinction_probability(cfg.model.z0, cfg.model))
+        theo = float(extinction_probability(limit.z0, limit))
     except ValueError:
         theo = None
     ok = None if theo is None else abs(freq - theo) <= 3 * se

@@ -215,7 +215,9 @@ def test_bridge_writes_record(tmp_path, capsys):
     recs = read_results_csv(str(tmp_path / "results.csv"))
     assert recs[0].quantity == "bridge.extinction_nscale=50"
     assert 0.0 < recs[0].value < 1.0
-    assert recs[0].theoretical == pytest.approx(0.25)
+    # the bridge's limit has sigma_b = sqrt(2) whatever the config says:
+    # (1 + 1/2)^(-2) at the default alpha = sigma_e = z0 = 1
+    assert recs[0].theoretical == pytest.approx(4 / 9)
 
 
 def test_estimate_rates_experiment_is_redirected(tmp_path, capsys):

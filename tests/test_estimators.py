@@ -280,3 +280,6 @@ def test_binomial_se_is_exactly_zero_at_p_zero_and_one(alpha, sigma_e, seed):
     crowd = ModelParams(alpha=abs(alpha) + 0.05, sigma_e=sigma_e, sigma_b=1.0, z0=1000.0)
     assert bridge_extinction_frequency(1, dead, 200, seed) == (1.0, 0.0)
     assert bridge_extinction_frequency(1, crowd, 200, seed, horizon=1.0) == (0.0, 0.0)
+    for horizon in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            bridge_extinction_frequency(1, crowd, 200, seed, horizon=horizon)

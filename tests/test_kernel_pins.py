@@ -25,6 +25,7 @@ from bdrelab.rng import RngStream
 from bdrelab.sde import (
     SchemeConfig,
     absorbed_fraction,
+    bridge_extinction_frequency,
     coupled_refinement_means,
     ensemble_final_states,
     ensemble_quenched_final,
@@ -41,6 +42,8 @@ NOISY = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=2.0, z0=0.05)  # frequent ab
 NO_BRANCHING = ModelParams(alpha=0.4, sigma_e=0.8, sigma_b=0.0, z0=2.0)
 STRONG_NEGATED = ModelParams(alpha=-2.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
 WEAK_NEGATED = ModelParams(alpha=-0.4, sigma_e=0.8, sigma_b=1.5, z0=2.0)
+BRIDGE = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=math.sqrt(2.0), z0=2.0)  # criterion 9
+FEW = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=0.05)
 CFG = SchemeConfig(dt=0.01, horizon=0.5)
 CPS = [0.0, 0.25, 0.5]
 
@@ -116,6 +119,11 @@ def compute() -> dict:
         "quenched_cond_extinction": _quenched(QuenchedVariant.COND_EXTINCTION, STD),
         "coupled": _coupled(STD),
         "coupled_no_branching": _coupled(NO_BRANCHING),
+        # jumps of 100 generations to horizon 30; then 15 generations at
+        # n_scale 100, a jump of 10 and one cut to 5
+        "bridge": list(bridge_extinction_frequency(1000, BRIDGE, 500, seed=31)),
+        "bridge_cut_jump": list(bridge_extinction_frequency(100, FEW, 500, seed=37,
+                                                            horizon=0.15)),
         "absorbed_fraction": list(absorbed_fraction(NOISY, SchemeConfig(dt=0.01, horizon=2.0),
                                                     500, seed=23)),
         "simulate_bdre": _path(simulate_bdre(NOISY, CFG, RngStream(29, 0))),
@@ -137,9 +145,17 @@ def compute() -> dict:
 
 
 # reference values, computed before the kernels shared one step and one reducer
+# unless noted
 PINNED = {
     'absorbed_fraction': [
         0.968, 0.007870959280799264,
+    ],
+    # computed when the bridge moved to exact multi-generation jumps
+    'bridge': [
+        0.27, 0.019854470529329156,
+    ],
+    'bridge_cut_jump': [
+        0.66, 0.021184900282984576,
     ],
     'coupled': [
         0.24730050939496778, 0.013132568248714713, 0.24747986626748492, 0.01302507817589768,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from bdrelab.envexact import environment_survival_curve
 from bdrelab.errors import NumericalFailure
@@ -12,6 +13,7 @@ from bdrelab.rng import RngStream
 from bdrelab.sde import (
     MAX_HALVINGS,
     SchemeConfig,
+    _bridge_jump,
     _guarded_step,
     _halve,
     _Variant,
@@ -201,6 +203,43 @@ def test_discrete_bpre_quenched_mean_identity():
     m = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     assert abs(m - STD.z0) < 4 * se
+
+
+def _binomial_z(p_a: float, n_a: int, p_b: float, n_b: int) -> float:
+    se = math.hypot(math.sqrt(p_a * (1 - p_a) / n_a), math.sqrt(p_b * (1 - p_b) / n_b))
+    return (p_a - p_b) / se
+
+
+@pytest.mark.parametrize("n_scale, z0", [(100, 0.05), (5, 0.4)])
+def test_bridge_jump_has_the_law_of_its_generations(n_scale, z0):
+    # one jump of j generations against j one-generation steps of
+    # simulate_discrete_bpre; at n_scale 5 the jump is a single generation
+    params = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=z0)
+    j = max(1, n_scale // 10)
+    n = 4000
+    ref = np.array([
+        round(simulate_discrete_bpre(n_scale, params, j / n_scale, RngStream(41, i)).z_values[-1]
+              * n_scale)
+        for i in range(n)
+    ])
+    start = np.full(n, round(z0 * n_scale), dtype=np.int64)
+    jump = _bridge_jump(RngStream(43).generator(), start, j, params.alpha / n_scale,
+                        params.sigma_e / math.sqrt(n_scale))
+    assert 0.1 < np.mean(ref == 0) < 0.9
+    assert abs(_binomial_z(np.mean(jump == 0), n, np.mean(ref == 0), n)) < 5
+    assert ks_2samp(jump, ref).pvalue > 0.01
+
+
+def test_bridge_frequency_by_a_horizon_that_cuts_the_last_jump():
+    # 15 generations at n_scale 100: one jump of 10, then one cut to 5
+    params = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=0.05)
+    n = 4000
+    ref = np.mean([
+        simulate_discrete_bpre(100, params, 0.15, RngStream(47, i)).absorbed_at is not None
+        for i in range(n)
+    ])
+    p, _ = bridge_extinction_frequency(100, params, n, seed=53, horizon=0.15)
+    assert abs(_binomial_z(p, n, ref, n)) < 5
 
 
 def test_binomial_se_is_zero_when_no_path_resolves():
