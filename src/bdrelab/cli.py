@@ -24,7 +24,6 @@ from dataclasses import replace
 from typing import Optional
 
 from .config import (
-    DEFAULT_SEED,
     Experiment,
     ExperimentConfig,
     config_hash,
@@ -46,7 +45,6 @@ from .estimators import (
     survival_points,
 )
 from .model import (
-    ModelParams,
     QuenchedVariant,
     classify_regime,
     extinction_probability,
@@ -157,8 +155,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    """Config file, then the seed environment variable, then flags."""
-    cfg = read_config(args.config) if args.config else ExperimentConfig()
+    """Config file, then the seed environment variable, then flags.
+
+    Every subcommand takes its config and seed from here, so the seed order
+    (flag, BDRE_LAB_SEED, config file, default) is stated once.
+    """
+    config = getattr(args, "config", None)
+    cfg = read_config(config) if config else ExperimentConfig()
     cfg = seed_from_environment(cfg)
 
     model = cfg.model
@@ -339,14 +342,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_specfun(args) -> int:
-    model = ModelParams(
-        alpha=args.alpha if args.alpha is not None else 1.0,
-        sigma_e=args.sigma_e if args.sigma_e is not None else 1.0,
-        sigma_b=args.sigma_b if args.sigma_b is not None else 1.0,
-        z0=args.z0 if args.z0 is not None else 1.0,
-    )
-    cfg = ExperimentConfig(model=model,
-                           seed=args.seed if args.seed is not None else DEFAULT_SEED)
+    cfg = _resolve_config(args)
     records = []
     if args.psi:
         if args.a is None:
@@ -363,28 +359,22 @@ def _cmd_specfun(args) -> int:
         records.append(_rec(cfg, "integral_a_psi", integral_a_psi(DEFAULT_QUAD), None,
                             1, 1.0 / math.sqrt(2.0 * math.pi), Provenance.QUADRATURE))
     if args.decay_constant:
-        regime = classify_regime(model)
-        value = theorem1_constant(model, regime, model.z0, DEFAULT_QUAD)
+        regime = classify_regime(cfg.model)
+        value = theorem1_constant(cfg.model, regime, cfg.model.z0, DEFAULT_QUAD)
         records.append(_rec(cfg, f"decay_level_constant.{regime.value}", value, None,
                             1, None, Provenance.CLOSED_FORM))
     if not records:
         raise ConfigError("specfun: pick at least one of --psi, --phi-beta, --moment, "
                           "--decay-constant")
-    sys.stdout.write(format_records_csv(records))
     if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
-        write_results(records, os.path.join(args.output_dir, "results.csv"),
-                      ResultFormat.CSV)
-        write_results(records, os.path.join(args.output_dir, "results.jsonl"),
-                      ResultFormat.JSON_LINES)
+        _emit(records, cfg)
+    else:
+        sys.stdout.write(format_records_csv(records))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    seed = seed_from_environment(ExperimentConfig()).seed
-    if args.seed is not None:
-        seed = args.seed
-    report = run_verify(seed=seed, output_dir=args.output_dir,
+    report = run_verify(seed=_resolve_config(args).seed, output_dir=args.output_dir,
                         threads=_threads(args))
     sys.stdout.write(format_summary(report) + "\n")
     return 0 if report.passed else 1

@@ -134,33 +134,33 @@ def config_from_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         pairs[key] = val.strip()
 
-    def take(key: str, default: str) -> str:
-        return pairs.pop(key, default)
+    def take(key: str, default, parse=lambda key, raw: raw):
+        # a missing key keeps the field of ExperimentConfig(); nothing here
+        # restates a default
+        return parse(key, pairs.pop(key)) if key in pairs else default
 
-    def as_float(key: str, default: str) -> float:
-        raw = take(key, default)
+    def as_float(key: str, raw: str) -> float:
         try:
             return float(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: not a number: {raw!r}") from exc
 
-    def as_int(key: str, default: str) -> int:
-        raw = take(key, default)
+    def as_int(key: str, raw: str) -> int:
         try:
             return int(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: not an integer: {raw!r}") from exc
 
-    def as_enum(key: str, enum_cls, default: str):
-        raw = take(key, default)
-        try:
-            return enum_cls(raw)
-        except ValueError as exc:
-            valid = ", ".join(e.value for e in enum_cls)
-            raise ConfigError(f"{key}: {raw!r} is not one of: {valid}") from exc
+    def as_enum(enum_cls):
+        def parse(key: str, raw: str):
+            try:
+                return enum_cls(raw)
+            except ValueError as exc:
+                valid = ", ".join(e.value for e in enum_cls)
+                raise ConfigError(f"{key}: {raw!r} is not one of: {valid}") from exc
+        return parse
 
-    def as_float_tuple(key: str, default: str) -> tuple[float, ...]:
-        raw = take(key, default)
+    def as_float_tuple(key: str, raw: str) -> tuple[float, ...]:
         if not raw:
             return ()
         try:
@@ -168,42 +168,46 @@ def config_from_text(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{key}: bad list: {raw!r}") from exc
 
+    def as_str_tuple(key: str, raw: str) -> tuple[str, ...]:
+        return tuple(p.strip() for p in raw.split(",") if p.strip())
+
+    d = ExperimentConfig()
+    m, s, q = d.model, d.scheme, d.quadrature
     scheme_name = take("scheme.scheme", _SCHEME)
     if scheme_name != _SCHEME:
         raise ConfigError(f"scheme.scheme: {scheme_name!r} is not the one scheme, {_SCHEME}")
     try:
         model = ModelParams(
-            alpha=as_float("model.alpha", "1.0"),
-            sigma_e=as_float("model.sigma_e", "1.0"),
-            sigma_b=as_float("model.sigma_b", "1.0"),
-            z0=as_float("model.z0", "1.0"),
+            alpha=take("model.alpha", m.alpha, as_float),
+            sigma_e=take("model.sigma_e", m.sigma_e, as_float),
+            sigma_b=take("model.sigma_b", m.sigma_b, as_float),
+            z0=take("model.z0", m.z0, as_float),
         )
         scheme = SchemeConfig(
-            dt=as_float("scheme.dt", "0.01"),
-            horizon=as_float("scheme.horizon", "30.0"),
-            absorption_threshold=as_float("scheme.absorption_threshold", "0.0"),
-            store_stride=as_int("scheme.store_stride", "1"),
+            dt=take("scheme.dt", s.dt, as_float),
+            horizon=take("scheme.horizon", s.horizon, as_float),
+            absorption_threshold=take("scheme.absorption_threshold", s.absorption_threshold,
+                                      as_float),
+            store_stride=take("scheme.store_stride", s.store_stride, as_int),
         )
         quadrature = QuadratureConfig(
-            rel_tol=as_float("quadrature.rel_tol", "1e-10"),
-            abs_tol=as_float("quadrature.abs_tol", "1e-12"),
-            max_subdivisions=as_int("quadrature.max_subdivisions", "200"),
-            infinite_domain_map=as_enum(
-                "quadrature.infinite_domain_map", DomainMap, "ExpSubstitution"
-            ),
+            rel_tol=take("quadrature.rel_tol", q.rel_tol, as_float),
+            abs_tol=take("quadrature.abs_tol", q.abs_tol, as_float),
+            max_subdivisions=take("quadrature.max_subdivisions", q.max_subdivisions, as_int),
+            infinite_domain_map=take("quadrature.infinite_domain_map", q.infinite_domain_map,
+                                     as_enum(DomainMap)),
         )
-        routes_raw = take("routes", "")
         cfg = ExperimentConfig(
             model=model,
             scheme=scheme,
             quadrature=quadrature,
-            experiment=as_enum("experiment", Experiment, "extinction"),
-            n=as_int("n", "100000"),
-            seed=as_int("seed", str(DEFAULT_SEED)),
-            t_grid=as_float_tuple("t_grid", "4, 6, 8, 10, 12"),
-            lambda_grid=as_float_tuple("lambda_grid", "0.5, 1, 2, 10"),
-            routes=tuple(p.strip() for p in routes_raw.split(",") if p.strip()),
-            output_dir=take("output_dir", "results"),
+            experiment=take("experiment", d.experiment, as_enum(Experiment)),
+            n=take("n", d.n, as_int),
+            seed=take("seed", d.seed, as_int),
+            t_grid=take("t_grid", d.t_grid, as_float_tuple),
+            lambda_grid=take("lambda_grid", d.lambda_grid, as_float_tuple),
+            routes=take("routes", d.routes, as_str_tuple),
+            output_dir=take("output_dir", d.output_dir),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -69,9 +69,6 @@ class MCEstimate:
         if self.n < 1:
             raise ValueError("n must be a positive count")
 
-    def ci(self, k: float = 3.0) -> tuple[float, float]:
-        return (self.mean - k * self.std_error, self.mean + k * self.std_error)
-
     @staticmethod
     def from_samples(x: np.ndarray, method_tag: str) -> "MCEstimate":
         x = np.asarray(x, dtype=float)
@@ -242,30 +239,23 @@ def survival_points(
     sigma_e^2: 0 in the weak and intermediate regimes, sigma_e^2 - alpha
     in the strong one. This keeps the relative error of p(t) nearly flat
     in t, so the deep-t tail stays resolvable; the only approximation is
-    still the trapezoid rule for I_t. Other routes fall back to per-t
-    ensemble estimation.
+    still the trapezoid rule for I_t. NegatedAlphaSim is the only route;
+    any other raises ValueError.
     """
+    if route is not SurvivalRoute.NEGATED_ALPHA_SIM:
+        raise ValueError(f"survival_points supports only NegatedAlphaSim, not {route}")
     if classify_regime(params) not in (
         Regime.WEAKLY_SUPERCRITICAL,
         Regime.INTERMEDIATE_SUPERCRITICAL,
         Regime.STRONGLY_SUPERCRITICAL,
     ):
         raise ValueError("decay-rate experiments require a supercritical regime")
-    t_grid = sorted(float(t) for t in t_grid)
-    if route is SurvivalRoute.NEGATED_ALPHA_SIM:
-        neg = replace(params, alpha=-params.alpha)
-        tilt = min(params.alpha / params.sigma_e**2, 1.0)
-        return environment_survival_curve(
-            neg, t_grid, n_per_t, dt, seed, collect="survival", threads=threads, tilt=tilt
-        )
-    cfg = SchemeConfig(dt=dt, horizon=max(t_grid))
-    out = {}
-    for i, t in enumerate(t_grid):
-        est = estimate_conditioned_survival(
-            params, t, route, n_per_t, cfg, seed + i, threads=threads
-        )
-        out[t] = (est.mean, est.std_error)
-    return out
+    neg = replace(params, alpha=-params.alpha)
+    tilt = min(params.alpha / params.sigma_e**2, 1.0)
+    return environment_survival_curve(
+        neg, sorted(float(t) for t in t_grid), n_per_t, dt, seed,
+        collect="survival", threads=threads, tilt=tilt,
+    )
 
 
 def fit_decay_rate_from_points(params: ModelParams, points: dict) -> RateFit:

@@ -24,8 +24,6 @@ __all__ = [
     "format_records_csv",
     "write_results",
     "read_results_csv",
-    "write_curve_table",
-    "write_gnuplot_script",
     "write_decay_plot",
 ]
 
@@ -184,73 +182,40 @@ def read_results_csv(path: str) -> list[ResultRecord]:
     return out
 
 
-def write_curve_table(path: str, rows: Sequence[tuple[float, float, float]]) -> None:
-    """Whitespace table (t, value, std_error) for plotting tools."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# t value std_error\n")
-        for t, v, se in rows:
-            fh.write(f"{_cell(float(t))} {_cell(float(v))} {_cell(float(se))}\n")
-
-
-def write_gnuplot_script(
-    script_path: str,
-    data_filename: str,
-    title: str,
-    rate: Optional[float] = None,
-    power: Optional[float] = None,
-    amplitude: Optional[float] = None,
-) -> None:
-    """Log-scale survival-curve plot script beside a rate-experiment table.
-
-    Plots the estimated points with error bars and, when a fit is given,
-    the fitted curve amplitude * t**power * exp(-rate * t).
-    """
-    lines = [
-        "set terminal pngcairo size 900,600",
-        f"set output '{_gp_escape(title)}.png'",
-        "set logscale y",
-        "set xlabel 't'",
-        "set ylabel 'survival probability'",
-        f"set title '{_gp_escape(title)}'",
-        "set key left bottom",
-    ]
-    plot = [
-        f"'{data_filename}' using 1:2:3 with yerrorbars title 'estimate'",
-    ]
-    if rate is not None and power is not None and amplitude is not None:
-        lines.append(f"rate = {_cell(float(rate))}")
-        lines.append(f"power = {_cell(float(power))}")
-        lines.append(f"amplitude = {_cell(float(amplitude))}")
-        lines.append("fit_curve(t) = amplitude * t**power * exp(-rate*t)")
-        plot.append("fit_curve(x) title 'fitted decay'")
-    lines.append("plot " + ", \\\n     ".join(plot))
-    with open(script_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_decay_plot(output_dir: str, suffix: str, alpha: float, points: dict, fit) -> None:
     """survival_curve{suffix}.dat and plot_survival{suffix}.gp for one decay fit.
 
     points is {t: (mean, std_error)} and fit the RateFit made from it. The
-    fitted curve passes through the point at the end of the fit window.
+    table is whitespace-separated (t, value, std_error); the gnuplot script
+    plots it on a log scale with error bars beside the fitted curve
+    amplitude * t**power * exp(-rate * t), which passes through the point
+    at the end of the fit window.
     """
     dat = f"survival_curve{suffix}.dat"
-    write_curve_table(
-        os.path.join(output_dir, dat), [(t, m, se) for t, (m, se) in sorted(points.items())]
-    )
+    with open(os.path.join(output_dir, dat), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# t value std_error\n")
+        for t, (m, se) in sorted(points.items()):
+            fh.write(f"{_cell(float(t))} {_cell(float(m))} {_cell(float(se))}\n")
     t_hi = fit.t_window[1]
     amplitude = points[t_hi][0] / (
         t_hi**fit.polynomial_power * math.exp(-fit.exponential_rate * t_hi)
     )
-    write_gnuplot_script(
-        os.path.join(output_dir, f"plot_survival{suffix}.gp"),
-        dat,
-        f"conditioned survival decay, alpha={alpha:g}",
-        rate=fit.exponential_rate,
-        power=fit.polynomial_power,
-        amplitude=amplitude,
-    )
-
-
-def _gp_escape(s: str) -> str:
-    return s.replace("'", "")
+    title = f"conditioned survival decay, alpha={alpha:g}"
+    lines = [
+        "set terminal pngcairo size 900,600",
+        f"set output '{title}.png'",
+        "set logscale y",
+        "set xlabel 't'",
+        "set ylabel 'survival probability'",
+        f"set title '{title}'",
+        "set key left bottom",
+        f"rate = {_cell(float(fit.exponential_rate))}",
+        f"power = {_cell(float(fit.polynomial_power))}",
+        f"amplitude = {_cell(float(amplitude))}",
+        "fit_curve(t) = amplitude * t**power * exp(-rate*t)",
+        f"plot '{dat}' using 1:2:3 with yerrorbars title 'estimate', \\\n"
+        "     fit_curve(x) title 'fitted decay'",
+    ]
+    with open(os.path.join(output_dir, f"plot_survival{suffix}.gp"), "w",
+              encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -3,8 +3,9 @@
 A session fixture executes the full verification checklist twice with
 the default seed, writing outputs to two directories. Criteria 1-9 read
 the recorded outcomes of the first run; criterion 10 byte-compares the
-two runs' data files. Runtime budgets are asserted from the recorded
-wall-clock durations of the same run.
+two runs' data files, and a pin holds the first run's files to fixed
+sha256 digests across commits. Runtime budgets are asserted from the
+recorded wall-clock durations of the same run.
 
 Two sub-checks are expected to fail and are asserted at their stated
 tolerances anyway: the weak-regime fitted rate (criterion 5, target
@@ -12,6 +13,8 @@ tolerances anyway: the weak-regime fitted rate (criterion 5, target
 The simulation is consistent across independent routes at these points,
 so the recorded disagreement is reported, not patched over.
 """
+
+import hashlib
 
 import pytest
 
@@ -202,3 +205,25 @@ def test_criterion_10_byte_reproducibility(verify_runs):
     # the checklist is also required to touch every anchored operation
     missing = REQUIRED_COVERAGE - rep_a.coverage
     assert not missing, f"operations never exercised: {sorted(missing)}"
+
+
+# sha256 of each data file at the default seed, threads 1. Every value is
+# written with repr, so a change to the last bit of any record, curve point
+# or fitted constant changes a digest; a change meant to move bytes updates
+# these and says so.
+DATA_FILES_SHA256 = {
+    "results.csv": "815c06ce8b47927cf340b770f82372cca650c6a0e3a77718197111a198230e45",
+    "results.jsonl": "988718077b9476c7b7a32224939716a1f5d3d1048fa90ef0dc24fe820e254c92",
+    "survival_curve_alpha0p5.dat": "d2266b452b99ed75396dd11d324e3684096e86ede99f4fb0bc88d2ac563193bf",
+    "survival_curve_alpha1.dat": "6698a83335a341cc58d4e1c1ed06e6544a036834740f8f938b57243f1358ca0d",
+    "survival_curve_alpha2.dat": "d74175d958f59a1b508128205d094b0d595345f2e15f04b7d6adc0e1ef2e4b21",
+    "plot_survival_alpha0p5.gp": "802758a90a9f37321a7a79e0530dfcbdb0b1f4f9aceac7b767c6114091e5de9e",
+    "plot_survival_alpha1.gp": "c620751685bba028056db118b36d9b721a2835b8f45ab946d998b941f9c3d358",
+    "plot_survival_alpha2.gp": "ef2adc3d46caccf5ce5a10fd94c8a0632989f49489daa442994a28bfc09a249e",
+}
+
+
+@pytest.mark.parametrize("name", DATA_FILES)
+def test_verify_data_file_bytes_are_pinned(verify_runs, name):
+    digest = hashlib.sha256((verify_runs[2] / name).read_bytes()).hexdigest()
+    assert digest == DATA_FILES_SHA256[name], f"{name} moved from its pinned bytes"

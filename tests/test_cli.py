@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import pytest
 
+from bdrelab import cli
 from bdrelab.cli import main
-from bdrelab.config import Experiment, ExperimentConfig, write_config
+from bdrelab.config import DEFAULT_SEED, Experiment, ExperimentConfig, config_hash, write_config
 from bdrelab.results import read_results_csv
+from bdrelab.verify import VerifyReport
 
 
 def run(capsys, argv):
@@ -124,6 +126,37 @@ def test_environment_seed_applies_and_flag_wins(tmp_path, capsys, monkeypatch):
     assert code == 0
     recs = read_results_csv(str(tmp_path / "flag" / "results.csv"))
     assert all(r.seed == 42 for r in recs)
+
+
+def test_environment_seed_applies_to_specfun_and_flag_wins(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BDRE_LAB_SEED", "5")
+    code, out, _ = run(capsys, ["specfun", "--psi", "--a", "1",
+                                "--output-dir", str(tmp_path / "env")])
+    assert code == 0
+    recs = read_results_csv(str(tmp_path / "env" / "results.csv"))
+    assert [r.seed for r in recs] == [5]
+    assert recs[0].config_hash == config_hash(replace(ExperimentConfig(), seed=5))
+    assert out.splitlines()[1].endswith(f",5,{recs[0].config_hash}")
+
+    code, out, _ = run(capsys, ["specfun", "--psi", "--a", "1", "--seed", "42"])
+    assert code == 0
+    assert out.splitlines()[1].split(",")[-2] == "42"
+
+
+def test_verify_takes_the_seed_by_the_same_rule(capsys, monkeypatch):
+    seeds = []
+
+    def fake_run_verify(seed, output_dir, threads):
+        seeds.append(seed)
+        return VerifyReport([], [], frozenset(), True, seed, "", {})
+
+    monkeypatch.setattr(cli, "run_verify", fake_run_verify)
+    monkeypatch.setenv("BDRE_LAB_SEED", "5")
+    assert run(capsys, ["verify", "--threads", "1"])[0] == 0
+    assert run(capsys, ["verify", "--threads", "1", "--seed", "42"])[0] == 0
+    monkeypatch.delenv("BDRE_LAB_SEED")
+    assert run(capsys, ["verify", "--threads", "1"])[0] == 0
+    assert seeds == [5, 42, DEFAULT_SEED]
 
 
 def test_simulate_writes_deterministic_paths(tmp_path, capsys):

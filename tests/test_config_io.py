@@ -32,9 +32,7 @@ from bdrelab.results import (
     ResultRecord,
     format_records_csv,
     read_results_csv,
-    write_curve_table,
     write_decay_plot,
-    write_gnuplot_script,
     write_results,
 )
 from bdrelab.sde import SchemeConfig
@@ -172,38 +170,21 @@ def test_read_results_rejects_foreign_header(tmp_path):
         read_results_csv(str(path))
 
 
-def test_curve_table_and_gnuplot_script(tmp_path):
-    dat = tmp_path / "curve.dat"
-    write_curve_table(str(dat), [(4.0, 0.1, 0.01), (8.0, 0.01, 0.001)])
-    body = dat.read_text()
-    assert body.startswith("# t value std_error\n")
-    assert "8.0" in body
-
-    gp = tmp_path / "plot.gp"
-    write_gnuplot_script(str(gp), "curve.dat", "decay", rate=0.5, power=-0.5,
-                         amplitude=0.8)
-    script = gp.read_text()
-    assert "set logscale y" in script
-    assert "curve.dat" in script
-    assert "yerrorbars" in script
-    assert "exp(-" in script  # fitted curve drawn alongside the data
-
-
-def test_gnuplot_script_without_fit(tmp_path):
-    gp = tmp_path / "plot.gp"
-    write_gnuplot_script(str(gp), "curve.dat", "decay")
-    assert "exp(-" not in gp.read_text()
-
-
 def test_decay_plot_curve_passes_through_the_window_end(tmp_path):
     points = {8.0: (0.05, 0.005), 2.0: (0.5, 0.01), 4.0: (0.2, 0.01)}
     fit = RateFit(exponential_rate=0.3, polynomial_power=-1.5, fit_rmse=0.0,
                   t_window=(2.0, 8.0))
     write_decay_plot(str(tmp_path), "_alpha2", 2.0, points, fit)
-    rows = (tmp_path / "survival_curve_alpha2.dat").read_text().splitlines()[1:]
+    body = (tmp_path / "survival_curve_alpha2.dat").read_text()
+    assert body.startswith("# t value std_error\n")
+    rows = body.splitlines()[1:]
     assert [float(r.split()[0]) for r in rows] == [2.0, 4.0, 8.0]
+    assert rows[-1].split() == ["8.0", "0.05", "0.005"]
     script = (tmp_path / "plot_survival_alpha2.gp").read_text()
+    assert "set logscale y" in script
     assert "'survival_curve_alpha2.dat'" in script
+    assert "yerrorbars" in script
+    assert "exp(-" in script  # fitted curve drawn alongside the data
     assert "alpha=2" in script
     values = dict(
         line.split(" = ") for line in script.splitlines()

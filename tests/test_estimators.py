@@ -46,8 +46,6 @@ def test_mcestimate_from_samples():
     est = MCEstimate.from_samples(x, "demo")
     assert est.mean == pytest.approx(2.5)
     assert est.std_error == pytest.approx(x.std(ddof=1) / 2.0)
-    lo, hi = est.ci(3)
-    assert lo < 2.5 < hi
 
 
 def test_closed_form_extinction_route():
@@ -136,6 +134,12 @@ def test_survival_points_tilts_by_min_alpha_over_sigma_e2_and_one(alpha, sigma_e
     pts = survival_points(p, [1.0, 2.0], 300, SurvivalRoute.NEGATED_ALPHA_SIM, 5, dt=0.05)
     neg = ModelParams(alpha=-alpha, sigma_e=sigma_e, sigma_b=1.0, z0=1.0)
     assert pts == environment_survival_curve(neg, [1.0, 2.0], 300, 0.05, 5, tilt=theta)
+
+
+@pytest.mark.parametrize("route", [SurvivalRoute.H_TRANSFORM_SIM, SurvivalRoute.REWEIGHTING])
+def test_survival_points_refuses_every_other_route(route):
+    with pytest.raises(ValueError, match="NegatedAlphaSim"):
+        survival_points(STD, [1.0, 2.0], 100, route, 5, dt=0.05)
 
 
 def test_conditioned_survival_at_time_zero_is_one():
