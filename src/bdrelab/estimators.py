@@ -146,8 +146,9 @@ def estimate_extinction(
 ) -> MCEstimate:
     """Probability of eventual extinction, by one of three routes.
 
-    Pathwise counts absorbed trajectories of the full two-dimensional
-    system by the horizon; RaoBlackwell averages the exact conditional
+    Pathwise counts paths of the Euler chain of Z absorbed by the horizon
+    (sde.absorbed_fraction: one normal per step, with the transition law
+    of the two-dimensional Euler step's Z); RaoBlackwell averages the exact conditional
     extinction probability e^{-z/I_t} over environments; ClosedForm
     evaluates the scale-function formula and has zero spread.
     """

@@ -32,7 +32,7 @@ sigma_b = 0 the population equation is reducible (d log Z = dS exactly)
 and the engine uses the exact multiplicative update, so Z_t e^{-S_t}
 stays constant on the grid to machine precision.
 
-Every kernel advances its paths with one full-truncation Euler step,
+Every kernel of (Z, S) advances its paths with one full-truncation Euler step,
 `_euler_step`: a negative population proposal is clamped to 0, except in
 the survival-conditioned variants, which retry it as two half steps with
 fresh noise. The `simulate_*` loops use a scalar twin of the step,
@@ -44,6 +44,16 @@ counting each path's stream, draws and arrays (60 paths, dt 0.01, horizon
 2.4): bdre 0.88 us against 1.74 us with a twin that tested its kind and
 built numpy 0-d arrays every step, cond-extinction 2.77 against 12.7,
 cond-survival 4.62 against 14.2, quenched 0.94 against 3.13.
+
+`absorbed_fraction` reads Z alone, so it runs the Z-marginal of the
+unconditioned step, `_z_chain_step`: given Z, the step's noise
+sigma_e Z dW_e + sigma_b sqrt(Z) dW_b is exactly normal with variance
+(sigma_e^2 Z^2 + sigma_b^2 Z) dt, so the same Markov chain in Z takes one
+normal per step, not two. On the benchmark's call (4,000 paths, dt 1e-3,
+horizon 30, single-threaded on a 2-core Xeon, numpy 2.4) that is about
+0.9-1.0 s of CPU instead of 1.7-1.9 s. A path escapes, and counts as
+surviving, above the level from which its residual extinction
+probability is at most 1e-8 (`_escape_level`, 1e4 at the standard point).
 """
 
 from __future__ import annotations
@@ -131,9 +141,6 @@ class _Variant(enum.Enum):
 
 # Variants whose proposals at or below 0 are retried rather than clamped.
 _GUARDED = (_Variant.COND_SURVIVAL, QuenchedVariant.COND_SURVIVAL)
-# The step tests its kind on every call; an enum attribute lookup costs
-# about 0.2 us on Python 3.11, several percent of a narrow absorption step.
-_BDRE = _Variant.BDRE
 
 
 def _drifts(kind, params: ModelParams):
@@ -143,7 +150,7 @@ def _drifts(kind, params: ModelParams):
     coefficient c(z) of c(z) Z dt and drift_s the drift of the environment
     the variant carries.
     """
-    if kind is _BDRE:
+    if kind is _Variant.BDRE:
         half_se2, alpha = 0.5 * params.sigma_e**2, params.alpha
         return lambda z: (half_se2 * z, alpha)
     if type(kind) is QuenchedVariant:
@@ -594,7 +601,7 @@ def coupled_refinement_means(
     cps = _checkpoint_steps(checkpoints, dt_c, n_coarse)
 
     def advance(Z, S, z_dt, dwe, dwb):
-        Z, ds = _euler_step(_BDRE, params, Z, z_dt, dwe, dwb)
+        Z, ds = _euler_step(_Variant.BDRE, params, Z, z_dt, dwe, dwb)
         return Z, S + ds
 
     def worker(g, b: int):
@@ -638,6 +645,48 @@ def coupled_refinement_means(
     return result
 
 
+def _residual_level(residual: float, params: ModelParams, sb2: float) -> float:
+    """The least z whose residual extinction probability is at most residual.
+
+    The residual from z is (1 + sigma_e^2 z / sb2)^(-beta), and
+    exp(-2 alpha z / sb2) when sigma_e = 0. Infinite where no z gets it
+    that low (alpha <= 0) and where the level overflows.
+    """
+    if params.alpha <= 0:
+        return math.inf
+    if params.sigma_e == 0:
+        return -math.log(residual) * sb2 / (2.0 * params.alpha)
+    x = -math.log(residual) / params.beta
+    return math.inf if x > 700.0 else sb2 / params.sigma_e**2 * math.expm1(x)
+
+
+def _escape_level(params: ModelParams) -> float:
+    """The population above which absorbed_fraction counts a path as surviving.
+
+    The least level whose residual extinction probability is at most 1e-8,
+    (sigma_b^2 / sigma_e^2)(1e8^(1/beta) - 1), but never below 1e4: the
+    standard point (beta = 2) keeps 1e4. Infinite, so no path escapes,
+    when sigma_e = 0 or beta <= 0.
+    """
+    if params.sigma_e == 0:
+        return math.inf
+    return max(1e4, _residual_level(1e-8, params, params.sigma_b**2))
+
+
+def _z_chain_step(params: ModelParams, dt: float):
+    """The unconditioned Euler step of Z alone, bound once: step(Z, xi) -> proposal.
+
+    Given Z, the noise sigma_e Z dW_e + sigma_b sqrt(Z) dW_b of
+    _euler_step(_Variant.BDRE, ...) is exactly N(0, (sigma_e^2 Z^2 + sigma_b^2 Z) dt),
+    so Z + c Z dt + sqrt(Z (sigma_e^2 Z + sigma_b^2)) sqrt(dt) xi, with xi
+    standard normal and c = alpha + sigma_e^2 / 2, has the same transition
+    law from one normal instead of two. The proposal is not clamped.
+    """
+    cdt = quenched_drift_coefficient(QuenchedVariant.UNCONDITIONED, 0.0, params) * dt
+    se2, sb2, sqdt = params.sigma_e**2, params.sigma_b**2, math.sqrt(dt)
+    return lambda Z, xi: Z + cdt * Z + np.sqrt(Z * (se2 * Z + sb2)) * (sqdt * xi)
+
+
 def absorbed_fraction(
     params: ModelParams,
     cfg: SchemeConfig,
@@ -647,19 +696,24 @@ def absorbed_fraction(
 ) -> tuple[float, float]:
     """Fraction of unconditioned paths absorbed by the horizon, with its se.
 
-    Tracks only the still-active, still-small paths; a path whose
-    population exceeds 1e4 is counted as surviving (its residual
-    extinction probability is below (1 + 1e4)^(-beta), about 1e-8 for the
-    standard parameters, far below Monte Carlo resolution). Arrays shrink
-    as paths resolve and the batch exits early once none remain. The se is
-    the binomial sqrt(p(1-p)/n), exactly 0 when no path or every path is
-    absorbed.
+    Runs the Euler chain of Z alone (_z_chain_step): it reads only Z, and
+    its transition law is the Z-marginal of the two-dimensional Euler step,
+    so the estimator's law is that of counting absorbed two-dimensional
+    paths, at one standard normal per live path and step instead of two.
+    A proposal at or below the absorption threshold is absorbed. Tracks
+    only the still-active, still-small paths: a path above the escape
+    level of _escape_level counts as surviving, its residual extinction
+    probability at most 1e-8, far below Monte Carlo resolution. Arrays
+    shrink as paths resolve and the batch exits early once none remain.
+    The se is the binomial sqrt(p(1-p)/n), exactly 0 when no path or
+    every path is absorbed.
     """
     if params.sigma_b == 0:
         return 0.0, 0.0
     n_steps = cfg.n_steps
-    dt = cfg.horizon / n_steps
-    sqdt = math.sqrt(dt)
+    step = _z_chain_step(params, cfg.horizon / n_steps)
+    threshold = cfg.absorption_threshold
+    escape = _escape_level(params)
 
     def worker(g, b: int):
         Z = np.full(b, float(params.z0))
@@ -668,12 +722,11 @@ def absorbed_fraction(
             na = Z.shape[0]
             if na == 0:
                 break
-            dwe = sqdt * g.standard_normal(na)
-            dwb = sqdt * g.standard_normal(na)
-            Z, _ = _euler_step(_BDRE, params, Z, dt, dwe, dwb)
-            dead = Z <= cfg.absorption_threshold
+            prop = step(Z, g.standard_normal(na))
+            # the threshold is >= 0, so this is the test on the clamped proposal
+            dead = prop <= threshold
             absorbed += int(np.count_nonzero(dead))
-            Z = Z[~dead & (Z < 1e4)]
+            Z = prop[~dead & (prop < escape)]
         return absorbed
 
     counts = _run_batches(worker, n, seed, threads)
@@ -702,6 +755,30 @@ def _bridge_jump(g, Z, k: int, mu: float, sd: float):
     return N
 
 
+# The bridge's bound on the residual extinction probability of a capped
+# replication: about (1 + 100/2)^(-2), its value at 100 individuals per unit
+# mass at the standard point.
+_BRIDGE_RESIDUAL = 4e-4
+# A thousandth of int64's range: a jump multiplies the mean population by
+# e^{S_j}, so one more jump from below this cap cannot overflow.
+_BRIDGE_MAX_CAP = 2**53
+
+
+def _bridge_cap(n_scale: int, params: ModelParams) -> tuple[int, bool]:
+    """The bridge's cap in individuals, and whether its residual exceeds the bound.
+
+    The cap is the least mass whose residual extinction probability in the
+    limit (sigma_b = sqrt(2)) is at most _BRIDGE_RESIDUAL, times n_scale,
+    but never below 100 * n_scale individuals and never above
+    _BRIDGE_MAX_CAP; only that ceiling can leave the residual above the
+    bound.
+    """
+    individuals = _residual_level(_BRIDGE_RESIDUAL, params, 2.0) * n_scale
+    if individuals > _BRIDGE_MAX_CAP:
+        return _BRIDGE_MAX_CAP, True
+    return max(100 * n_scale, math.ceil(individuals)), False
+
+
 def bridge_extinction_frequency(
     n_scale: int,
     params: ModelParams,
@@ -724,11 +801,14 @@ def bridge_extinction_frequency(
     Z' = N + NegativeBinomial(N, A/(A + B)); at j = 1 this is the
     one-generation law NegativeBinomial(Z, 1/(1 + e^theta)).
 
-    Extinction and the cap are checked at jump ends. A replication with at
-    least 100 * n_scale individuals at a jump end is counted as surviving
-    (residual extinction probability at most (1 + 100/2)^(-2) ~ 4e-4 at
-    the standard point, an order below the Monte Carlo standard error at
-    10^4 replications). The se is the binomial sqrt(p(1-p)/n_reps),
+    Extinction and the cap of _bridge_cap are checked at jump ends. A
+    replication at or above the cap before the horizon is counted as
+    surviving: its residual extinction probability is at most 4e-4, an
+    order below the Monte Carlo standard error at 10^4 replications. Where
+    no cap int64 can hold gets the residual that low (small beta, or
+    alpha <= 0), a replication that reaches the cap raises
+    NumericalFailure rather than bias the frequency low. The se is the
+    binomial sqrt(p(1-p)/n_reps),
     exactly 0 when no replication or every replication dies out. When
     z0 * n_scale rounds to no individual, every replication starts extinct.
     As in simulate_discrete_bpre, params.sigma_b is ignored.
@@ -743,7 +823,7 @@ def bridge_extinction_frequency(
     g = RngStream(seed, 0).generator()
     mu = params.alpha / n_scale
     sd = params.sigma_e / math.sqrt(n_scale)
-    cap = 100 * n_scale
+    cap, cap_is_short = _bridge_cap(n_scale, params)
     n_gens = int(round(horizon * n_scale))
     stride = max(1, n_scale // 10)
     Z = np.full(n_reps, z_start, dtype=np.int64)
@@ -754,7 +834,14 @@ def bridge_extinction_frequency(
         Z = _bridge_jump(g, Z, min(stride, n_gens - start), mu, sd)
         dead = Z == 0
         extinct += int(np.count_nonzero(dead))
-        Z = Z[(~dead) & (Z < cap)]
+        capped = Z >= cap
+        if cap_is_short and start + stride < n_gens and capped.any():
+            raise NumericalFailure(
+                f"a bridge replication reached the cap of {cap} individuals at "
+                f"alpha={params.alpha:g}, where its residual extinction probability "
+                f"exceeds {_BRIDGE_RESIDUAL:g}"
+            )
+        Z = Z[(~dead) & (~capped)]
     p = extinct / n_reps
     se = math.sqrt(p * (1.0 - p) / n_reps)
     return p, se

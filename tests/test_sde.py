@@ -1,6 +1,7 @@
 """Path-level simulation engine checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,26 @@ from scipy.stats import ks_2samp
 
 from bdrelab.envexact import environment_survival_curve
 from bdrelab.errors import NumericalFailure
-from bdrelab.model import ModelParams, QuenchedVariant, drift_conditioned_survival, scale_U
+from bdrelab.estimators import ExtinctionMethod, estimate_extinction
+from bdrelab.model import (
+    ModelParams,
+    QuenchedVariant,
+    drift_conditioned_survival,
+    extinction_probability,
+    scale_U,
+)
 from bdrelab.rng import RngStream
 from bdrelab.sde import (
     MAX_HALVINGS,
     SchemeConfig,
+    _bridge_cap,
     _bridge_jump,
+    _escape_level,
+    _euler_step,
     _guarded_step,
     _halve,
     _Variant,
+    _z_chain_step,
     absorbed_fraction,
     bridge_extinction_frequency,
     coupled_refinement_means,
@@ -248,3 +260,90 @@ def test_binomial_se_is_zero_when_no_path_resolves():
     far = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=50.0)
     assert absorbed_fraction(far, SchemeConfig(dt=0.01, horizon=0.1), 200, seed=1) == (0.0, 0.0)
     assert bridge_extinction_frequency(1, far, 200, seed=1, horizon=1.0) == (0.0, 0.0)
+
+
+def test_z_chain_step_is_the_euler_step_on_its_combined_noise():
+    # at xi = (sigma_e Z dwe + sigma_b sqrt(Z) dwb) / sqrt((sigma_e^2 Z^2 +
+    # sigma_b^2 Z) dt) the one-normal step proposes what the two-normal
+    # step does; these proposals stay above Z / 2, so none is clamped
+    params = ModelParams(alpha=0.7, sigma_e=1.3, sigma_b=0.9, z0=1.0)
+    dt = 1e-3
+    g = np.random.default_rng(59)
+    Z = np.exp(g.uniform(math.log(0.5), math.log(50.0), 1000))
+    dwe, dwb = math.sqrt(dt) * np.clip(g.standard_normal((2, 1000)), -3.0, 3.0)
+    want, _ = _euler_step(_Variant.BDRE, params, Z, dt, dwe, dwb)
+    xi = (params.sigma_e * Z * dwe + params.sigma_b * np.sqrt(Z) * dwb) / np.sqrt(
+        (params.sigma_e**2 * Z**2 + params.sigma_b**2 * Z) * dt
+    )
+    got = _z_chain_step(params, dt)(Z, xi)
+    assert np.all(want > Z / 2)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_absorbed_fraction_has_the_law_of_the_two_normal_chain():
+    # the one-normal chain against P(Z_T = 0) of the two-dimensional Euler
+    # ensemble, where Z = 0 is absorbing and nothing escapes
+    cfg = SchemeConfig(dt=0.05, horizon=5.0)
+    n = 100_000
+    p, se = absorbed_fraction(STD, cfg, n, seed=61)
+    Z, _ = ensemble_final_states("bdre", STD, cfg, [5.0], n, seed=67)[5.0]
+    q = float(np.mean(Z == 0))
+    assert 0.05 < q < 0.95
+    assert abs(p - q) <= 4 * math.hypot(se, math.sqrt(q * (1 - q) / n))
+
+
+def test_escape_level_follows_beta():
+    # the residual extinction probability from the escape level is 1e-8,
+    # and the standard point (beta = 2) keeps its level of 1e4
+    assert _escape_level(STD) == 1e4
+    for alpha in (0.25, 0.1):
+        p = replace(STD, alpha=alpha)
+        level = _escape_level(p)
+        assert level > 1e4
+        assert extinction_probability(level, p) == pytest.approx(1e-8, rel=1e-9)
+    assert _escape_level(replace(STD, sigma_e=0.0)) == math.inf
+    assert _escape_level(replace(STD, alpha=-0.5)) == math.inf
+    assert _escape_level(replace(STD, alpha=1e-3)) == math.inf
+
+
+def test_absorbed_fraction_tracks_a_path_above_1e4_where_its_residual_is_large():
+    # at beta = 0.2 a path at 2e4 still dies out with probability
+    # (1 + 2e4 / 100)^(-0.2) = 0.35, so it must not escape; absorption by
+    # t = 10 against the Rao-Blackwell route at the same horizon (the
+    # Euler chain reads about 0.002 high at dt 0.005)
+    p = ModelParams(alpha=0.1, sigma_e=1.0, sigma_b=10.0, z0=2e4)
+    cfg = SchemeConfig(dt=0.005, horizon=10.0)
+    n = 20_000
+    pw, pw_se = absorbed_fraction(p, cfg, n, seed=71)
+    rb = estimate_extinction(p, ExtinctionMethod.RAO_BLACKWELL, n, 10.0, cfg, seed=73)
+    assert pw > 10 * pw_se
+    assert abs(pw - rb.mean) <= 4 * math.hypot(pw_se, rb.std_error)
+
+
+BRIDGE = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=math.sqrt(2.0), z0=2.0)
+
+
+def test_bridge_cap_follows_beta():
+    # the standard point keeps 100 individuals per unit mass
+    assert _bridge_cap(1000, BRIDGE) == (100_000, False)
+    # at beta = 0.5 the cap is the least count whose residual is <= 4e-4
+    low = replace(BRIDGE, alpha=0.25)
+    cap, short = _bridge_cap(100, low)
+    assert not short
+    assert extinction_probability((cap - 1) / 100, low) > 4e-4
+    assert extinction_probability(cap / 100, low) <= 4e-4 * (1 + 1e-12)  # exactly 4e-4 here
+    # at beta = 0.2 no int64-safe cap reaches the bound
+    assert _bridge_cap(100, replace(BRIDGE, alpha=0.1))[1]
+    assert _bridge_cap(100, replace(BRIDGE, alpha=-0.5))[1]
+
+
+def test_bridge_refuses_a_capped_replication_whose_residual_is_large():
+    # started at 2^52 individuals, a replication passes the 2^53 ceiling in
+    # one generation with probability 0.28; at beta = 0.2 its residual
+    # there is about 2e-3, so counting it as surviving would bias the
+    # frequency low
+    p = replace(BRIDGE, alpha=0.1, z0=2.0**52)
+    with pytest.raises(NumericalFailure, match="alpha=0.1"):
+        bridge_extinction_frequency(1, p, 50, seed=79, horizon=2.0)
+    # at the horizon there is nothing left to resolve: every replication survives
+    assert bridge_extinction_frequency(1, p, 50, seed=79, horizon=1.0) == (0.0, 0.0)
