@@ -12,28 +12,23 @@ scipy.integrate.quad). A quadrature that exhausts its subdivision budget
 or reports non-convergence raises NumericalFailure rather than returning
 a half-trusted number.
 
-QUADPACK calls the integrands one Python float at a time, up to a few
-hundred thousand times per phi_beta, so they use scalar math calls and not
-numpy or scipy.stats, whose per-call dispatch costs more than the
-arithmetic. Measured on a 2-core Xeon (Python 3.11, numpy 2.4, scipy 1.17):
-np.logaddexp on two floats takes 1.7 us against 0.3 us for _logaddexp,
-which puts phi_beta's inner integrand at 1.3 us instead of 4 us per
-evaluation; scipy.stats.gamma.pdf on a scalar takes 82 us against 2.4 us
-for the same formula written out in laplace_Y. Each replacement repeats
-the floating-point operations of what it replaces, so the values are
-unchanged to the last bit; laplace_Y keeps np.exp because math.exp
-differs from it in the last bit at some points.
+QUADPACK calls the integrands one Python float at a time, so they use
+scalar math calls and not numpy or scipy.stats, whose per-call dispatch
+costs more than the arithmetic: on a 2-core Xeon (Python 3.11, numpy 2.4,
+scipy 1.17) scipy.stats.gamma.pdf on a scalar takes 82 us against 2.4 us
+for the same formula written out in laplace_Y, which keeps np.exp because
+math.exp differs from it in the last bit at some points.
 
-phi_beta's inner quadratures share their nodes: QUADPACK subdivides
-(0, 1) the same way for every outer node u, so the nine PHI_BETA_GOLDEN
-calls make 996,093 inner-integrand calls over 3,051 inner quadratures at
-only 735 distinct nodes. What the inner integrand computes from its node
-alone (sinh, cosh, three logs and the exp-map log1p) therefore goes into a
-table local to one phi_beta call, filled on first use of each node; an
-evaluation then does only the u-dependent _logaddexp, one multiply, one
-exp and one division. On the same machine the nine calls take a median
-0.77 s against 1.46 s without the table (eight alternating runs each),
-every value equal to the last bit.
+phi_beta is defined by a double integral but evaluated as a single one:
+the double integral reduces to Tricomi's confluent hypergeometric function
+U(beta/2, 1, a) (DLMF 13.4), whose integral representation over (0, 1)
+goes to QUADPACK once, split at the integrand's peak where it has one
+inside (0, 1); the steps are in phi_beta's docstring. The nine
+PHI_BETA_GOLDEN calls take about 2 ms of CPU, against 0.6-0.7 s for the
+nested quadrature this replaced, which also went silently wrong at large
+beta (1.7 % low at a = 1, beta = 300). The independent second route is
+phi_beta_tensor_oracle, which shares no code with phi_beta and evaluates
+the double integral as defined.
 """
 
 from __future__ import annotations
@@ -79,7 +74,6 @@ class DomainMap(Enum):
     """Substitution used to fold (0, inf) onto (0, 1)."""
 
     EXP_SUBSTITUTION = "ExpSubstitution"
-    TAN_SUBSTITUTION = "TanSubstitution"
 
 
 @dataclass(frozen=True)
@@ -112,38 +106,31 @@ def integrate_semi_infinite(
     f: Callable[[float], float],
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> float:
-    """Adaptive quadrature of f over (0, inf) via a (0,1) substitution.
+    """Adaptive quadrature of f over (0, inf) via y = -log(1 - u), u in (0, 1).
 
-    ExpSubstitution uses y = -log(1 - u); TanSubstitution uses
-    y = tan(pi u / 2). Raises NumericalFailure if QUADPACK does not
-    converge within the subdivision budget.
+    Raises NumericalFailure if QUADPACK does not converge within the
+    subdivision budget.
     """
-    if cfg.infinite_domain_map is DomainMap.EXP_SUBSTITUTION:
 
-        def g(u: float) -> float:
-            if u >= 1.0:
-                return 0.0
-            y = -math.log1p(-u)
-            return f(y) / (1.0 - u)
-
-    else:
-
-        def g(u: float) -> float:
-            if u >= 1.0:
-                return 0.0
-            h = 0.5 * math.pi * u
-            t = math.tan(h)
-            c = math.cos(h)
-            return f(t) * 0.5 * math.pi / (c * c)
+    def g(u: float) -> float:
+        if u >= 1.0:
+            return 0.0
+        y = -math.log1p(-u)
+        return f(y) / (1.0 - u)
 
     return _quad_unit(g, cfg)
 
 
-def _quad_unit(g: Callable[[float], float], cfg: QuadratureConfig) -> float:
-    """Adaptive quadrature of g over (0, 1) within cfg's budget.
+def _quad_unit(
+    g: Callable[[float], float], cfg: QuadratureConfig, split_at: float | None = None
+) -> float:
+    """Adaptive quadrature of g over (0, 1) within cfg's budget, split at
+    split_at if one is given.
 
-    Raises NumericalFailure if QUADPACK does not converge within the
-    subdivision budget.
+    QUADPACK needs more subintervals than breakpoints, so a budget of one
+    subinterval drops the breakpoint and the budget alone decides. Raises
+    NumericalFailure if QUADPACK does not converge within the subdivision
+    budget.
     """
     out = _integrate.quad(
         g,
@@ -152,6 +139,7 @@ def _quad_unit(g: Callable[[float], float], cfg: QuadratureConfig) -> float:
         epsabs=cfg.abs_tol,
         epsrel=cfg.rel_tol,
         limit=cfg.max_subdivisions,
+        points=None if split_at is None or cfg.max_subdivisions < 2 else (split_at,),
         full_output=1,
     )
     if len(out) > 3:
@@ -221,128 +209,105 @@ def integral_a_psi(
     return integrate_semi_infinite(fn, q)
 
 
-_LN2 = math.log(2.0)
-
-
-def _logaddexp(x: float, y: float) -> float:
-    """log(e^x + e^y), branch for branch as numpy's npy_logaddexp, so the
-    two agree to the last bit."""
-    if x == y:
-        return x + _LN2
-    d = x - y
-    if d > 0:
-        return x + math.log1p(math.exp(-d))
-    return y + math.log1p(math.exp(d))
-
-
-def _phi_xi_table(
-    beta: float, log_a: float
-) -> Callable[[float], Callable[[float], float]]:
-    """Inner integrands of one phi_beta call, sharing one node table.
-
-    The returned function maps an outer node u to the xi-integrand
-    sinh(xi) cosh(xi) xi / (u + a cosh^2 xi)^{(beta+2)/2}, written in the
-    exp-map variable v (xi = -log(1 - v), dxi = dv / (1 - v)) and evaluated
-    in log space. What depends on v alone is kept in a table keyed by v and
-    built on first use: (lsinh + lcosh + log xi, log a + 2 lcosh, 1 - v),
-    or () where the integrand is zero. Each entry is formed in the
-    association the direct formula uses, so every value is the same to the
-    last bit. The table lives as long as the returned function.
-    """
-    power = 0.5 * (beta + 2.0)
-    table: dict[float, tuple] = {}
-
-    def row(v: float) -> tuple:
-        if v >= 1.0:
-            return ()
-        xi = -math.log1p(-v)
-        if xi <= 0.0:
-            return ()
-        if xi > 20.0:
-            e = math.exp(-2.0 * xi)
-            lsinh = xi + math.log1p(-e) - _LN2
-            lcosh = xi + math.log1p(e) - _LN2
-        else:
-            lsinh = math.log(math.sinh(xi))
-            lcosh = math.log(math.cosh(xi))
-        return (lsinh + lcosh + math.log(xi), log_a + 2.0 * lcosh, 1.0 - v)
-
-    def at(u: float) -> Callable[[float], float]:
-        log_u = math.log(u)
-
-        def g(v: float) -> float:
-            r = table.get(v)
-            if r is None:
-                r = table[v] = row(v)
-            if not r:
-                return 0.0
-            lk, lc2, w = r
-            le = lk - power * _logaddexp(log_u, lc2)
-            if le < -745.0:
-                return 0.0
-            return math.exp(le) / w
-
-        return g
-
-    return at
+_LOG_4_SQRT_2PI = math.log(4.0 * math.sqrt(2.0 * math.pi))
 
 
 def phi_beta(a: float, beta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """The two-parameter density of the weak-regime kernel, by iterated quadrature.
+    """The two-parameter density of the weak-regime kernel, through Tricomi's U.
 
-    Evaluates the double integral over (xi, u) in (0, inf)^2 of
+    phi_beta is the double integral over (xi, u) in (0, inf)^2 of
 
         C(beta) e^{-a} a^{-beta/2} u^{(beta-1)/2} e^{-u}
             * sinh(xi) cosh(xi) xi / (u + a cosh^2 xi)^{(beta+2)/2}
 
-    with C(beta) = Gamma((beta+2)/2) / (sqrt(2) pi). The inner xi integral
-    decays like xi e^{-beta xi} and uses the exponential map; the outer u
-    integral carries the u^{(beta-1)/2} endpoint singularity (for beta < 1)
-    and the slower effective tail, and uses the tangent map.
+    with C(beta) = Gamma((beta+2)/2) / (sqrt(2) pi). It reduces to
+
+        Gamma(beta/2)^2 e^{-a} U(beta/2, 1, a) / (4 sqrt(2 pi) a^{beta/2+1})
+
+    with U Tricomi's confluent hypergeometric function (DLMF 13.4):
+
+    1. d/dxi (u + a cosh^2 xi)^{-beta/2}
+           = -beta a sinh xi cosh xi (u + a cosh^2 xi)^{-(beta+2)/2},
+       so by parts (the boundary terms vanish) the xi-integral is
+       (1/(beta a)) Int_0^inf (u + a cosh^2 xi)^{-beta/2} dxi.
+    2. Swapping the order, the u-integral
+       Int_0^inf u^{(beta-1)/2} e^{-u} (u + A)^{-beta/2} du
+       is Gamma((beta+1)/2) sqrt(A) U((beta+1)/2, 3/2, A), A = a cosh^2 xi.
+    3. With s = sinh xi, U's integral representation gives
+       Int_0^inf U((beta+1)/2, 3/2, a(1+s^2)) ds
+           = sqrt(pi) Gamma(beta/2) U(beta/2, 1, a) / (2 sqrt(a) Gamma((beta+1)/2)).
+    4. Collecting the constants, and writing Gamma(b) e^{-a} U(b, 1, a)
+       = Int_0^1 w^{b-1} (1-w)^{-1} e^{-a/(1-w)} dw (t = w/(1-w) in
+       U's representation), with b = beta/2,
+
+           phi_beta = Gamma(b) a^{-b-1} / (4 sqrt(2 pi))
+                      * Int_0^1 w^{b-1} (1-w)^{-1} e^{-a/(1-w)} dw.
+
+    The integral runs through _quad_unit, so q's tolerances and budget
+    hold. Its integrand is evaluated in logs and divided by its largest
+    value, and the prefactor joins in logs, so only a value that itself
+    overflows fails (NumericalFailure naming a and beta); one that
+    underflows returns the nearest float. For beta > 2 the largest value is
+    at the root in (0, 1) of (b-2) w^2 + (3-2b-a) w + (b-1), where the log
+    integrand's derivative vanishes, and QUADPACK gets it as a breakpoint.
+    For beta <= 2 the factor w^{b-1} is infinite at w = 0 when beta < 2,
+    so the integral runs in t = w^b, where w^{b-1} dw = dt / b and the
+    integrand (1-w)^{-1} e^{-a/(1-w)} / b is bounded; its largest value is
+    at w = 1 - a for a < 1 (the breakpoint) and at w = 0 otherwise.
     """
-    if not (a > 0 and beta > 0):
-        raise ValueError("phi_beta requires a > 0 and beta > 0")
+    if not (0.0 < a < math.inf and 0.0 < beta < math.inf):
+        raise ValueError("phi_beta requires finite a > 0 and beta > 0")
+    b = 0.5 * beta
     log_a = math.log(a)
-    # the prefactor first, so an overflow fails before the quadrature runs
+    if b > 1.0:
+        qa, qb, qc = b - 2.0, 3.0 - 2.0 * b - a, b - 1.0
+        # the quadratic is qc > 0 at w = 0 and -a < 0 at w = 1, so exactly
+        # one root lies in (0, 1); both roots by the cancellation-free form
+        disc = math.sqrt(qb * qb - 4.0 * qa * qc)
+        half = -0.5 * (qb - disc if qb < 0.0 else qb + disc)
+        peak = qc / half
+        if not 0.0 < peak < 1.0:
+            peak = half / qa
+        x = 1.0 / (1.0 - peak)
+        log_scale = (b - 1.0) * math.log(peak) + math.log(x) - a * x
+
+        def g(w: float) -> float:
+            if not 0.0 < w < 1.0:
+                return 0.0
+            x = 1.0 / (1.0 - w)
+            le = (b - 1.0) * math.log(w) + math.log(x) - a * x - log_scale
+            return math.exp(le) if le > -745.0 else 0.0
+
+    else:
+        # the largest log((1-w)^{-1} e^{-a/(1-w)}), at w = 1 - a or w = 0
+        if a < 1.0:
+            peak = math.exp(b * math.log1p(-a))
+            log_top = -1.0 - log_a
+        else:
+            peak = None
+            log_top = -a
+        log_scale = log_top - math.log(b)
+
+        def g(t: float) -> float:
+            if not 0.0 < t < 1.0:
+                return 0.0
+            x = -1.0 / math.expm1(math.log(t) / b)
+            le = math.log(x) - a * x - log_top
+            return math.exp(le) if le > -745.0 else 0.0
+
     try:
-        pref = (
-            math.gamma(0.5 * (beta + 2.0))
-            / (math.sqrt(2.0) * math.pi)
-            * math.exp(-a - 0.5 * beta * log_a)
-        )
+        integral = _quad_unit(g, q, peak)
+    except NumericalFailure as failure:
+        raise NumericalFailure(f"phi_beta at a={a!r}, beta={beta!r}: {failure}") from None
+    log_value = (
+        math.lgamma(b) - (b + 1.0) * log_a - _LOG_4_SQRT_2PI + log_scale + math.log(integral)
+    )
+    try:
+        return math.exp(log_value)
     except OverflowError:
-        pref = math.inf
-    if not math.isfinite(pref):
-        raise NumericalFailure(f"phi_beta prefactor overflows at a={a!r}, beta={beta!r}")
-    # Iterated quadrature cannot certify tolerances near machine precision
-    # (the outer integrand carries the inner quadrature's own noise), so
-    # both passes run with floors well inside the 1e-6 route-agreement
-    # budget but loose enough for QUADPACK to reach.
-    inner_cfg = replace(
-        q,
-        rel_tol=max(q.rel_tol, 1e-10),
-        abs_tol=max(q.abs_tol, 1e-12),
-    )
-    outer_cfg = replace(
-        q,
-        rel_tol=max(q.rel_tol, 1e-9),
-        abs_tol=max(q.abs_tol, 1e-12),
-        infinite_domain_map=DomainMap.TAN_SUBSTITUTION,
-    )
-
-    xi_integrand = _phi_xi_table(beta, log_a)
-
-    def outer(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        log_w = 0.5 * (beta - 1.0) * math.log(u) - u
-        if log_w < -720.0:
-            return 0.0
-        inner = _quad_unit(xi_integrand(u), inner_cfg)
-        return math.exp(log_w) * inner
-
-    raw = integrate_semi_infinite(outer, outer_cfg)
-    return pref * raw
+        raise NumericalFailure(
+            f"phi_beta overflows at a={a!r}, beta={beta!r}: its value is e^{log_value:.1f}"
+        ) from None
 
 
 @functools.cache
@@ -363,22 +328,31 @@ def phi_beta_tensor_oracle(a: float, beta: float) -> float:
     truncated xi interval handles the other. No adaptivity and no shared
     code path with phi_beta, which is the point: the two routes agree only
     if both are right.
+
+    The fixed grid is accurate only where it covers the integrand's mass.
+    Against phi_beta (itself within 1e-9 of the nested-mpmath table in
+    tests/test_specfun.py), on a grid of a in [1e-3, 700] and beta in
+    [0.01, 400], it meets 1e-6 relative for 0.05 <= beta <= 50 min(a, 1)^2
+    and misses it just outside: below beta = 0.05 the xi truncation cuts
+    mass; at small a the Laguerre nodes miss the pole of the u-integrand at
+    -a cosh^2 xi (2.7e-3 off at a = 1e-3, beta = 1); at large beta they sit
+    near u = (beta-1)/2, far above the mass (1.6e-3 off at a = 1, beta =
+    100). Outside that region it raises NumericalFailure naming a and beta,
+    before building the grid.
     """
     if not (a > 0 and beta > 0):
         raise ValueError("phi_beta requires a > 0 and beta > 0")
-    log_a = math.log(a)
-    try:
-        pref = (
-            math.gamma(0.5 * (beta + 2.0))
-            / (math.sqrt(2.0) * math.pi)
-            * math.exp(-a - 0.5 * beta * log_a)
-        )
-    except OverflowError:
-        pref = math.inf
-    if not math.isfinite(pref):
+    if not 0.05 <= beta <= 50.0 * min(a, 1.0) ** 2:
         raise NumericalFailure(
-            f"phi_beta_tensor_oracle prefactor overflows at a={a!r}, beta={beta!r}"
+            f"phi_beta_tensor_oracle is not accurate at a={a!r}, beta={beta!r}: "
+            "its grid meets 1e-6 only for 0.05 <= beta <= 50 min(a, 1)^2"
         )
+    log_a = math.log(a)
+    pref = (
+        math.gamma(0.5 * (beta + 2.0))
+        / (math.sqrt(2.0) * math.pi)
+        * math.exp(-a - 0.5 * beta * log_a)
+    )
     u_nodes, u_weights = _special.roots_genlaguerre(200, 0.5 * (beta - 1.0))
     xi_hi = max(60.0, 800.0 / (beta + 2.0))
     x, w = _legendre_rule()

@@ -212,8 +212,8 @@ def test_criterion_10_byte_reproducibility(verify_runs):
 # or fitted constant changes a digest; a change meant to move bytes updates
 # these and says so.
 DATA_FILES_SHA256 = {
-    "results.csv": "99b1bf2630814eb533eee2443fcc91859a1adda20b691f646abd893147244070",
-    "results.jsonl": "1ca9fadf9f45874a685971316df5d9020949f8c06b4439414df18ef3cd168815",
+    "results.csv": "710c3d0c1e4674ab7ba799ae06b1db5d341b82b2a75f5e647ea8f26b5168801e",
+    "results.jsonl": "580a695d0822844da773065c9f15af476abc9967bc6ba458f215b265fdb6fb03",
     "survival_curve_alpha0p5.dat": "d2266b452b99ed75396dd11d324e3684096e86ede99f4fb0bc88d2ac563193bf",
     "survival_curve_alpha1.dat": "6698a83335a341cc58d4e1c1ed06e6544a036834740f8f938b57243f1358ca0d",
     "survival_curve_alpha2.dat": "d74175d958f59a1b508128205d094b0d595345f2e15f04b7d6adc0e1ef2e4b21",

@@ -52,12 +52,12 @@ def test_specfun_decay_constant_weak_regime_not_computable(capsys):
     assert "numerical failure" in err
 
 
-def test_specfun_phi_beta_prefactor_overflow_is_a_numerical_failure(capsys):
+def test_specfun_phi_beta_overflow_is_a_numerical_failure(capsys):
     code, out, err = run(capsys, ["specfun", "--phi-beta", "--a", "0.001", "--beta", "300"])
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1
-    assert err.startswith("numerical failure: phi_beta prefactor overflows")
+    assert err.startswith("numerical failure: phi_beta overflows at a=0.001, beta=300.0")
 
 
 def test_verify_rejects_unknown_preset(capsys):

@@ -1,9 +1,9 @@
 """Quadrature layer: two independent routes for everything."""
 
 import math
-from dataclasses import replace
 
 import pytest
+from scipy import special
 
 from bdrelab import specfun
 from bdrelab.errors import NotComputableError, NumericalFailure
@@ -11,7 +11,6 @@ from bdrelab.model import ModelParams, Regime, classify_regime
 from bdrelab.specfun import (
     DEFAULT_QUAD,
     INFINITE,
-    DomainMap,
     QuadratureConfig,
     Reading,
     integral_a_psi,
@@ -74,29 +73,103 @@ def test_phi_beta_adaptive_vs_tensor_oracle():
         )
 
 
+# The defining double integral by nested mpmath quadrature at 30 and 35
+# digits, from tests/freeze_phi_beta_mpmath.py (which never uses the
+# Tricomi-U closed form phi_beta evaluates); 17 significant digits kept.
+PHI_BETA_MPMATH = {
+    (1e-3, 1.0): 43116.852577813228,
+    (0.05, 0.3): 164.52724415659661,
+    (50.0, 0.2): 1.5920528339356686e-23,
+    (1.0, 10.0): 0.023357231083592216,
+    (1e-3, 30.0): 2.7400429675123114e58,
+    (1.0, 30.0): 2261951.0979252336,
+    (1.0, 60.0): 7.5726363770778023e24,
+    (1e-3, 100.0): 1.2400062307363248e215,
+    (1.0, 100.0): 1.8629393633968276e55,
+    (200.0, 100.0): 7.2726021335875298e-200,
+    (1.0, 300.0): 2.7659171082020216e248,
+    (5.0, 400.0): 1.1267927760913841e202,
+    (100.0, 1000.0): 1.0172347771651035e-90,
+}
+
+
+@pytest.mark.parametrize("a,beta", sorted(PHI_BETA_MPMATH))
+def test_phi_beta_against_the_mpmath_table(a, beta):
+    assert phi_beta(a, beta) == pytest.approx(PHI_BETA_MPMATH[(a, beta)], rel=1e-9)
+
+
+@pytest.mark.parametrize("a,beta", [(5.0, 400.0), (100.0, 1000.0)])
+def test_phi_beta_is_finite_where_its_prefactor_overflows(a, beta):
+    # Gamma((beta+2)/2) e^-a a^(-beta/2) alone is beyond a float
+    with pytest.raises(OverflowError):
+        math.gamma(0.5 * (beta + 2.0)) * math.exp(-a - 0.5 * beta * math.log(a))
+    assert phi_beta(a, beta) == pytest.approx(PHI_BETA_MPMATH[(a, beta)], rel=1e-9)
+
+
 @pytest.mark.parametrize("a,beta", [(1e-3, 300.0), (0.05, 300.0)])
-def test_phi_beta_prefactor_overflow_fails_before_the_quadrature(a, beta, monkeypatch):
-    # Gamma((beta+2)/2) e^-a a^(-beta/2) overflows: math.exp raises at
-    # (1e-3, 300), the product is inf at (0.05, 300)
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("quadrature ran before the prefactor check")
-
-    monkeypatch.setattr(specfun, "integrate_semi_infinite", no_quadrature)
-    monkeypatch.setattr(specfun, "_quad_unit", no_quadrature)
-    for f in (phi_beta, phi_beta_tensor_oracle):
-        with pytest.raises(NumericalFailure) as failure:
-            f(a, beta)
-        message = str(failure.value)
-        assert "\n" not in message
-        assert f"a={a!r}" in message and f"beta={beta!r}" in message
+def test_phi_beta_overflow_is_judged_on_the_value(a, beta):
+    # the values themselves are about 4.5e712 and 4.7e453
+    with pytest.raises(NumericalFailure) as failure:
+        phi_beta(a, beta)
+    message = str(failure.value)
+    assert "\n" not in message
+    assert message.startswith(f"phi_beta overflows at a={a!r}, beta={beta!r}")
 
 
-def test_integrate_semi_infinite_both_domain_maps():
-    for m in (DomainMap.EXP_SUBSTITUTION, DomainMap.TAN_SUBSTITUTION):
-        val = integrate_semi_infinite(
-            lambda x: math.exp(-x), replace(DEFAULT_QUAD, infinite_domain_map=m)
-        )
-        assert val == pytest.approx(1.0, rel=1e-10)
+@pytest.mark.parametrize("a,beta", sorted(PHI_GOLDEN))
+def test_phi_beta_matches_scipy_hyperu(a, beta):
+    # Gamma(b)^2 e^-a U(b, 1, a) / (4 sqrt(2 pi) a^(b+1)), b = beta/2, with
+    # scipy's own Tricomi function (which returns NaN at beta = 100, a = 1)
+    b = 0.5 * beta
+    closed = (
+        special.gamma(b) ** 2 * math.exp(-a) * special.hyperu(b, 1.0, a)
+        / (4.0 * math.sqrt(2.0 * math.pi) * a ** (b + 1.0))
+    )
+    assert phi_beta(a, beta) == pytest.approx(closed, rel=1e-12)
+
+
+def _oracle_accepts(a, beta):
+    return 0.05 <= beta <= 50.0 * min(a, 1.0) ** 2
+
+
+@pytest.mark.parametrize("a,beta", sorted(PHI_BETA_MPMATH))
+def test_tensor_oracle_meets_the_mpmath_table_or_refuses(a, beta):
+    if _oracle_accepts(a, beta):
+        value = phi_beta_tensor_oracle(a, beta)
+        assert value == pytest.approx(PHI_BETA_MPMATH[(a, beta)], rel=1e-6)
+    else:
+        with pytest.raises(NumericalFailure):
+            phi_beta_tensor_oracle(a, beta)
+
+
+@pytest.mark.parametrize(
+    "a,beta", [(1.0, 50.0), (0.5, 12.5), (0.1, 0.5), (0.0317, 0.05), (300.0, 50.0)]
+)
+def test_tensor_oracle_meets_1e6_at_the_edge_of_its_range(a, beta):
+    assert _oracle_accepts(a, beta)
+    assert phi_beta_tensor_oracle(a, beta) == pytest.approx(phi_beta(a, beta), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "a,beta", [(1e-3, 300.0), (0.05, 300.0), (1.0, 100.0), (1e-3, 1.0), (1.0, 0.01)]
+)
+def test_tensor_oracle_refuses_before_building_its_grid(a, beta, monkeypatch):
+    # without the range check the grid reads 1.6e-3 off at (1, 100) and
+    # 2.7e-3 off at (1e-3, 1)
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built before the range check")
+
+    monkeypatch.setattr(specfun, "_legendre_rule", no_grid)
+    monkeypatch.setattr(specfun._special, "roots_genlaguerre", no_grid)
+    with pytest.raises(NumericalFailure) as failure:
+        phi_beta_tensor_oracle(a, beta)
+    message = str(failure.value)
+    assert "\n" not in message
+    assert f"a={a!r}" in message and f"beta={beta!r}" in message
+
+
+def test_integrate_semi_infinite_exp_map():
+    assert integrate_semi_infinite(lambda x: math.exp(-x)) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_quadrature_budget_exhaustion_raises():
