@@ -310,14 +310,38 @@ def phi_beta(a: float, beta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float
         ) from None
 
 
+def _read_only(*arrays) -> tuple:
+    """The arrays, marked read-only because a cache hands them to every caller."""
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
 @functools.cache
 def _legendre_rule() -> tuple:
     """The oracle's 2000-node Gauss-Legendre rule, read-only; built on first
     use, not at import, because the build takes about a second."""
-    x, w = np.polynomial.legendre.leggauss(2000)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    return _read_only(*np.polynomial.legendre.leggauss(2000))
+
+
+@functools.lru_cache(maxsize=16)
+def _laguerre_side(beta: float) -> tuple:
+    """The oracle's u side for one beta, read-only: log nodes and weights of
+    the 200-node generalized Gauss-Laguerre rule, about 1.3 ms to build."""
+    u_nodes, u_weights = _special.roots_genlaguerre(200, 0.5 * (beta - 1.0))
+    return _read_only(np.log(u_nodes), u_weights)
+
+
+@functools.lru_cache(maxsize=16)
+def _legendre_side(xi_hi: float) -> tuple:
+    """The oracle's xi side on (0, xi_hi), read-only: 2 log cosh xi,
+    log(sinh xi cosh xi xi) and the weights at the Legendre nodes."""
+    x, w = _legendre_rule()
+    xi = 0.5 * xi_hi * (x + 1.0)
+    xi_w = 0.5 * xi_hi * w
+    lsinh = np.where(xi > 20.0, xi + np.log1p(-np.exp(-2.0 * xi)) - math.log(2.0), np.log(np.sinh(xi)))
+    lcosh = np.where(xi > 20.0, xi + np.log1p(np.exp(-2.0 * xi)) - math.log(2.0), np.log(np.cosh(xi)))
+    return _read_only(2.0 * lcosh, lsinh + lcosh + np.log(xi), xi_w)
 
 
 def phi_beta_tensor_oracle(a: float, beta: float) -> float:
@@ -327,7 +351,8 @@ def phi_beta_tensor_oracle(a: float, beta: float) -> float:
     handles the u direction exactly; Gauss-Legendre (2000 nodes) on a
     truncated xi interval handles the other. No adaptivity and no shared
     code path with phi_beta, which is the point: the two routes agree only
-    if both are right.
+    if both are right. The rules and the xi-side arrays are cached per beta
+    and per interval, so a repeated call builds only the grid.
 
     The fixed grid is accurate only where it covers the integrand's mass.
     Against phi_beta (itself within 1e-9 of the nested-mpmath table in
@@ -353,16 +378,11 @@ def phi_beta_tensor_oracle(a: float, beta: float) -> float:
         / (math.sqrt(2.0) * math.pi)
         * math.exp(-a - 0.5 * beta * log_a)
     )
-    u_nodes, u_weights = _special.roots_genlaguerre(200, 0.5 * (beta - 1.0))
-    xi_hi = max(60.0, 800.0 / (beta + 2.0))
-    x, w = _legendre_rule()
-    xi = 0.5 * xi_hi * (x + 1.0)
-    xi_w = 0.5 * xi_hi * w
-    lsinh = np.where(xi > 20.0, xi + np.log1p(-np.exp(-2.0 * xi)) - math.log(2.0), np.log(np.sinh(xi)))
-    lcosh = np.where(xi > 20.0, xi + np.log1p(np.exp(-2.0 * xi)) - math.log(2.0), np.log(np.cosh(xi)))
+    log_u, u_weights = _laguerre_side(beta)
+    two_lcosh, l_xi, xi_w = _legendre_side(max(60.0, 800.0 / (beta + 2.0)))
     # (Laguerre, Legendre) grid of the log kernel
-    ld = np.logaddexp(np.log(u_nodes)[:, None], log_a + 2.0 * lcosh[None, :])
-    le = (lsinh + lcosh + np.log(xi))[None, :] - 0.5 * (beta + 2.0) * ld
+    ld = np.logaddexp(log_u[:, None], log_a + two_lcosh[None, :])
+    le = l_xi[None, :] - 0.5 * (beta + 2.0) * ld
     kern = np.where(le < -745.0, 0.0, np.exp(le))
     raw = float(u_weights @ kern @ xi_w)
     return pref * raw

@@ -45,6 +45,7 @@ STRONG_NEGATED = ModelParams(alpha=-2.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
 WEAK_NEGATED = ModelParams(alpha=-0.4, sigma_e=0.8, sigma_b=1.5, z0=2.0)
 BRIDGE = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=math.sqrt(2.0), z0=2.0)  # criterion 9
 FEW = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=0.05)
+STEEP = ModelParams(alpha=20.0, sigma_e=1.0, sigma_b=1.0, z0=0.05)  # roulette rung at 0.205
 CFG = SchemeConfig(dt=0.01, horizon=0.5)
 CPS = [0.0, 0.25, 0.5]
 
@@ -127,6 +128,9 @@ def compute() -> dict:
                                                             horizon=0.15)),
         "absorbed_fraction": list(absorbed_fraction(NOISY, SchemeConfig(dt=0.01, horizon=2.0),
                                                     500, seed=23)),
+        # most paths reach the rung: pins where the roulette's uniforms are drawn
+        "absorbed_fraction_roulette": list(absorbed_fraction(
+            STEEP, SchemeConfig(dt=0.01, horizon=0.2), 2000, seed=23)),
         "simulate_bdre": _path(simulate_bdre(NOISY, CFG, RngStream(29, 0))),
         "simulate_cond_extinction": _path(
             simulate_conditioned_extinction(STD, CFG, RngStream(29, 1))
@@ -148,9 +152,12 @@ def compute() -> dict:
 # reference values, computed before the kernels shared one step and one reducer
 # unless noted
 PINNED = {
-    # computed when absorbed_fraction moved to one normal per path-step
+    # computed when absorbed_fraction gained its roulette rung
     'absorbed_fraction': [
-        0.966, 0.008104813384649892,
+        0.972, 0.0073778045514909145,
+    ],
+    'absorbed_fraction_roulette': [
+        0.1195, 0.007253266505513223,
     ],
     # computed when the bridge moved to exact multi-generation jumps
     'bridge': [

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import chi2, ks_2samp
 
 from bdrelab.envexact import environment_survival_curve
 from bdrelab.errors import NumericalFailure
@@ -27,6 +27,7 @@ from bdrelab.sde import (
     _euler_step,
     _guarded_step,
     _halve,
+    _roulette_rung,
     _Variant,
     _z_chain_step,
     absorbed_fraction,
@@ -109,10 +110,13 @@ def test_path_functionals_keys_and_values():
     assert fns["Z_over_expS"][0] == pytest.approx(STD.z0)
 
 
-def test_ensemble_thread_count_does_not_change_results():
+def test_ensemble_thread_count_does_not_change_results(monkeypatch):
     # 60 000 paths make two batches, so threads=2 runs them in the pool
     short = SchemeConfig(dt=0.01, horizon=0.05)
     noisy = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=2.0, z0=0.05)
+    # the roulette rung sits at 0.205, and about a fifth of the paths of
+    # each batch reach it within the horizon and draw their uniform
+    steep = ModelParams(alpha=20.0, sigma_e=1.0, sigma_b=1.0, z0=0.05)
     n = 60_000
     kernels = {
         "bdre": lambda th: ensemble_final_states("bdre", STD, short, [0.05], n, 31, th),
@@ -121,19 +125,26 @@ def test_ensemble_thread_count_does_not_change_results():
         ),
         "coupled": lambda th: coupled_refinement_means(STD, short, [0.05], n, 31, th),
         "absorbed": lambda th: absorbed_fraction(noisy, short, n, 31, th),
+        "absorbed_roulette": lambda th: absorbed_fraction(steep, short, n, 31, th),
         "environment": lambda th: environment_survival_curve(
             STD, [0.02, 0.05], n, 0.01, seed=7, threads=th
         ),
     }
+    results = {}
     for name, run in kernels.items():
         one, two = run(1), run(2)
+        results[name] = one
         if name in ("bdre", "cond-survival"):
             for (z1, s1), (z2, s2) in zip(one.values(), two.values()):
                 assert np.array_equal(z1, z2) and np.array_equal(s1, s2), name
         else:
             assert one == two, name
-        if name == "absorbed":
+        if name.startswith("absorbed"):
             assert one[0] > 0, "no absorption to count"
+    # the roulette was played: without the rung no uniform is drawn, so the
+    # same streams give other normals and another count
+    monkeypatch.setattr("bdrelab.sde._roulette_rung", lambda params, escape: escape)
+    assert kernels["absorbed_roulette"](1) != results["absorbed_roulette"]
 
 
 def test_survival_guard_retries_with_half_steps_and_carries_s():
@@ -318,6 +329,63 @@ def test_absorbed_fraction_tracks_a_path_above_1e4_where_its_residual_is_large()
     rb = estimate_extinction(p, ExtinctionMethod.RAO_BLACKWELL, n, 10.0, cfg, seed=73)
     assert pw > 10 * pw_se
     assert abs(pw - rb.mean) <= 4 * math.hypot(pw_se, rb.std_error)
+
+
+def test_roulette_rung_follows_the_runs_own_probability():
+    # the residual from the rung is 1/250 of the run's extinction
+    # probability: (1 + z)^-2 = 0.25 / 250 at the standard point
+    assert _roulette_rung(STD, _escape_level(STD)) == pytest.approx(
+        math.sqrt(1000.0) - 1.0, rel=1e-12
+    )
+    for p in (replace(STD, z0=5.0), replace(STD, alpha=0.3), replace(STD, sigma_b=2.0, z0=0.05)):
+        escape = _escape_level(p)
+        rung = _roulette_rung(p, escape)
+        assert p.z0 < rung < escape
+        assert extinction_probability(rung, p) == pytest.approx(
+            extinction_probability(p.z0, p) / 250, rel=1e-9
+        )
+    # no rung where no path escapes, nor where the level is not below escape
+    assert _roulette_rung(replace(STD, sigma_e=0.0), math.inf) == math.inf
+    assert _roulette_rung(STD, 20.0) == 20.0
+
+
+def test_roulette_is_unbiased_where_most_paths_reach_the_rung():
+    # from z0 = 5 nearly every path reaches the rung at 93.9 and plays;
+    # the Euler chain reads about 0.0009 high at dt 0.005 here, so dt 0.002
+    p5 = replace(STD, z0=5.0)
+    n = 20_000
+    pw, pw_se = absorbed_fraction(p5, SchemeConfig(dt=0.002, horizon=30.0), n, seed=83)
+    rb = estimate_extinction(p5, ExtinctionMethod.RAO_BLACKWELL, n, 30.0,
+                             SchemeConfig(dt=0.01, horizon=30.0), seed=89)
+    assert abs(pw - rb.mean) <= 4 * math.hypot(pw_se, rb.std_error)
+
+
+def test_roulette_se_is_binomial_until_a_weighted_path_is_absorbed():
+    # by t = 0.5 no path from z0 = 1 reaches the rung at 30.6: the se is
+    # plain counting's, bit for bit
+    n = 2_000
+    p, se = absorbed_fraction(STD, SchemeConfig(dt=0.01, horizon=0.5), n, seed=5)
+    assert p > 0 and se == math.sqrt(p * (1 - p) / n)
+    # by t = 20 about 3 paths in 1e5 are absorbed at weight 20: the se is
+    # that of the weighted count, se^2 = (p(1-p) + 380 A1/n)/n
+    n = 100_000
+    p, se = absorbed_fraction(STD, SchemeConfig(dt=0.02, horizon=20.0), n, seed=91)
+    a1 = (se**2 * n - p * (1 - p)) * n / 380
+    assert round(a1) >= 1 and a1 == pytest.approx(round(a1), abs=1e-6)
+    assert p * n - 20 * round(a1) == pytest.approx(round(p * n - 20 * round(a1)), abs=1e-6)
+    assert se > math.sqrt(p * (1 - p) / n)
+
+
+def test_roulette_se_matches_the_spread_across_seeds():
+    # 20 independent calls at z0 = 5, where the roulette is played most:
+    # their sample variance over the mean reported se^2 is chi^2_19 / 19
+    # if the se is honest; the band holds 99.8 % of that law
+    p5 = replace(STD, z0=5.0)
+    cfg = SchemeConfig(dt=0.02, horizon=30.0)
+    runs = [absorbed_fraction(p5, cfg, 10_000, seed=400 + i) for i in range(20)]
+    ps = np.array([p for p, _ in runs])
+    ratio = ps.var(ddof=1) / np.mean([se**2 for _, se in runs])
+    assert chi2.ppf(0.001, 19) / 19 <= ratio <= chi2.ppf(0.999, 19) / 19, ratio
 
 
 BRIDGE = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=math.sqrt(2.0), z0=2.0)

@@ -161,6 +161,9 @@ def test_tensor_oracle_refuses_before_building_its_grid(a, beta, monkeypatch):
 
     monkeypatch.setattr(specfun, "_legendre_rule", no_grid)
     monkeypatch.setattr(specfun._special, "roots_genlaguerre", no_grid)
+    # the cached sides too, which earlier calls may have filled
+    monkeypatch.setattr(specfun, "_laguerre_side", no_grid)
+    monkeypatch.setattr(specfun, "_legendre_side", no_grid)
     with pytest.raises(NumericalFailure) as failure:
         phi_beta_tensor_oracle(a, beta)
     message = str(failure.value)
