@@ -22,7 +22,7 @@ from enum import Enum
 from .errors import ConfigError
 from .model import ModelParams
 from .sde import SchemeConfig
-from .specfun import DomainMap, QuadratureConfig
+from .specfun import QuadratureConfig
 
 __all__ = [
     "Experiment",
@@ -104,7 +104,6 @@ def _semantic_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
         ("quadrature.rel_tol", _fmt(q.rel_tol)),
         ("quadrature.abs_tol", _fmt(q.abs_tol)),
         ("quadrature.max_subdivisions", _fmt(q.max_subdivisions)),
-        ("quadrature.infinite_domain_map", _fmt(q.infinite_domain_map)),
         ("experiment", _fmt(cfg.experiment)),
         ("n", _fmt(cfg.n)),
         ("seed", _fmt(cfg.seed)),
@@ -194,8 +193,6 @@ def config_from_text(text: str) -> ExperimentConfig:
             rel_tol=take("quadrature.rel_tol", q.rel_tol, as_float),
             abs_tol=take("quadrature.abs_tol", q.abs_tol, as_float),
             max_subdivisions=take("quadrature.max_subdivisions", q.max_subdivisions, as_int),
-            infinite_domain_map=take("quadrature.infinite_domain_map", q.infinite_domain_map,
-                                     as_enum(DomainMap)),
         )
         cfg = ExperimentConfig(
             model=model,

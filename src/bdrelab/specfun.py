@@ -48,7 +48,6 @@ from .model import ModelParams, Regime, classify_regime
 
 __all__ = [
     "INFINITE",
-    "DomainMap",
     "QuadratureConfig",
     "DEFAULT_QUAD",
     "Reading",
@@ -70,26 +69,17 @@ __all__ = [
 INFINITE: float = math.inf
 
 
-class DomainMap(Enum):
-    """Substitution used to fold (0, inf) onto (0, 1)."""
-
-    EXP_SUBSTITUTION = "ExpSubstitution"
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 200
-    infinite_domain_map: DomainMap = DomainMap.EXP_SUBSTITUTION
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("rel_tol and abs_tol must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be a positive integer")
-        if not isinstance(self.infinite_domain_map, DomainMap):
-            raise ValueError("infinite_domain_map must be a DomainMap")
 
 
 DEFAULT_QUAD = QuadratureConfig()

@@ -1,6 +1,9 @@
 """Front-end behavior: exit codes, file outputs, seed precedence."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -259,3 +262,10 @@ def test_estimate_rates_experiment_is_redirected(tmp_path, capsys):
     code, _, err = run(capsys, ["estimate", "--config", str(cfg_path)])
     assert code == 2
     assert "rates subcommand" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "bdrelab", "--help"], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -87,13 +87,15 @@ def test_config_rejects_malformed_text():
     with pytest.raises(ConfigError):
         config_from_text("model.alfa = 1.0\n")  # unknown key
     with pytest.raises(ConfigError):
+        config_from_text("quadrature.infinite_domain_map = ExpSubstitution\n")  # deleted key
+    with pytest.raises(ConfigError):
         config_from_text("n = not-a-number\n")
 
 
 def test_config_format_and_hash_are_pinned():
     # records carry this hash; a change to the format would orphan them
     cfg = ExperimentConfig()
-    assert config_hash(cfg) == "57554dc0721b"
+    assert config_hash(cfg) == "6e38d2050527"
     assert "scheme.scheme = EulerFullTruncation" in config_to_text(cfg).splitlines()
 
 

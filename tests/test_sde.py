@@ -276,19 +276,23 @@ def test_binomial_se_is_zero_when_no_path_resolves():
 def test_z_chain_step_is_the_euler_step_on_its_combined_noise():
     # at xi = (sigma_e Z dwe + sigma_b sqrt(Z) dwb) / sqrt((sigma_e^2 Z^2 +
     # sigma_b^2 Z) dt) the one-normal step proposes what the two-normal
-    # step does; these proposals stay above Z / 2, so none is clamped
-    params = ModelParams(alpha=0.7, sigma_e=1.3, sigma_b=0.9, z0=1.0)
-    dt = 1e-3
-    g = np.random.default_rng(59)
-    Z = np.exp(g.uniform(math.log(0.5), math.log(50.0), 1000))
-    dwe, dwb = math.sqrt(dt) * np.clip(g.standard_normal((2, 1000)), -3.0, 3.0)
-    want, _ = _euler_step(_Variant.BDRE, params, Z, dt, dwe, dwb)
-    xi = (params.sigma_e * Z * dwe + params.sigma_b * np.sqrt(Z) * dwb) / np.sqrt(
-        (params.sigma_e**2 * Z**2 + params.sigma_b**2 * Z) * dt
-    )
-    got = _z_chain_step(params, dt)(Z, xi)
-    assert np.all(want > Z / 2)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # step does; these proposals stay above Z / 2, so none is clamped.
+    # sigma_e = 0 takes the step's other form, sqrt(Z) at scale sigma_b sqrt(dt)
+    for sigma_e in (1.3, 0.0):
+        params = ModelParams(alpha=0.7, sigma_e=sigma_e, sigma_b=0.9, z0=1.0)
+        dt = 1e-3
+        g = np.random.default_rng(59)
+        Z = np.exp(g.uniform(math.log(0.5), math.log(50.0), 1000))
+        dwe, dwb = math.sqrt(dt) * np.clip(g.standard_normal((2, 1000)), -3.0, 3.0)
+        want, _ = _euler_step(_Variant.BDRE, params, Z, dt, dwe, dwb)
+        xi = (params.sigma_e * Z * dwe + params.sigma_b * np.sqrt(Z) * dwb) / np.sqrt(
+            (params.sigma_e**2 * Z**2 + params.sigma_b**2 * Z) * dt
+        )
+        step, scale = _z_chain_step(params, dt)
+        got = Z.copy()
+        step(got, scale * xi, np.empty_like(Z))
+        assert np.all(want > Z / 2)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_absorbed_fraction_has_the_law_of_the_two_normal_chain():
@@ -298,6 +302,21 @@ def test_absorbed_fraction_has_the_law_of_the_two_normal_chain():
     n = 100_000
     p, se = absorbed_fraction(STD, cfg, n, seed=61)
     Z, _ = ensemble_final_states("bdre", STD, cfg, [5.0], n, seed=67)[5.0]
+    q = float(np.mean(Z == 0))
+    assert 0.05 < q < 0.95
+    assert abs(p - q) <= 4 * math.hypot(se, math.sqrt(q * (1 - q) / n))
+
+
+def test_absorbed_fraction_absorbs_a_dip_below_the_threshold_inside_a_block():
+    # above threshold 0 a path can dip to the threshold and climb back
+    # within one block of steps; it is absorbed all the same, as in the
+    # two-dimensional ensemble, which zeroes it at the step it dips. At
+    # threshold 0.2 a count that read only block ends would be about 0.019
+    # low, 9 combined se
+    cfg = SchemeConfig(dt=0.05, horizon=5.0, absorption_threshold=0.2)
+    n = 100_000
+    p, se = absorbed_fraction(STD, cfg, n, seed=97)
+    Z, _ = ensemble_final_states("bdre", STD, cfg, [5.0], n, seed=101)[5.0]
     q = float(np.mean(Z == 0))
     assert 0.05 < q < 0.95
     assert abs(p - q) <= 4 * math.hypot(se, math.sqrt(q * (1 - q) / n))
