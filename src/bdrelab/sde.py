@@ -699,32 +699,28 @@ def _roulette_rung(params: ModelParams, escape: float) -> float:
 
 
 def _z_chain_step(params: ModelParams, dt: float):
-    """The unconditioned Euler step of Z alone, bound once: (step, scale).
+    """The unconditioned Euler step of Z alone, bound once: step(Z, dw, tmp).
 
     Given Z, the noise sigma_e Z dW_e + sigma_b sqrt(Z) dW_b of
     _euler_step(_Variant.BDRE, ...) is exactly N(0, (sigma_e^2 Z^2 + sigma_b^2 Z) dt),
-    so Z + c Z dt + sqrt(Z (sigma_e^2 Z + sigma_b^2) dt) xi, with xi
+    so Z + c Z dt + sqrt(Z (sigma_e^2 Z + sigma_b^2)) sqrt(dt) xi, with xi
     standard normal and c = alpha + sigma_e^2 / 2, has the same transition
-    law from one normal instead of two. step(Z, scale * xi, tmp) writes it,
-    unclamped, over Z, with tmp as scratch and the noise in four array
-    operations: sqrt(Z (Z + sigma_b^2 / sigma_e^2)) at scale sigma_e sqrt(dt),
-    or sqrt(Z) at scale sigma_b sqrt(dt) when sigma_e = 0.
+    law from one normal instead of two. step(Z, sqrt(dt) * xi, tmp) writes
+    it, unclamped, over Z, with tmp as scratch.
     """
     c1 = 1.0 + quenched_drift_coefficient(QuenchedVariant.UNCONDITIONED, 0.0, params) * dt
-    r = (params.sigma_b / params.sigma_e) ** 2 if params.sigma_e else None
+    se2, sb2 = params.sigma_e**2, params.sigma_b**2
 
     def step(Z, dw, tmp):
-        if r is None:
-            np.sqrt(Z, out=tmp)
-        else:
-            np.add(Z, r, out=tmp)
-            tmp *= Z
-            np.sqrt(tmp, out=tmp)
+        np.multiply(Z, se2, out=tmp)
+        tmp += sb2
+        tmp *= Z
+        np.sqrt(tmp, out=tmp)
         tmp *= dw
         Z *= c1
         Z += tmp
 
-    return step, (params.sigma_e or params.sigma_b) * math.sqrt(dt)
+    return step
 
 
 # absorbed_fraction steps its paths in blocks of at most this many steps and
@@ -766,7 +762,8 @@ def absorbed_fraction(
     if params.sigma_b == 0:
         return 0.0, 0.0
     n_steps = cfg.n_steps
-    step, scale = _z_chain_step(params, cfg.horizon / n_steps)
+    dt = cfg.horizon / n_steps
+    step, sqdt = _z_chain_step(params, dt), math.sqrt(dt)
     threshold = cfg.absorption_threshold
     escape = _escape_level(params)
     rung = _roulette_rung(params, escape)
@@ -779,16 +776,12 @@ def absorbed_fraction(
         while left and Z.shape[0]:
             k = min(left, _BLOCK_STEPS, max(1, _BLOCK_DOUBLES // Z.shape[0]))
             left -= k
-            dw = scale * g.standard_normal((k, Z.shape[0]))
-            tmp = np.empty_like(Z)
-            # 0 absorbs the chain, so at threshold 0 the block's last values
-            # show every absorption; above 0 a path can dip and climb back
-            lowest = np.full_like(Z, np.inf) if threshold else Z
+            dw = sqdt * g.standard_normal((k, Z.shape[0]))
+            tmp, lowest = np.empty_like(Z), np.full_like(Z, np.inf)
             for row in dw:
                 step(Z, row, tmp)
                 np.maximum(Z, 0.0, out=Z)
-                if threshold:
-                    np.minimum(lowest, Z, out=lowest)
+                np.minimum(lowest, Z, out=lowest)
             # absorption first: the threshold is >= 0, so clamping hides none
             live_low, live_high = lowest[:m] > threshold, lowest[m:] > threshold
             low, high = Z[:m], Z[m:]

@@ -276,23 +276,20 @@ def test_binomial_se_is_zero_when_no_path_resolves():
 def test_z_chain_step_is_the_euler_step_on_its_combined_noise():
     # at xi = (sigma_e Z dwe + sigma_b sqrt(Z) dwb) / sqrt((sigma_e^2 Z^2 +
     # sigma_b^2 Z) dt) the one-normal step proposes what the two-normal
-    # step does; these proposals stay above Z / 2, so none is clamped.
-    # sigma_e = 0 takes the step's other form, sqrt(Z) at scale sigma_b sqrt(dt)
-    for sigma_e in (1.3, 0.0):
-        params = ModelParams(alpha=0.7, sigma_e=sigma_e, sigma_b=0.9, z0=1.0)
-        dt = 1e-3
-        g = np.random.default_rng(59)
-        Z = np.exp(g.uniform(math.log(0.5), math.log(50.0), 1000))
-        dwe, dwb = math.sqrt(dt) * np.clip(g.standard_normal((2, 1000)), -3.0, 3.0)
-        want, _ = _euler_step(_Variant.BDRE, params, Z, dt, dwe, dwb)
-        xi = (params.sigma_e * Z * dwe + params.sigma_b * np.sqrt(Z) * dwb) / np.sqrt(
-            (params.sigma_e**2 * Z**2 + params.sigma_b**2 * Z) * dt
-        )
-        step, scale = _z_chain_step(params, dt)
-        got = Z.copy()
-        step(got, scale * xi, np.empty_like(Z))
-        assert np.all(want > Z / 2)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # step does; these proposals stay above Z / 2, so none is clamped
+    params = ModelParams(alpha=0.7, sigma_e=1.3, sigma_b=0.9, z0=1.0)
+    dt = 1e-3
+    g = np.random.default_rng(59)
+    Z = np.exp(g.uniform(math.log(0.5), math.log(50.0), 1000))
+    dwe, dwb = math.sqrt(dt) * np.clip(g.standard_normal((2, 1000)), -3.0, 3.0)
+    want, _ = _euler_step(_Variant.BDRE, params, Z, dt, dwe, dwb)
+    xi = (params.sigma_e * Z * dwe + params.sigma_b * np.sqrt(Z) * dwb) / np.sqrt(
+        (params.sigma_e**2 * Z**2 + params.sigma_b**2 * Z) * dt
+    )
+    got = Z.copy()
+    _z_chain_step(params, dt)(got, math.sqrt(dt) * xi, np.empty_like(Z))
+    assert np.all(want > Z / 2)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_absorbed_fraction_has_the_law_of_the_two_normal_chain():
