@@ -48,11 +48,12 @@ cond-survival 4.62 against 14.2, quenched 0.94 against 3.13.
 `absorbed_fraction` reads Z alone, so it runs the Z-marginal of the
 unconditioned step, `_z_chain_step`, one normal per step, not two, with
 one Russian-roulette rung below its escape level. It steps its live paths
-in blocks of up to 64 steps, a few in-place array operations each, and
+in blocks of up to 64 steps, nine in-place array operations each, and
 looks for events only at block ends. On the benchmark's call (4,000
-paths, dt 1e-3, horizon 30, single-threaded on a 2-core Xeon, numpy 2.4)
-a call takes a median 0.32 s of CPU against 0.45 s with events looked
-for after every step (12 seeds each).
+paths, dt 1e-3, horizon 30, single-threaded on a shared 2-core Xeon,
+numpy 2.4) a call takes about three quarters of the CPU time it took with
+events looked for after every step: medians of 0.34 against 0.43 s and
+0.47 against 0.63 s (12 seeds a side, two sessions).
 """
 
 from __future__ import annotations
