@@ -48,8 +48,10 @@ def _run_batches(
     """worker(g, b) for each batch of at most ENSEMBLE_BATCH of n items, in order.
 
     Batch k draws from g, the generator of RngStream(seed, k),
-    built in the thread that runs the batch.
+    built in the thread that runs the batch. n must be at least 1.
     """
+    if n < 1:
+        raise ValueError(f"n must be a positive count, got n={n}")
 
     def job(k: int):
         g = RngStream(seed, k).generator()

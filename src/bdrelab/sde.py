@@ -47,13 +47,16 @@ cond-survival 4.62 against 14.2, quenched 0.94 against 3.13.
 
 `absorbed_fraction` reads Z alone, so it runs the Z-marginal of the
 unconditioned step, `_z_chain_step`, one normal per step, not two, with
-one Russian-roulette rung below its escape level. It steps its live paths
-in blocks of up to 64 steps, nine in-place array operations each, and
-looks for events only at block ends. On the benchmark's call (4,000
-paths, dt 1e-3, horizon 30, single-threaded on a shared 2-core Xeon,
-numpy 2.4) a call takes about three quarters of the CPU time it took with
-events looked for after every step: medians of 0.34 against 0.43 s and
-0.47 against 0.63 s (12 seeds a side, two sessions).
+one Russian-roulette rung below its escape level. Its paths run in
+antithetic pairs, one member on xi and its twin on -xi, so a pair draws
+one normal per step, and the se comes from the pair sums. It steps its
+live paths in blocks of up to 64 steps, eight in-place array operations
+each, and looks for events only at block ends. On the benchmark's call
+(4,000 paths, dt 1e-3, horizon 30, single-threaded on a shared 2-core
+Xeon, numpy 2.4) a call draws 8.3 M normals instead of the 12.6 M of
+independent paths (medians over 12 seeds) and takes a median 0.36 s of
+CPU against 0.46 s, at 0.72 times their mean se^2 (10 seeds a side,
+alternating processes).
 """
 
 from __future__ import annotations
@@ -725,7 +728,7 @@ def _z_chain_step(params: ModelParams, dt: float):
 
 
 # absorbed_fraction steps its paths in blocks of at most this many steps and
-# 2^17 normals (1 MB), looking for events only at block ends
+# 2^17 increments (1 MB), looking for events only at block ends
 _BLOCK_STEPS, _BLOCK_DOUBLES = 64, 2**17
 
 
@@ -740,27 +743,37 @@ def absorbed_fraction(
 
     Runs the Euler chain of Z alone (_z_chain_step), whose law is the
     Z-marginal of the two-dimensional Euler step's, so the count has the
-    law of counting absorbed two-dimensional paths. The live paths advance
-    in blocks of up to _BLOCK_STEPS steps, and events are looked for only
-    at block ends, absorption first: a path whose proposal fell to the
-    absorption threshold anywhere in the block is absorbed. A path above
-    _escape_level, from which the residual extinction probability is at
-    most 1e-8, counts as surviving.
+    law of counting absorbed two-dimensional paths. The paths run in
+    antithetic pairs (Glasserman, 2003, sec. 4.2): member 0 of a pair steps
+    on xi and member 1 on -xi, so a pair draws one normal per step while
+    both members live. Once one member stops, its twin goes on alone on
+    normals of its own; with n odd the last path has no twin. Each member
+    is a path of the Euler chain by itself.
 
-    Below it sits one Russian-roulette rung (_roulette_rung), from which
-    the residual is 1/250 of the run's own extinction probability. A
-    weight-1 path found between it and the escape level at a block end
-    draws one uniform from its batch's generator: with probability 1/20 it
-    goes on at weight 20, meeting only the escape level after that;
-    otherwise it stops as a survivor. A block end is a stopping time, so
-    each path plays at most once and the count stays unbiased for the Euler
-    chain wherever the rung sits: the closed form only places the rung and
-    the escape level, and the route stays independent of it. With A0 paths
-    absorbed at weight 1 and A1 at weight 20, p = (A0 + 20 A1)/n and
-    se^2 = (p(1-p) + 380 A1/n)/n: the binomial se bit for bit while A1 = 0
-    (exactly 0 when no path or every path is absorbed), larger once A1 > 0.
+    The live paths advance in blocks of up to _BLOCK_STEPS steps, and
+    events are looked for only at block ends, absorption first: a path
+    whose proposal fell to the absorption threshold anywhere in the block
+    is absorbed. A path above _escape_level, from which the residual
+    extinction probability is at most 1e-8, counts as surviving. Below it
+    sits one Russian-roulette rung (_roulette_rung), from which the
+    residual is 1/250 of the run's own extinction probability. A weight-1
+    path found between it and the escape level at a block end draws one
+    uniform from its batch's generator: with probability 1/20 it goes on at
+    weight 20, meeting only the escape level after that; otherwise it stops
+    as a survivor. A block end is a stopping time, so each path plays at
+    most once and the count stays unbiased for the Euler chain wherever the
+    rung sits: the closed form only places the rung and the escape level,
+    and the route stays independent of it.
+
+    p is the absorbed weight over n. No two pairs share a normal, so the
+    se comes from the pair sums x_j, each member's absorbed weight
+    (0, 1 or 20) summed: se^2 = (sum_j (x_j - 2p)^2 + [n odd] (E_n[X^2] -
+    p^2)) / n^2, where a lone path adds the per-path variance over all n
+    paths. It is exactly 0 when no path or every path is absorbed.
     """
     if params.sigma_b == 0:
+        # d log Z = dS exactly, so no path reaches 0; the scheduler still checks n
+        _run_batches(lambda g, b: None, n, seed, threads)
         return 0.0, 0.0
     n_steps = cfg.n_steps
     dt = cfg.horizon / n_steps
@@ -771,37 +784,76 @@ def absorbed_fraction(
     w = _ROULETTE_WEIGHT
 
     def worker(g, b: int):
-        # Z[:m] are the paths at weight 1, all below the rung; Z[m:] went on
+        # the live paths in three runs: member 0 of q pairs, member 1 of the
+        # same pairs, then the singles; x[j] is pair j's absorbed weight, and
+        # x[b // 2] a lone path's
+        pairs = q = b // 2
         Z = np.full(b, float(params.z0))
-        m, a0, a1, left = b, 0, 0, n_steps
+        weight = np.ones(b, dtype=np.int64)
+        slot = np.concatenate((np.arange(q), np.arange(b - q)))
+        x = np.zeros(b - q, dtype=np.int64)
+        left = n_steps
         while left and Z.shape[0]:
-            k = min(left, _BLOCK_STEPS, max(1, _BLOCK_DOUBLES // Z.shape[0]))
+            m = Z.shape[0]
+            k = min(left, _BLOCK_STEPS, max(1, _BLOCK_DOUBLES // m))
             left -= k
-            dw = sqdt * g.standard_normal((k, Z.shape[0]))
+            xi = g.standard_normal((k, m - q))
+            dw = np.empty((k, m))
+            np.multiply(xi[:, :q], sqdt, out=dw[:, :q])
+            np.negative(dw[:, :q], out=dw[:, q : 2 * q])
+            np.multiply(xi[:, q:], sqdt, out=dw[:, 2 * q :])
             tmp, lowest = np.empty_like(Z), np.full_like(Z, np.inf)
-            for row in dw:
-                step(Z, row, tmp)
-                np.maximum(Z, 0.0, out=Z)
-                np.minimum(lowest, Z, out=lowest)
-            # absorption first: the threshold is >= 0, so clamping hides none
-            live_low, live_high = lowest[:m] > threshold, lowest[m:] > threshold
-            low, high = Z[:m], Z[m:]
-            a0 += m - int(np.count_nonzero(live_low))
-            a1 += high.shape[0] - int(np.count_nonzero(live_high))
-            reach = live_low & (low >= rung)
-            went_on = low[reach & (low < escape)]  # none where the rung is the escape level
-            went_on = went_on[g.random(went_on.shape[0]) < 1.0 / w]
-            low = low[live_low & ~reach]
-            m = low.shape[0]
-            Z = np.concatenate((low, went_on, high[live_high & (high < escape)]))
-        return a0, a1
+            # no clamp at 0: a path that steps below 0 is absorbed at the
+            # block end, and the NaNs that its square root gives after that
+            # are skipped by fmin, so its running minimum keeps the value < 0
+            with np.errstate(invalid="ignore"):
+                for row in dw:
+                    step(Z, row, tmp)
+                    np.fmin(lowest, Z, out=lowest)
+            # absorption first
+            absorbed = lowest <= threshold
+            np.add.at(x, slot[absorbed], weight[absorbed])
+            going = ~absorbed & (Z < escape)
+            play = np.flatnonzero(going & (weight == 1) & (Z >= rung))
+            won = g.random(play.shape[0]) < 1.0 / w
+            going[play[~won]] = False
+            weight[play[won]] = w
+            # a pair whose twin stopped leaves a single at the end
+            both = going[:q] & going[q : 2 * q]
+            kept = np.flatnonzero(both)
+            order = np.concatenate((
+                kept,
+                kept + q,
+                np.flatnonzero(going[2 * q :]) + 2 * q,
+                np.flatnonzero(going[:q] & ~both),
+                np.flatnonzero(going[q : 2 * q] & ~both) + q,
+            ))
+            q = kept.shape[0]
+            Z, weight, slot = Z[order], weight[order], slot[order]
+        return np.bincount(x[:pairs], minlength=2 * w + 1), int(x[pairs:].sum())
 
     counts = _run_batches(worker, n, seed, threads)
-    a0 = sum(c[0] for c in counts)
-    a1 = sum(c[1] for c in counts)
-    p = (a0 + w * a1) / n
-    se = math.sqrt((p * (1.0 - p) + (w * w - w) * a1 / n) / n)
-    return p, se
+    return _pair_estimate(sum(h for h, _ in counts), sum(c for _, c in counts), n)
+
+
+def _pair_estimate(hist, lone: int, n: int) -> tuple[float, float]:
+    """absorbed_fraction's (p, se) from the histogram of its pair sums.
+
+    hist[v] pairs had absorbed weight v, and lone is the weight of the path
+    without a twin (0 when n is even). A pair sum of _ROULETTE_WEIGHT or
+    more holds one weight-20 member per _ROULETTE_WEIGHT, so the sum of the
+    squared weights is known too. se^2 is formed in integers over n^4, so
+    it has no rounding before its square root.
+    """
+    w = _ROULETTE_WEIGHT
+    total = lone + sum(v * int(h) for v, h in enumerate(hist))
+    spread = sum(int(h) * (v * n - 2 * total) ** 2 for v, h in enumerate(hist))
+    if n % 2:
+        squares = lone * lone + sum(
+            int(h) * ((v // w) * w * w + v % w) for v, h in enumerate(hist)
+        )
+        spread += n * squares - total * total
+    return total / n, math.sqrt(spread) / (n * n)
 
 
 def _bridge_jump(g, Z, k: int, mu: float, sd: float):

@@ -296,10 +296,10 @@ def _criterion_2(ctx: _Ctx) -> tuple[list, list, dict]:
                 continue
             worst_z = max(worst_z, abs(a.mean - b.mean) / comb)
     # plain counting's se at the pathwise mean: what the closed-form
-    # variance-reduction factor describes, and what the roulette's se exceeds
+    # variance-reduction factor describes
     binomial_se = math.sqrt(pw.mean * (1.0 - pw.mean) / pw.n)
     ratio = binomial_se / rb.std_error
-    factor = pw.std_error / binomial_se
+    se_over_binomial = pw.std_error / binomial_se
     records = [
         ctx.rec("extinction.closed_form", closed.mean, 0.0, 1, 0.25,
                 Provenance.CLOSED_FORM, abs(closed.mean - 0.25) < 1e-15),
@@ -315,16 +315,17 @@ def _criterion_2(ctx: _Ctx) -> tuple[list, list, dict]:
         # counting over Rao-Blackwell is sqrt(27/7) = 1.964 here
         ctx.rec("extinction.se_ratio_pathwise_over_rb", ratio, None, 100_000,
                 rao_blackwell_se_ratio(p.z0, p), Provenance.SIMULATION, None),
-        # informational: the roulette's se over plain counting's; 1 until a
-        # path that went on at the rung is absorbed
-        ctx.rec("extinction.pathwise.roulette_se_factor", factor, None, 100_000, None,
+        # informational: the pathwise se over plain counting's; the
+        # antithetic pairs pull it below 1, the roulette's weight-20 paths
+        # push it up
+        ctx.rec("extinction.pathwise.se_over_binomial", se_over_binomial, None, 100_000, None,
                 Provenance.NONE, None),
     ]
     notes = [
         f"closed 0.25, RB {rb.mean:.5f} (se {rb.std_error:.5f}, {rb_s:.1f}s), "
         f"pathwise {pw.mean:.5f} (se {pw.std_error:.5f}, {pw_s:.1f}s)",
         f"max pairwise z {worst_z:.2f}; se ratio plain counting/RB {ratio:.2f}, "
-        f"roulette se factor {factor:.3f}",
+        f"pathwise se over binomial {se_over_binomial:.3f}",
     ]
     return records, notes, {"rao_blackwell": rb_s, "pathwise": pw_s}
 

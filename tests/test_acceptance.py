@@ -212,8 +212,8 @@ def test_criterion_10_byte_reproducibility(verify_runs):
 # or fitted constant changes a digest; a change meant to move bytes updates
 # these and says so.
 DATA_FILES_SHA256 = {
-    "results.csv": "803ee1febc8231a7ce4c6a2bdb4340cc8d3dcddb77e78004309a43ef63e54f22",
-    "results.jsonl": "9c7bc439310c62f346a32ce51f75854debe5e79f18bcc7213bf054c52421b5f8",
+    "results.csv": "5b4eb0bacafefba947e5c1eeec3f28dbc272c7b141052a918dae68fe15cb8faa",
+    "results.jsonl": "299796a307f5aa294250ffd9a461cc0d00e9f88a1443230af91efd40e902101f",
     "survival_curve_alpha0p5.dat": "d2266b452b99ed75396dd11d324e3684096e86ede99f4fb0bc88d2ac563193bf",
     "survival_curve_alpha1.dat": "6698a83335a341cc58d4e1c1ed06e6544a036834740f8f938b57243f1358ca0d",
     "survival_curve_alpha2.dat": "d74175d958f59a1b508128205d094b0d595345f2e15f04b7d6adc0e1ef2e4b21",

@@ -128,6 +128,9 @@ def compute() -> dict:
                                                             horizon=0.15)),
         "absorbed_fraction": list(absorbed_fraction(NOISY, SchemeConfig(dt=0.01, horizon=2.0),
                                                     500, seed=23)),
+        # n odd: the last path runs without a twin, and its share is in the se
+        "absorbed_fraction_odd_n": list(absorbed_fraction(
+            NOISY, SchemeConfig(dt=0.01, horizon=2.0), 501, seed=23)),
         # most paths reach the rung: pins where the roulette's uniforms are
         # drawn; 20,000 paths make blocks of 6 steps, so the uniforms drawn at
         # the first block ends move the normals of the later blocks
@@ -154,12 +157,15 @@ def compute() -> dict:
 # reference values, computed before the kernels shared one step and one reducer
 # unless noted
 PINNED = {
-    # computed when absorbed_fraction moved to blocks of steps
+    # computed when absorbed_fraction moved to antithetic pairs
     'absorbed_fraction': [
-        0.964, 0.008331146379700699,
+        0.96, 0.008579044235810887,
+    ],
+    'absorbed_fraction_odd_n': [
+        0.9680638722554891, 0.007732288720426656,
     ],
     'absorbed_fraction_roulette': [
-        0.11325, 0.002240808308401234,
+        0.1076, 0.002054805100246736,
     ],
     # computed when the bridge moved to exact multi-generation jumps
     'bridge': [

@@ -2,12 +2,14 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import chi2, ks_2samp
 
-from bdrelab.envexact import environment_survival_curve
+from bdrelab import rng
+from bdrelab.envexact import dufresne_samples, environment_laplace, environment_survival_curve
 from bdrelab.errors import NumericalFailure
 from bdrelab.estimators import ExtinctionMethod, estimate_extinction
 from bdrelab.model import (
@@ -35,6 +37,7 @@ from bdrelab.sde import (
     coupled_refinement_means,
     ensemble_final_states,
     ensemble_functional_means,
+    ensemble_quenched_final,
     path_functionals,
     simulate_bdre,
     simulate_conditioned_extinction,
@@ -145,6 +148,28 @@ def test_ensemble_thread_count_does_not_change_results(monkeypatch):
     # same streams give other normals and another count
     monkeypatch.setattr("bdrelab.sde._roulette_rung", lambda params, escape: escape)
     assert kernels["absorbed_roulette"](1) != results["absorbed_roulette"]
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_every_kernel_refuses_a_sample_size_below_one(n):
+    # the batch scheduler refuses it, so no kernel divides by it or
+    # concatenates no batches; absorbed_fraction's sigma_b = 0 shortcut too
+    short = SchemeConfig(dt=0.01, horizon=0.05)
+    calls = [
+        lambda: ensemble_final_states("bdre", STD, short, [0.05], n, 1),
+        lambda: ensemble_quenched_final(QuenchedVariant.UNCONDITIONED, STD, short, [0.05], n, 1),
+        lambda: ensemble_functional_means(STD, short, [0.05], n, 1),
+        lambda: coupled_refinement_means(STD, short, [0.05], n, 1),
+        lambda: absorbed_fraction(STD, short, n, 1),
+        lambda: absorbed_fraction(replace(STD, sigma_b=0.0), short, n, 1),
+        lambda: environment_survival_curve(STD, [0.05], n, 0.01, 1),
+        lambda: environment_laplace(STD, [1.0], 0.05, n, 0.01, 1),
+        lambda: dufresne_samples(STD, 0.05, n, 0.01, 1),
+        lambda: estimate_extinction(STD, ExtinctionMethod.RAO_BLACKWELL, n, 0.05, short, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"n={n}"):
+            call()
 
 
 def test_survival_guard_retries_with_half_steps_and_carries_s():
@@ -376,32 +401,94 @@ def test_roulette_is_unbiased_where_most_paths_reach_the_rung():
     assert abs(pw - rb.mean) <= 4 * math.hypot(pw_se, rb.std_error)
 
 
-def test_roulette_se_is_binomial_until_a_weighted_path_is_absorbed():
-    # by t = 0.5 no path from z0 = 1 reaches the rung at 30.6: the se is
-    # plain counting's, bit for bit
-    n = 2_000
-    p, se = absorbed_fraction(STD, SchemeConfig(dt=0.01, horizon=0.5), n, seed=5)
-    assert p > 0 and se == math.sqrt(p * (1 - p) / n)
-    # by t = 20 about 3 paths in 1e5 are absorbed at weight 20: the se is
-    # that of the weighted count, se^2 = (p(1-p) + 380 A1/n)/n
+# the members' absorbed weights behind each pair sum of absorbed_fraction
+_PAIR_SUMS = {0: (), 1: (1,), 2: (1, 1), 20: (20,), 21: (20, 1), 40: (20, 20)}
+
+
+def _counted(monkeypatch) -> list:
+    """The (pair-sum histogram, lone weight) of each batch absorbed_fraction runs."""
+    seen = []
+
+    def run_batches(worker, n, seed, threads):
+        out = rng._run_batches(worker, n, seed, threads)
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr("bdrelab.sde._run_batches", run_batches)
+    return seen
+
+
+def _pair_sum_estimate(counts: list, n: int) -> tuple[float, float, np.ndarray]:
+    """(p, se, histogram) from the batch counts, by absorbed_fraction's stated formula.
+
+    se^2 = (sum_j (x_j - 2p)^2 + [n odd] (E_n[X^2] - p^2)) / n^2 is formed
+    exactly; n^4 se^2 is an integer, whose square root over n^2 is the se.
+    """
+    hist = sum(h for h, _ in counts)
+    lone = sum(c for _, c in counts)
+    assert {v for v, h in enumerate(hist) if h} <= set(_PAIR_SUMS)
+    assert hist.sum() == n // 2
+    p = Fraction(lone + sum(v * int(h) for v, h in enumerate(hist)), n)
+    var = sum(int(h) * (v - 2 * p) ** 2 for v, h in enumerate(hist))
+    if n % 2:
+        squares = lone**2 + sum(
+            int(h) * sum(x * x for x in _PAIR_SUMS[v]) for v, h in enumerate(hist) if h
+        )
+        var += Fraction(squares, n) - p * p
+    scaled = var * n**2  # n^4 se^2
+    assert scaled.denominator == 1
+    return float(p), math.sqrt(scaled.numerator) / (n * n), hist
+
+
+def test_pathwise_se_is_the_pair_sum_se_of_its_counts(monkeypatch):
+    counts = _counted(monkeypatch)
+    # by t = 0.5 no path from z0 = 1 reaches the rung at 30.6: every pair
+    # sum is 0, 1 or 2 (no pair here has both members absorbed); n is odd,
+    # so the lone path's share is in the se too
+    n = 2_001
+    got = absorbed_fraction(STD, SchemeConfig(dt=0.01, horizon=0.5), n, seed=5)
+    p, se, hist = _pair_sum_estimate(counts, n)
+    assert got == (p, se) and p > 0
+    assert hist[1] > 0 and not hist[3:].any()
+    # by t = 20 about 3 paths in 1e5 are absorbed at weight 20
+    counts.clear()
     n = 100_000
-    p, se = absorbed_fraction(STD, SchemeConfig(dt=0.02, horizon=20.0), n, seed=91)
-    a1 = (se**2 * n - p * (1 - p)) * n / 380
-    assert round(a1) >= 1 and a1 == pytest.approx(round(a1), abs=1e-6)
-    assert p * n - 20 * round(a1) == pytest.approx(round(p * n - 20 * round(a1)), abs=1e-6)
-    assert se > math.sqrt(p * (1 - p) / n)
+    got = absorbed_fraction(STD, SchemeConfig(dt=0.02, horizon=20.0), n, seed=91)
+    p, se, hist = _pair_sum_estimate(counts, n)
+    assert got == (p, se)
+    assert hist[20:].sum() >= 1
 
 
-def test_roulette_se_matches_the_spread_across_seeds():
-    # 20 independent calls at z0 = 5, where the roulette is played most:
-    # their sample variance over the mean reported se^2 is chi^2_19 / 19
-    # if the se is honest; the band holds 99.8 % of that law
-    p5 = replace(STD, z0=5.0)
+def _assert_se_matches_the_spread(params: ModelParams, first_seed: int) -> None:
+    # 20 independent calls: their sample variance over the mean reported
+    # se^2 is chi^2_19 / 19 if the se is honest; the band holds 99.8 % of
+    # that law
     cfg = SchemeConfig(dt=0.02, horizon=30.0)
-    runs = [absorbed_fraction(p5, cfg, 10_000, seed=400 + i) for i in range(20)]
+    runs = [absorbed_fraction(params, cfg, 10_000, seed=first_seed + i) for i in range(20)]
     ps = np.array([p for p, _ in runs])
     ratio = ps.var(ddof=1) / np.mean([se**2 for _, se in runs])
     assert chi2.ppf(0.001, 19) / 19 <= ratio <= chi2.ppf(0.999, 19) / 19, ratio
+
+
+def test_roulette_se_matches_the_spread_across_seeds():
+    # at z0 = 5, where the roulette is played most
+    _assert_se_matches_the_spread(replace(STD, z0=5.0), 400)
+
+
+def test_pair_se_matches_the_spread_across_seeds():
+    # at z0 = 1 (p = 0.25), where the twins of a pair are most strongly
+    # anticorrelated and the pair sums carry the se
+    _assert_se_matches_the_spread(STD, 500)
+
+
+def test_pairs_give_an_se_below_the_binomial_one():
+    # at the standard point the twins' absorptions are anticorrelated, so
+    # the count's se falls below that of n independent paths (about 0.8x
+    # here, with the roulette's weight-20 paths in it)
+    n = 20_000
+    p, se = absorbed_fraction(STD, SchemeConfig(dt=0.02, horizon=30.0), n, seed=13)
+    assert 0.2 < p < 0.3
+    assert se < math.sqrt(p * (1 - p) / n)
 
 
 BRIDGE = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=math.sqrt(2.0), z0=2.0)
