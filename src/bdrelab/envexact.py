@@ -35,7 +35,7 @@ from numpy.typing import NDArray
 
 from .errors import ConfigError
 from .model import ModelParams
-from .rng import _run_batches
+from .rng import _require_se_sample, _run_batches
 from .sde import _checkpoint_steps
 
 __all__ = [
@@ -147,8 +147,10 @@ def environment_survival_curve(
     exp((theta mu + theta^2 sigma_e^2 / 2) t - theta S_t), so the mean is
     the untilted one and only the variance changes. tilt = 0 forms no
     weight and draws, steps and sums exactly as without the option. The
-    only approximation either way is the trapezoid rule for I_t.
+    only approximation either way is the trapezoid rule for I_t. n must
+    be at least 2.
     """
+    _require_se_sample(n)
     if collect not in ("survival", "extinct"):
         raise ValueError("collect must be 'survival' or 'extinct'")
     if params.sigma_b <= 0:
@@ -188,8 +190,10 @@ def environment_laplace(
     """E[exp(-lambda Z_t e^{-S_t})] by exact conditional transform.
 
     Averages exp(-z/(I_t + 1/lambda)) over n environments; the branching
-    randomness never needs to be simulated. Returns {lambda: (mean, se)}.
+    randomness never needs to be simulated. Returns {lambda: (mean, se)};
+    n must be at least 2.
     """
+    _require_se_sample(n)
     if params.sigma_b <= 0:
         raise ValueError("the quenched transform needs sigma_b > 0")
     z = params.z0

@@ -148,9 +148,9 @@ def estimate_extinction(
 
     Pathwise counts paths of the Euler chain of Z absorbed by the horizon
     (sde.absorbed_fraction: one normal per step, with the transition law
-    of the two-dimensional Euler step's Z, paths in antithetic pairs whose
-    sums give the se, and one Russian-roulette rung that keeps the count
-    unbiased);
+    of the two-dimensional Euler step's Z, paths in antithetic pairs
+    stratified on a decaying projection of their normals, whose sums give
+    the se, and one Russian-roulette rung that keeps the count unbiased);
     RaoBlackwell averages the exact conditional extinction probability
     e^{-z/I_t} over environments; ClosedForm evaluates the scale-function
     formula and has zero spread.

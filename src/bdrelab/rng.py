@@ -39,6 +39,16 @@ class RngStream:
         )
 
 
+def _require_se_sample(n: int, least: int = 2) -> None:
+    """Refuse n below least where a kernel reports a standard error over n draws.
+
+    One draw has no spread to measure: a ddof-1 se over it is NaN and a
+    ddof-0 se exactly 0, and neither is an error bar.
+    """
+    if n < least:
+        raise ValueError(f"a standard error needs n >= {least}, got n={n}")
+
+
 def _run_batches(
     worker: Callable[[np.random.Generator, int], object],
     n: int,

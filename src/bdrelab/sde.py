@@ -49,14 +49,20 @@ cond-survival 4.62 against 14.2, quenched 0.94 against 3.13.
 unconditioned step, `_z_chain_step`, one normal per step, not two, with
 one Russian-roulette rung below its escape level. Its paths run in
 antithetic pairs, one member on xi and its twin on -xi, so a pair draws
-one normal per step, and the se comes from the pair sums. It steps its
-live paths in blocks of up to 64 steps, eight in-place array operations
-each, and looks for events only at block ends. On the benchmark's call
-(4,000 paths, dt 1e-3, horizon 30, single-threaded on a shared 2-core
-Xeon, numpy 2.4) a call draws 8.3 M normals instead of the 12.6 M of
-independent paths (medians over 12 seeds) and takes a median 0.36 s of
-CPU against 0.46 s, at 0.72 times their mean se^2 (10 seeds a side,
-alternating processes).
+one normal per step. The pairs are stratified on the size of one linear
+functional of member 0's normals, L = sum_i a_i xi_i with a_i =
+exp(-lambda t_i) and lambda = (alpha + sigma_e^2 / 2) / 2, over the
+window where a_i >= 0.01 (flat over the horizon when lambda <= 0): two
+pairs per stratum of equal probability, the normals drawn exactly given
+L, and the se from the differences of the two pair sums in each stratum.
+It steps its live paths in blocks of up to 64 steps, eight in-place
+array operations each, and looks for events only at block ends. On the
+benchmark's call (4,000 paths, dt 1e-3, horizon 30, single-threaded on a
+shared 2-core Xeon, numpy 2.4; 12 seeds a side, alternating processes)
+the stratified pairs take a median 0.261 s of CPU against 0.260 s for
+unstratified pairs, at 0.29 times their median se^2. In verify's call
+(1e5 paths) the se is 0.00072 against 0.00116, and 29 % of its se^2 is
+the roulette's four weight-20 absorptions.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.special import ndtri
 
 from .errors import NumericalFailure
 from .model import (
@@ -80,7 +87,7 @@ from .model import (
     scale_U,
     scale_V,
 )
-from .rng import RngStream, _run_batches
+from .rng import RngStream, _require_se_sample, _run_batches
 
 __all__ = [
     "SchemeConfig",
@@ -569,8 +576,9 @@ def ensemble_functional_means(
     """Ensemble means and standard errors of the three tracked functionals.
 
     Returns {checkpoint: {name: (mean, std_error)}} for U(Z), V(S) and
-    Z e^{-S} over n unconditioned paths.
+    Z e^{-S} over n unconditioned paths; n must be at least 2.
     """
+    _require_se_sample(n)
     states = ensemble_final_states("bdre", params, cfg, checkpoints, n, seed, threads)
     return {
         t: {
@@ -596,8 +604,9 @@ def coupled_refinement_means(
     into a pure discretization comparison: the difference of means is free
     of the O(n^{-1/2}) sampling noise that independent reruns would add.
     Returns {checkpoint: {name: {'coarse': (mean, se), 'fine': (mean, se),
-    'diff': (mean_diff, se_diff)}}}.
+    'diff': (mean_diff, se_diff)}}}; n must be at least 2.
     """
+    _require_se_sample(n)
     n_coarse = cfg.n_steps
     dt_c = cfg.horizon / n_coarse
     dt_f = dt_c / 2.0
@@ -731,6 +740,48 @@ def _z_chain_step(params: ModelParams, dt: float):
 # 2^17 increments (1 MB), looking for events only at block ends
 _BLOCK_STEPS, _BLOCK_DOUBLES = 64, 2**17
 
+# absorbed_fraction's stratified direction a_i = exp(-lambda t_i) stops
+# before its first weight below this
+_WINDOW_FLOOR = 0.01
+
+
+def _stratum_weights(params: ModelParams, dt: float, n_steps: int) -> NDArray[np.float64]:
+    """The weights a_i = exp(-lambda i dt) of absorbed_fraction's stratified direction.
+
+    lambda = (alpha + sigma_e^2 / 2) / 2, half the drift coefficient of Z:
+    a pair's fate is set mostly by its early normals, the later ones
+    weighing less as the pair's populations grow. The window ends before
+    the first a_i below _WINDOW_FLOOR, or at the horizon; where lambda <= 0
+    every a_i is 1 over the horizon.
+    """
+    lam = 0.5 * quenched_drift_coefficient(QuenchedVariant.UNCONDITIONED, 0.0, params)
+    if lam <= 0:
+        return np.ones(n_steps)
+    last = math.log(1.0 / _WINDOW_FLOOR) / (lam * dt)
+    return np.exp(-lam * dt * np.arange(n_steps if last >= n_steps else int(last) + 1))
+
+
+def _window_normals(g, a, tail, i: int, k: int, rest):
+    """Normals for steps i to i + k of the window, given sum_{j >= i} a_j xi_j = rest.
+
+    tail[j] is sum_{j' >= j} a_{j'}^2, with tail[len(a)] = 0, and rest holds
+    one remainder per column. Given it, the block's normals are Gaussian
+    with mean a rest / Q and covariance I - a a^T / Q, Q = tail[i] the
+    remaining window's sum of a^2, so they are a rest / Q + M eta from k
+    rows of standard normals eta, with M = I - c a a^T and c = 1 / (Q (1 +
+    sqrt(tail[i + k] / Q))), the c that makes M^2 that covariance. Their
+    share B = sum_{i <= j < i + k} a_j xi_j is s rest / Q + sqrt(tail[i +
+    k] / Q) a . eta, s the block's sum of a^2; a block that ends the window
+    has B = rest. Returns the (k, columns) normals and B.
+    """
+    q, after = tail[i], tail[i + k]
+    root = math.sqrt(after / q)
+    xi = g.standard_normal((k, rest.shape[0]))
+    ab = a[i : i + k]
+    dot = ab @ xi
+    xi += np.outer(ab, rest / q - dot / (q * (1.0 + root)))
+    return xi, rest * ((q - after) / q) + root * dot
+
 
 def absorbed_fraction(
     params: ModelParams,
@@ -747,10 +798,25 @@ def absorbed_fraction(
     antithetic pairs (Glasserman, 2003, sec. 4.2): member 0 of a pair steps
     on xi and member 1 on -xi, so a pair draws one normal per step while
     both members live. Once one member stops, its twin goes on alone on
-    normals of its own; with n odd the last path has no twin. Each member
-    is a path of the Euler chain by itself.
+    normals of its own; with n odd the last path has no twin.
 
-    The live paths advance in blocks of up to _BLOCK_STEPS steps, and
+    The pairs are stratified on |L| (Glasserman, 2003, sec. 4.3), where
+    L = sum_i a_i xi_i projects member 0's normals on the decaying weights
+    of _stratum_weights. Pair j of a batch of q pairs takes |L| = sd_L
+    Phi^-1((1 + (floor(j / 2) + V_j) / H) / 2), V_j uniform, so each of the
+    H = floor(q / 2) strata of equal probability holds two pairs; with q
+    odd the last pair draws V over (0, 1), unstratified, and the lone path
+    draws L ~ N(0, sd_L^2). Member 0 runs given L, member 1 given -L, and
+    the window's normals are drawn block by block given what is left of L
+    (_window_normals), so a member whose twin stops goes on given its own
+    remainder. Member 0 alone, run given L >= 0, is no plain Euler path,
+    but a pair's sum has the same law given L as given -L, so its mean is
+    that of the unstratified pair whatever the direction: the count stays
+    unbiased for the Euler chain, and the closed form places nothing in
+    the direction.
+
+    The live paths advance in blocks of up to _BLOCK_STEPS steps (cut where
+    the window ends), and
     events are looked for only at block ends, absorption first: a path
     whose proposal fell to the absorption threshold anywhere in the block
     is absorbed. A path above _escape_level, from which the residual
@@ -765,15 +831,17 @@ def absorbed_fraction(
     rung sits: the closed form only places the rung and the escape level,
     and the route stays independent of it.
 
-    p is the absorbed weight over n. No two pairs share a normal, so the
-    se comes from the pair sums x_j, each member's absorbed weight
-    (0, 1 or 20) summed: se^2 = (sum_j (x_j - 2p)^2 + [n odd] (E_n[X^2] -
-    p^2)) / n^2, where a lone path adds the per-path variance over all n
-    paths. It is exactly 0 when no path or every path is absorbed.
+    p is the absorbed weight over n. The se comes from the pair sums x_j,
+    each member's absorbed weight (0, 1 or 20) summed: se^2 = (sum_h
+    (x_{2h} - x_{2h+1})^2 + [left-over pair] mean_j (x_j - 2p)^2 + [n odd]
+    (E_n[X^2] - p^2)) / n^2, the first sum over the strata, the mean over
+    all pairs and E_n over all paths. It is exactly 0 when no path or every
+    path is absorbed. n must be at least 3: at n = 2 the one pair's spread
+    about 2p is 0 whatever it does.
     """
+    _require_se_sample(n, 3)
     if params.sigma_b == 0:
-        # d log Z = dS exactly, so no path reaches 0; the scheduler still checks n
-        _run_batches(lambda g, b: None, n, seed, threads)
+        # d log Z = dS exactly, so no path reaches 0
         return 0.0, 0.0
     n_steps = cfg.n_steps
     dt = cfg.horizon / n_steps
@@ -782,22 +850,41 @@ def absorbed_fraction(
     escape = _escape_level(params)
     rung = _roulette_rung(params, escape)
     w = _ROULETTE_WEIGHT
+    a = _stratum_weights(params, dt, n_steps)
+    window = a.shape[0]
+    tail = np.append(np.cumsum((a * a)[::-1])[::-1], 0.0)
+    sd_l = math.sqrt(tail[0])
 
     def worker(g, b: int):
         # the live paths in three runs: member 0 of q pairs, member 1 of the
         # same pairs, then the singles; x[j] is pair j's absorbed weight, and
-        # x[b // 2] a lone path's
+        # x[b // 2] a lone path's; rest is each path's remainder of its L
         pairs = q = b // 2
+        h = q // 2
+        j = np.arange(q)
+        stratified = j < 2 * h
+        u = (np.where(stratified, j // 2, 0) + g.random(q)) / np.where(stratified, h, 1)
+        level = sd_l * ndtri((1.0 + u) / 2.0)
+        rest = np.concatenate((level, -level, sd_l * g.standard_normal(b - 2 * q)))
         Z = np.full(b, float(params.z0))
         weight = np.ones(b, dtype=np.int64)
-        slot = np.concatenate((np.arange(q), np.arange(b - q)))
+        slot = np.concatenate((j, np.arange(b - q)))
         x = np.zeros(b - q, dtype=np.int64)
-        left = n_steps
-        while left and Z.shape[0]:
+        i = 0
+        while i < n_steps and Z.shape[0]:
             m = Z.shape[0]
-            k = min(left, _BLOCK_STEPS, max(1, _BLOCK_DOUBLES // m))
-            left -= k
-            xi = g.standard_normal((k, m - q))
+            k = min(n_steps - i, _BLOCK_STEPS, max(1, _BLOCK_DOUBLES // m))
+            if i < window:
+                k = min(k, window - i)
+                xi, share = _window_normals(
+                    g, a, tail, i, k, np.concatenate((rest[:q], rest[2 * q :]))
+                )
+                rest[:q] -= share[:q]
+                rest[q : 2 * q] += share[:q]
+                rest[2 * q :] -= share[q:]
+            else:
+                xi = g.standard_normal((k, m - q))
+            i += k
             dw = np.empty((k, m))
             np.multiply(xi[:, :q], sqdt, out=dw[:, :q])
             np.negative(dw[:, :q], out=dw[:, q : 2 * q])
@@ -829,31 +916,40 @@ def absorbed_fraction(
                 np.flatnonzero(going[q : 2 * q] & ~both) + q,
             ))
             q = kept.shape[0]
-            Z, weight, slot = Z[order], weight[order], slot[order]
-        return np.bincount(x[:pairs], minlength=2 * w + 1), int(x[pairs:].sum())
+            Z, weight, slot, rest = Z[order], weight[order], slot[order], rest[order]
+        d = x[1 : 2 * h : 2] - x[: 2 * h : 2]
+        hist = np.bincount(x[:pairs], minlength=2 * w + 1)
+        return hist, int(d @ d), pairs % 2, int(x[pairs:].sum())
 
-    counts = _run_batches(worker, n, seed, threads)
-    return _pair_estimate(sum(h for h, _ in counts), sum(c for _, c in counts), n)
+    return _pair_estimate(_run_batches(worker, n, seed, threads), n)
 
 
-def _pair_estimate(hist, lone: int, n: int) -> tuple[float, float]:
-    """absorbed_fraction's (p, se) from the histogram of its pair sums.
+def _pair_estimate(counts: list, n: int) -> tuple[float, float]:
+    """absorbed_fraction's (p, se) from its batches' counts.
 
-    hist[v] pairs had absorbed weight v, and lone is the weight of the path
-    without a twin (0 when n is even). A pair sum of _ROULETTE_WEIGHT or
-    more holds one weight-20 member per _ROULETTE_WEIGHT, so the sum of the
-    squared weights is known too. se^2 is formed in integers over n^4, so
-    it has no rounding before its square root.
+    Each batch gives (hist, strata, leftover, lone): hist[v] pairs had
+    absorbed weight v, strata is sum_h (x_{2h} - x_{2h+1})^2 over its
+    strata, leftover is 1 where it has a pair outside every stratum, and
+    lone is the weight of the path without a twin (0 when n is even). A
+    pair sum of _ROULETTE_WEIGHT or more holds one weight-20 member per
+    _ROULETTE_WEIGHT, so the sum of the squared weights is known too.
+    n^4 P se^2, P the number of pairs, is formed in integers, so se^2 has
+    one rounding before its square root.
     """
     w = _ROULETTE_WEIGHT
+    hist = sum(c[0] for c in counts)
+    strata, leftover, lone = (sum(c[i] for c in counts) for i in (1, 2, 3))
+    pairs = n // 2
     total = lone + sum(v * int(h) for v, h in enumerate(hist))
-    spread = sum(int(h) * (v * n - 2 * total) ** 2 for v, h in enumerate(hist))
+    spread = n * n * pairs * strata
+    if leftover:
+        spread += leftover * sum(int(h) * (v * n - 2 * total) ** 2 for v, h in enumerate(hist))
     if n % 2:
         squares = lone * lone + sum(
             int(h) * ((v // w) * w * w + v % w) for v, h in enumerate(hist)
         )
-        spread += n * squares - total * total
-    return total / n, math.sqrt(spread) / (n * n)
+        spread += pairs * (n * squares - total * total)
+    return total / n, math.sqrt(spread / pairs) / (n * n)
 
 
 def _bridge_jump(g, Z, k: int, mu: float, sd: float):

@@ -316,8 +316,10 @@ def _criterion_2(ctx: _Ctx) -> tuple[list, list, dict]:
         ctx.rec("extinction.se_ratio_pathwise_over_rb", ratio, None, 100_000,
                 rao_blackwell_se_ratio(p.z0, p), Provenance.SIMULATION, None),
         # informational: the pathwise se over plain counting's; the
-        # antithetic pairs pull it below 1, the roulette's weight-20 paths
-        # push it up
+        # antithetic pairs, stratified on a decaying projection of their
+        # normals, pull it to about 0.5, and the roulette's weight-20
+        # paths push it up (at the default seed: 0.525, the four weight-20
+        # absorptions 29 % of se^2)
         ctx.rec("extinction.pathwise.se_over_binomial", se_over_binomial, None, 100_000, None,
                 Provenance.NONE, None),
     ]

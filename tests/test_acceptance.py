@@ -212,8 +212,8 @@ def test_criterion_10_byte_reproducibility(verify_runs):
 # or fitted constant changes a digest; a change meant to move bytes updates
 # these and says so.
 DATA_FILES_SHA256 = {
-    "results.csv": "5b4eb0bacafefba947e5c1eeec3f28dbc272c7b141052a918dae68fe15cb8faa",
-    "results.jsonl": "299796a307f5aa294250ffd9a461cc0d00e9f88a1443230af91efd40e902101f",
+    "results.csv": "55a619afa414ac74fecfed067e9bc8fbefc1ddb97df0f128f46f3928c17f3a28",
+    "results.jsonl": "e970da6e76f9868c0b3073977d25ef83bb77382a0da61f79822b968f9dc2ecbf",
     "survival_curve_alpha0p5.dat": "d2266b452b99ed75396dd11d324e3684096e86ede99f4fb0bc88d2ac563193bf",
     "survival_curve_alpha1.dat": "6698a83335a341cc58d4e1c1ed06e6544a036834740f8f938b57243f1358ca0d",
     "survival_curve_alpha2.dat": "d74175d958f59a1b508128205d094b0d595345f2e15f04b7d6adc0e1ef2e4b21",

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import chi2, ks_2samp
+from scipy.stats import chi2, ks_2samp, kstest
 
 from bdrelab import rng
 from bdrelab.envexact import dufresne_samples, environment_laplace, environment_survival_curve
@@ -30,7 +30,9 @@ from bdrelab.sde import (
     _guarded_step,
     _halve,
     _roulette_rung,
+    _stratum_weights,
     _Variant,
+    _window_normals,
     _z_chain_step,
     absorbed_fraction,
     bridge_extinction_frequency,
@@ -152,8 +154,9 @@ def test_ensemble_thread_count_does_not_change_results(monkeypatch):
 
 @pytest.mark.parametrize("n", [0, -5])
 def test_every_kernel_refuses_a_sample_size_below_one(n):
-    # the batch scheduler refuses it, so no kernel divides by it or
-    # concatenates no batches; absorbed_fraction's sigma_b = 0 shortcut too
+    # the batch scheduler refuses it, or before it the check of a kernel
+    # that reports an se, so no kernel divides by it or concatenates no
+    # batches; absorbed_fraction's sigma_b = 0 shortcut too
     short = SchemeConfig(dt=0.01, horizon=0.05)
     calls = [
         lambda: ensemble_final_states("bdre", STD, short, [0.05], n, 1),
@@ -170,6 +173,45 @@ def test_every_kernel_refuses_a_sample_size_below_one(n):
     for call in calls:
         with pytest.raises(ValueError, match=f"n={n}"):
             call()
+
+
+_SHORT = SchemeConfig(dt=0.01, horizon=0.05)
+# each kernel that reports an se, with the least n it takes: one draw has
+# no spread to measure (a ddof-1 se over it is NaN, a ddof-0 se exactly
+# 0); absorbed_fraction forms its se over pairs, and the one pair of
+# n = 2 has a spread of 0 about 2p whatever it does
+_SE_KERNELS = {
+    "ensemble_functional_means": (
+        2, lambda n: ensemble_functional_means(STD, _SHORT, [0.05], n, 1)),
+    "coupled_refinement_means": (
+        2, lambda n: coupled_refinement_means(STD, _SHORT, [0.05], n, 1)),
+    "environment_survival_curve": (
+        2, lambda n: environment_survival_curve(STD, [0.05], n, 0.01, 1)),
+    "environment_laplace": (
+        2, lambda n: environment_laplace(STD, [1.0], 0.05, n, 0.01, 1)),
+    "rao_blackwell": (2, lambda n: estimate_extinction(
+        STD, ExtinctionMethod.RAO_BLACKWELL, n, 0.05, _SHORT, 1)),
+    "absorbed_fraction": (3, lambda n: absorbed_fraction(STD, _SHORT, n, 1)),
+    "absorbed_fraction_no_branching": (
+        3, lambda n: absorbed_fraction(replace(STD, sigma_b=0.0), _SHORT, n, 1)),
+    "pathwise": (3, lambda n: estimate_extinction(
+        STD, ExtinctionMethod.PATHWISE, n, 0.05, _SHORT, 1)),
+}
+
+
+@pytest.mark.parametrize("kernel", _SE_KERNELS)
+def test_a_kernel_that_reports_an_se_refuses_too_few_draws(kernel):
+    least, call = _SE_KERNELS[kernel]
+    for n in range(1, least):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            call(n)
+    call(least)
+
+
+def test_what_reports_no_se_still_takes_a_single_draw():
+    assert dufresne_samples(STD, 0.05, 1, 0.01, 1).shape == (1,)
+    assert ensemble_final_states("bdre", STD, _SHORT, [0.05], 1, 1)[0.05][0].shape == (1,)
+    assert estimate_extinction(STD, ExtinctionMethod.CLOSED_FORM, 1, 0.05, _SHORT, 1).n == 1
 
 
 def test_survival_guard_retries_with_half_steps_and_carries_s():
@@ -406,7 +448,7 @@ _PAIR_SUMS = {0: (), 1: (1,), 2: (1, 1), 20: (20,), 21: (20, 1), 40: (20, 20)}
 
 
 def _counted(monkeypatch) -> list:
-    """The (pair-sum histogram, lone weight) of each batch absorbed_fraction runs."""
+    """The (pair-sum histogram, strata, leftover, lone) of each batch absorbed_fraction runs."""
     seen = []
 
     def run_batches(worker, n, seed, threads):
@@ -421,42 +463,144 @@ def _counted(monkeypatch) -> list:
 def _pair_sum_estimate(counts: list, n: int) -> tuple[float, float, np.ndarray]:
     """(p, se, histogram) from the batch counts, by absorbed_fraction's stated formula.
 
-    se^2 = (sum_j (x_j - 2p)^2 + [n odd] (E_n[X^2] - p^2)) / n^2 is formed
-    exactly; n^4 se^2 is an integer, whose square root over n^2 is the se.
+    se^2 = (sum_h (x_{2h} - x_{2h+1})^2 + [left-over pair] mean_j (x_j -
+    2p)^2 + [n odd] (E_n[X^2] - p^2)) / n^2 is formed exactly; n^4 P se^2,
+    P = n // 2 pairs, is an integer, whose quotient by P has its square
+    root over n^2 taken as the se.
     """
-    hist = sum(h for h, _ in counts)
-    lone = sum(c for _, c in counts)
+    hist = sum(c[0] for c in counts)
+    strata = sum(c[1] for c in counts)
+    leftover = sum(c[2] for c in counts)
+    lone = sum(c[3] for c in counts)
     assert {v for v, h in enumerate(hist) if h} <= set(_PAIR_SUMS)
-    assert hist.sum() == n // 2
+    pairs = n // 2
+    assert hist.sum() == pairs
+    # a batch of b paths has (b // 2) // 2 strata of two pairs; the one
+    # pair left over is in the last batch, where b // 2 is odd
+    assert leftover == (n % rng.ENSEMBLE_BATCH) // 2 % 2
     p = Fraction(lone + sum(v * int(h) for v, h in enumerate(hist)), n)
-    var = sum(int(h) * (v - 2 * p) ** 2 for v, h in enumerate(hist))
+    var = Fraction(strata)
+    if leftover:
+        var += Fraction(sum(int(h) * (v - 2 * p) ** 2 for v, h in enumerate(hist)), pairs)
     if n % 2:
         squares = lone**2 + sum(
             int(h) * sum(x * x for x in _PAIR_SUMS[v]) for v, h in enumerate(hist) if h
         )
         var += Fraction(squares, n) - p * p
-    scaled = var * n**2  # n^4 se^2
+    scaled = var * n**2 * pairs  # n^4 P se^2
     assert scaled.denominator == 1
-    return float(p), math.sqrt(scaled.numerator) / (n * n), hist
+    return float(p), math.sqrt(scaled.numerator / pairs) / (n * n), hist
 
 
 def test_pathwise_se_is_the_pair_sum_se_of_its_counts(monkeypatch):
     counts = _counted(monkeypatch)
     # by t = 0.5 no path from z0 = 1 reaches the rung at 30.6: every pair
-    # sum is 0, 1 or 2 (no pair here has both members absorbed); n is odd,
-    # so the lone path's share is in the se too
-    n = 2_001
+    # sum is 0, 1 or 2; 1001 pairs leave one over after 500 strata, and n
+    # is odd, so the left-over pair's and the lone path's shares are in the
+    # se too
+    n = 2_003
     got = absorbed_fraction(STD, SchemeConfig(dt=0.01, horizon=0.5), n, seed=5)
     p, se, hist = _pair_sum_estimate(counts, n)
     assert got == (p, se) and p > 0
     assert hist[1] > 0 and not hist[3:].any()
-    # by t = 20 about 3 paths in 1e5 are absorbed at weight 20
+    assert counts[0][1] > 0 and counts[0][2] == 1 and counts[0][3] in (0, 1)
+    # n even with every pair in a stratum
     counts.clear()
-    n = 100_000
-    got = absorbed_fraction(STD, SchemeConfig(dt=0.02, horizon=20.0), n, seed=91)
+    n = 2_000
+    got = absorbed_fraction(STD, SchemeConfig(dt=0.01, horizon=0.5), n, seed=5)
+    assert got == _pair_sum_estimate(counts, n)[:2]
+    assert counts[0][2:] == (0, 0)
+    # by t = 20 about 3 paths in 1e5 are absorbed at weight 20 (5 here, one
+    # of them in a pair sum of 21); two full batches, then one of three
+    # paths: a left-over pair and the lone path
+    counts.clear()
+    n = 100_003
+    got = absorbed_fraction(STD, SchemeConfig(dt=0.02, horizon=20.0), n, seed=93)
     p, se, hist = _pair_sum_estimate(counts, n)
     assert got == (p, se)
-    assert hist[20:].sum() >= 1
+    assert hist[20:].sum() >= 1 and hist[21] >= 1
+    assert len(counts) == 3 and counts[2][1:3] == (0, 1)
+
+
+def _through_the_window(g, a, tail, levels, blocks) -> np.ndarray:
+    """The window's normals for columns given L = levels, in blocks of the given lengths."""
+    rest, rows, i = levels.copy(), [], 0
+    for k in blocks:
+        xi, share = _window_normals(g, a, tail, i, k, rest)
+        rest -= share
+        rows.append(xi)
+        i += k
+    assert i == a.shape[0]
+    return np.concatenate(rows)
+
+
+def _tail(a: np.ndarray) -> np.ndarray:
+    return np.append(np.cumsum((a * a)[::-1])[::-1], 0.0)
+
+
+def test_stratum_weights_decay_to_the_floor_or_stay_flat():
+    # lambda = (alpha + sigma_e^2 / 2) / 2 = 0.75 at the standard point: the
+    # window keeps the weights down to 0.01, 6.14 time units at dt 0.01
+    a = _stratum_weights(STD, 0.01, 3000)
+    assert a.shape == (615,) and a[0] == 1.0
+    assert a[-1] >= 0.01 > math.exp(-0.75 * 0.01 * 615)
+    np.testing.assert_allclose(a, np.exp(-0.75 * 0.01 * np.arange(615)), rtol=1e-15)
+    # a short horizon cuts the window; lambda <= 0 makes it flat
+    assert _stratum_weights(STD, 0.01, 100).shape == (100,)
+    flat = _stratum_weights(replace(STD, alpha=-0.5), 0.01, 300)
+    assert np.array_equal(flat, np.ones(300))
+
+
+def test_window_normals_meet_their_level_where_a_path_lives_through_the_window(monkeypatch):
+    # sigma_e = 0 places no rung and no escape level, and from z0 = 1000 no
+    # path is absorbed, so every pair lives through the window (lambda =
+    # 0.5, 922 steps at dt 0.01) and keeps its column; member 0's normals
+    # meet its level, and the blocks end where the window ends
+    calls = []
+
+    def recorded(g, a, tail, i, k, rest):
+        xi, share = _window_normals(g, a, tail, i, k, rest)
+        calls.append((i, k, rest.copy(), xi, share))
+        return xi, share
+
+    monkeypatch.setattr("bdrelab.sde._window_normals", recorded)
+    params = ModelParams(alpha=1.0, sigma_e=0.0, sigma_b=1.0, z0=1000.0)
+    cfg = SchemeConfig(dt=0.01, horizon=10.0)
+    assert absorbed_fraction(params, cfg, 11, seed=3) == (0.0, 0.0)
+    a = _stratum_weights(params, cfg.dt, cfg.n_steps)
+    assert a.shape == (922,)
+    assert calls[0][0] == 0 and calls[-1][0] + calls[-1][1] == 922
+    assert len(calls) >= 2
+    levels = calls[0][2]
+    assert levels.shape == (6,)  # five pairs' member 0, then the lone path
+    assert np.all(levels[:5] >= 0)
+    xi = np.concatenate([c[3] for c in calls])
+    np.testing.assert_allclose(a @ xi, levels, rtol=1e-12, atol=1e-12)
+    # and in uneven blocks, down to one step
+    g = np.random.default_rng(5)
+    a = _stratum_weights(STD, 0.05, 600)
+    levels = math.sqrt(_tail(a)[0]) * g.standard_normal(7)
+    xi = _through_the_window(g, a, _tail(a), levels, [1, 64, 3, a.shape[0] - 68])
+    np.testing.assert_allclose(a @ xi, levels, rtol=1e-12, atol=1e-12)
+
+
+def test_window_normals_pooled_over_their_level_are_standard_and_uncorrelated():
+    # L ~ N(0, sum a^2) drawn first and the normals given L: pooled over L,
+    # each step's normal is N(0, 1), and two steps are uncorrelated; steps 5
+    # and 70 sit in different blocks, 70 where the weights have fallen to 0.07
+    g = np.random.default_rng(17)
+    a = _stratum_weights(STD, 0.05, 600)
+    tail = _tail(a)
+    cols = 20_000
+    levels = math.sqrt(tail[0]) * g.standard_normal(cols)
+    xi = _through_the_window(g, a, tail, levels, [32, 32, 32, a.shape[0] - 96])
+    for i in (5, 70):
+        assert kstest(xi[i], "norm").pvalue > 1e-3, i
+    r = np.corrcoef(xi[5], xi[70])[0, 1]
+    assert abs(r) <= 4 / math.sqrt(cols)
+    # and each given its level the mean a_i L / sum a^2, not 0
+    slope = np.polyfit(levels, xi[5], 1)[0]
+    assert slope == pytest.approx(a[5] / tail[0], rel=0.1)
 
 
 def _assert_se_matches_the_spread(params: ModelParams, first_seed: int) -> None:
