@@ -69,16 +69,10 @@ def test_pathwise_extinction_matches_closed_form():
 
 
 def test_rao_blackwell_beats_pathwise_strictly():
-    # Per path, Rao-Blackwell's sample q has a strictly smaller variance than
-    # the pathwise absorption count, a Bernoulli with the same mean. The
-    # pathwise route's reported se is that of its stratified antithetic pairs,
-    # which falls below Rao-Blackwell's at equal n (0.00140 against 0.00156
-    # here), so the comparison is with the binomial se of its counts.
-    n = 20_000
     cfg = scheme(horizon=30.0)
-    rb = estimate_extinction(STD, ExtinctionMethod.RAO_BLACKWELL, n, 30.0, cfg, 227)
-    pw = estimate_extinction(STD, ExtinctionMethod.PATHWISE, n, 30.0, cfg, 229)
-    assert rb.std_error < math.sqrt(pw.mean * (1 - pw.mean) / n)
+    rb = estimate_extinction(STD, ExtinctionMethod.RAO_BLACKWELL, 20_000, 30.0, cfg, 227)
+    pw = estimate_extinction(STD, ExtinctionMethod.PATHWISE, 20_000, 30.0, cfg, 229)
+    assert rb.std_error < pw.std_error
 
 
 def test_rao_blackwell_variance_reduction_factor():
