@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from bdrelab import specfun
@@ -142,9 +145,10 @@ def test_tensor_oracle_meets_the_mpmath_table_or_refuses(a, beta):
             phi_beta_tensor_oracle(a, beta)
 
 
-@pytest.mark.parametrize(
-    "a,beta", [(1.0, 50.0), (0.5, 12.5), (0.1, 0.5), (0.0317, 0.05), (300.0, 50.0)]
-)
+ORACLE_EDGE = [(1.0, 50.0), (0.5, 12.5), (0.1, 0.5), (0.0317, 0.05), (300.0, 50.0)]
+
+
+@pytest.mark.parametrize("a,beta", ORACLE_EDGE)
 def test_tensor_oracle_meets_1e6_at_the_edge_of_its_range(a, beta):
     assert _oracle_accepts(a, beta)
     assert phi_beta_tensor_oracle(a, beta) == pytest.approx(phi_beta(a, beta), rel=1e-6)
@@ -169,6 +173,58 @@ def test_tensor_oracle_refuses_before_building_its_grid(a, beta, monkeypatch):
     message = str(failure.value)
     assert "\n" not in message
     assert f"a={a!r}" in message and f"beta={beta!r}" in message
+
+
+def _full_grid_oracle(a, beta):
+    """The tensor oracle's value with every column of its grid formed by
+    logaddexp, on the same cached rules."""
+    u_nodes, u_weights = specfun._laguerre_side(beta)
+    two_lcosh, l_xi, xi_w = specfun._legendre_side(max(60.0, 800.0 / (beta + 2.0)))
+    log_a = math.log(a)
+    ld = np.logaddexp(np.log(u_nodes)[:, None], log_a + two_lcosh[None, :])
+    le = l_xi[None, :] - 0.5 * (beta + 2.0) * ld
+    kern = np.where(le < -745.0, 0.0, np.exp(le))
+    pref = (
+        math.gamma(0.5 * (beta + 2.0))
+        / (math.sqrt(2.0) * math.pi)
+        * math.exp(-a - 0.5 * beta * log_a)
+    )
+    return pref * float(u_weights @ kern @ xi_w)
+
+
+@pytest.mark.parametrize("a,beta", sorted(PHI_GOLDEN) + ORACLE_EDGE)
+def test_tensor_oracle_matches_its_full_grid(a, beta):
+    assert phi_beta_tensor_oracle(a, beta) == pytest.approx(
+        _full_grid_oracle(a, beta), rel=1e-14
+    )
+
+
+@given(st.floats(math.log(0.0317), math.log(300.0)), st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_tensor_oracle_matches_its_full_grid_where_it_accepts(log_a, frac):
+    # beta log-uniform over the accepted [0.05, 50 min(a, 1)^2]
+    a = math.exp(log_a)
+    top = 50.0 * min(a, 1.0) ** 2
+    beta = min(max(0.05 * (top / 0.05) ** frac, 0.05), top)
+    assert phi_beta_tensor_oracle(a, beta) == pytest.approx(
+        _full_grid_oracle(a, beta), rel=1e-14
+    )
+
+
+def test_legendre_rule_integrates_polynomials_to_degree_3998():
+    # 2000 Gauss nodes are exact to degree 3999: Int_{-1}^{1} x^k dx is
+    # 2/(k+1) for even k and 0 for odd k
+    x, w = specfun._legendre_rule()
+    assert math.fsum(w) == pytest.approx(2.0, rel=1e-14)
+    power = np.ones_like(x)
+    for k in range(3999):
+        exact = 2.0 / (k + 1)
+        moment = float(w @ power)
+        if k % 2:
+            assert abs(moment) <= 1e-9 * exact, k
+        else:
+            assert moment == pytest.approx(exact, rel=1e-9), k
+        power *= x
 
 
 def test_integrate_semi_infinite_exp_map():
