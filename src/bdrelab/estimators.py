@@ -243,8 +243,11 @@ def survival_points(
     sigma_e^2: 0 in the weak and intermediate regimes, sigma_e^2 - alpha
     in the strong one. This keeps the relative error of p(t) nearly flat
     in t, so the deep-t tail stays resolvable; the only approximation is
-    still the trapezoid rule for I_t. NegatedAlphaSim is the only route;
-    any other raises ValueError.
+    still the trapezoid rule for I_t. The environments run in antithetic
+    pairs, one on xi and its twin on -xi, each weighted by its own
+    likelihood ratio, and the se comes from the pair sums (plus the lone
+    path's share when n_per_t is odd), so n_per_t must be at least 4.
+    NegatedAlphaSim is the only route; any other raises ValueError.
     """
     if route is not SurvivalRoute.NEGATED_ALPHA_SIM:
         raise ValueError(f"survival_points supports only NegatedAlphaSim, not {route}")
@@ -258,7 +261,7 @@ def survival_points(
     tilt = min(params.alpha / params.sigma_e**2, 1.0)
     return environment_survival_curve(
         neg, sorted(float(t) for t in t_grid), n_per_t, dt, seed,
-        collect="survival", threads=threads, tilt=tilt,
+        collect="survival", threads=threads, tilt=tilt, antithetic=True,
     )
 
 
@@ -349,9 +352,11 @@ def laplace_limit_test(
     """Empirical transform of Z_t e^{-S_t} against the limit-law quadrature.
 
     The empirical side is computed exactly over environments (the
-    conditional transform integrates out the branching noise); the
-    reference side is laplace_Y under the inverse-gamma reading. t_large
-    should satisfy alpha * t_large >> 1 for the limit to have set in.
+    conditional transform integrates out the branching noise), run in
+    antithetic pairs with the se from the pair sums (plus the lone path's
+    share when n is odd), so n must be at least 4; the reference side is
+    laplace_Y under the inverse-gamma reading. t_large should satisfy
+    alpha * t_large >> 1 for the limit to have set in.
     """
     if params.alpha <= 0:
         raise ValueError("the martingale limit requires alpha > 0")
@@ -361,7 +366,9 @@ def laplace_limit_test(
     # the references first: a quadrature budget that cannot converge
     # fails before any environment is simulated
     refs = [laplace_Y(lam, params.z0, params, Reading.INVERSE_GAMMA, q) for lam in lams]
-    emp = environment_laplace(params, lams, t_large, n, cfg.dt, seed, threads=threads)
+    emp = environment_laplace(
+        params, lams, t_large, n, cfg.dt, seed, threads=threads, antithetic=True
+    )
     out = []
     for lam, ref in zip(lams, refs):
         mean, se = emp[lam]

@@ -212,14 +212,14 @@ def test_criterion_10_byte_reproducibility(verify_runs):
 # or fitted constant changes a digest; a change meant to move bytes updates
 # these and says so.
 DATA_FILES_SHA256 = {
-    "results.csv": "55a619afa414ac74fecfed067e9bc8fbefc1ddb97df0f128f46f3928c17f3a28",
-    "results.jsonl": "e970da6e76f9868c0b3073977d25ef83bb77382a0da61f79822b968f9dc2ecbf",
-    "survival_curve_alpha0p5.dat": "d2266b452b99ed75396dd11d324e3684096e86ede99f4fb0bc88d2ac563193bf",
-    "survival_curve_alpha1.dat": "6698a83335a341cc58d4e1c1ed06e6544a036834740f8f938b57243f1358ca0d",
-    "survival_curve_alpha2.dat": "d74175d958f59a1b508128205d094b0d595345f2e15f04b7d6adc0e1ef2e4b21",
-    "plot_survival_alpha0p5.gp": "802758a90a9f37321a7a79e0530dfcbdb0b1f4f9aceac7b767c6114091e5de9e",
-    "plot_survival_alpha1.gp": "c620751685bba028056db118b36d9b721a2835b8f45ab946d998b941f9c3d358",
-    "plot_survival_alpha2.gp": "ef2adc3d46caccf5ce5a10fd94c8a0632989f49489daa442994a28bfc09a249e",
+    "results.csv": "ec5f70c881346ea47ae222b10a13f13c471e36d2f11b52c0cbaf73410ef55a8a",
+    "results.jsonl": "1d995ea71a124294f6fda0916ab86219269e1721a8995729fb691f1e9a4f0d00",
+    "survival_curve_alpha0p5.dat": "e03a690ebd443077a50df81eec10213e3a5751252a7fc872e4ab9a2242057d06",
+    "survival_curve_alpha1.dat": "14f977fd3756781e762b416adb808e6bd9cec4500cd514c8b80761f3f9a52abd",
+    "survival_curve_alpha2.dat": "46e6a870b65c5041533e534b5a73296c5ee7e24a203301286ea972f8af996cbd",
+    "plot_survival_alpha0p5.gp": "609042008b94c6992f51442aa352c7e6368b7c79682aa3df200e68c435104389",
+    "plot_survival_alpha1.gp": "34ba5b123df83ec24ae809b8637edc0e0f2a8ad179c69639d88e1a962db48469",
+    "plot_survival_alpha2.gp": "7a38c29bac15d231835e13273d15ace2b02861cb7ae63a5daa153e2cffadc5b0",
 }
 
 

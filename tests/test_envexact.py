@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from bdrelab.envexact import dufresne_samples, environment_laplace, environment_survival_curve
 from bdrelab.errors import ConfigError
 from bdrelab.model import ModelParams
+from bdrelab.rng import RngStream
 from bdrelab.specfun import strong_level_limit
 
 STD = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
@@ -115,3 +117,38 @@ def test_tilt_must_be_finite():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             environment_survival_curve(STD, [1.0], n=10, dt=0.01, seed=1, tilt=bad)
+
+
+def test_antithetic_pairs_replay_by_hand():
+    # n = 7 in one batch: columns 0-2 step on xi, 4-6 on -xi and 3 alone;
+    # each column carries its own likelihood ratio, and the se comes from
+    # the three pair sums and the lone path's share
+    neg, theta, z, dt, n = NEGATED[0.5], 0.5, 1.0, 0.05, 7
+    out = environment_survival_curve(neg, [0.25, 0.5], n, dt, 23, tilt=theta, antithetic=True)
+    g = RngStream(23, 0).generator()
+    s, i_t, prev = np.zeros(n), np.zeros(n), np.ones(n)
+    for k in range(1, 11):
+        xi = g.standard_normal(4)
+        s = s + (neg.alpha + theta) * dt + math.sqrt(dt) * np.concatenate((xi, -xi[:3]))
+        cur = np.exp(-s)
+        i_t = i_t + 0.25 * dt * (prev + cur)
+        prev = cur
+        if k % 5:
+            continue
+        t = k * dt
+        q = -np.expm1(-z / i_t) * np.exp((-0.5 * theta + 0.5 * theta**2) * t - theta * s)
+        x = q[:3] + q[4:]
+        p = q.mean()
+        se = math.sqrt(((x - 2 * p) ** 2).sum() + (q**2).mean() - p**2) / n
+        assert out[t] == pytest.approx((p, se), rel=1e-12)
+
+
+def test_antithetic_and_independent_environments_agree():
+    # the same means on fresh noise, the pairs at a smaller se
+    lams, t, n = [0.5, 10.0], 5.0, 20_000
+    paired = environment_laplace(STD, lams, t, n, 0.01, 151, antithetic=True)
+    plain = environment_laplace(STD, lams, t, n, 0.01, 157)
+    for lam in lams:
+        (m1, se1), (m0, se0) = paired[lam], plain[lam]
+        assert se1 < 0.8 * se0
+        assert abs(m1 - m0) <= 4 * math.hypot(se1, se0), (lam, m1, m0)

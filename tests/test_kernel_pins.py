@@ -6,7 +6,8 @@ These values are checked at rel 1e-12. The survival-conditioned ensembles
 are left out: the draws a retried path takes depend on which other paths
 are retried in the same step. The untilted environment pins also hold the
 tilt = 0 path of environment_survival_curve to its steps and sums from
-before the tilt existed; the tilted cases pin the weighted path.
+before the tilt existed; the tilted cases pin the weighted path, and the
+paired cases the antithetic one.
 
 The quadrature values (phi_beta, laplace_Y) are deterministic and pinned
 bit for bit, so a change that moves a last bit shows; laplace_Y's
@@ -106,6 +107,18 @@ def compute() -> dict:
         "extinct_curve_tilted": _curve(environment_survival_curve(
             STD, [0.5, 1.0], 500, 0.05, seed=9, collect="extinct", tilt=-0.5)),
         "laplace": _curve(environment_laplace(STD, [0.0, 0.5, 2.0], 1.0, 500, 0.05, seed=19)),
+        # antithetic pairs: both tilts of survival_points, two batches, n odd
+        # and a last batch of one lone path (50 001 = ENSEMBLE_BATCH + 1)
+        "survival_curve_tilted_paired": _curve(environment_survival_curve(
+            STRONG_NEGATED, [0.0, 0.5, 1.0], 500, 0.05, seed=9, tilt=1.0, antithetic=True)),
+        "survival_curve_tilted_paired_two_batches": _curve(environment_survival_curve(
+            WEAK_NEGATED, [0.25, 1.0], 60_000, 0.05, seed=7, tilt=0.625, antithetic=True)),
+        "extinct_curve_paired_odd_n": _curve(environment_survival_curve(
+            STD, [0.0, 0.5, 1.0], 501, 0.05, seed=9, collect="extinct", antithetic=True)),
+        "laplace_paired": _curve(environment_laplace(
+            STD, [0.0, 0.5, 2.0], 1.0, 500, 0.05, seed=19, antithetic=True)),
+        "laplace_paired_lone_batch": _curve(environment_laplace(
+            STD, [0.5, 2.0], 1.0, 50_001, 0.05, seed=19, antithetic=True)),
         "states_bdre": _states("bdre", STD),
         "states_bdre_absorbing": _states(
             "bdre", NOISY, SchemeConfig(dt=0.01, horizon=0.5, absorption_threshold=0.01)
@@ -216,6 +229,26 @@ PINNED = {
     'laplace': [
         1.0, 0.0, 0.657157334673236, 0.001073757007026907, 0.31878123690766486,
         0.0035905390049503724,
+    ],
+    # computed when the environments ran in antithetic pairs
+    'extinct_curve_paired_odd_n': [
+        0.0, 0.0, 0.019156337669402123, 0.001126574498684727, 0.08545007700133098,
+        0.002744251478517618,
+    ],
+    'laplace_paired': [
+        1.0, 0.0, 0.6564985141907956, 0.0005864830404444483, 0.3162457330886664,
+        0.0016203464792667204,
+    ],
+    'laplace_paired_lone_batch': [
+        0.6566440864219653, 5.065557129214032e-05, 0.3169871401234053, 0.00014666692017463565,
+    ],
+    'survival_curve_tilted_paired': [
+        1.0, 0.0, 0.8888724274573107, 0.01300478420782224, 0.4683720786425191,
+        0.006605011368858257,
+    ],
+    'survival_curve_tilted_paired_two_batches': [
+        0.9974189482859593, 0.00023911374402086876, 0.7334965099487128,
+        0.00027941036510521186,
     ],
     'quenched_cond_extinction': [
         200.0, 1.0, 1.0, 1.0, 181.66276699544974, 0.7097838539032179, 0.6106401896507349,

@@ -11,7 +11,13 @@ from scipy.stats import chi2, ks_2samp, kstest
 from bdrelab import rng
 from bdrelab.envexact import dufresne_samples, environment_laplace, environment_survival_curve
 from bdrelab.errors import NumericalFailure
-from bdrelab.estimators import ExtinctionMethod, estimate_extinction
+from bdrelab.estimators import (
+    ExtinctionMethod,
+    SurvivalRoute,
+    estimate_extinction,
+    laplace_limit_test,
+    survival_points,
+)
 from bdrelab.model import (
     ModelParams,
     QuenchedVariant,
@@ -134,6 +140,14 @@ def test_ensemble_thread_count_does_not_change_results(monkeypatch):
         "environment": lambda th: environment_survival_curve(
             STD, [0.02, 0.05], n, 0.01, seed=7, threads=th
         ),
+        # antithetic pairs, tilted, with a lone path in the second batch
+        "environment_paired": lambda th: environment_survival_curve(
+            replace(STD, alpha=-1.0), [0.02, 0.05], n + 1, 0.01, seed=7, threads=th,
+            tilt=1.0, antithetic=True,
+        ),
+        "laplace_paired": lambda th: environment_laplace(
+            STD, [0.5, 2.0], 0.05, n, 0.01, 7, th, antithetic=True
+        ),
     }
     results = {}
     for name, run in kernels.items():
@@ -179,7 +193,8 @@ _SHORT = SchemeConfig(dt=0.01, horizon=0.05)
 # each kernel that reports an se, with the least n it takes: one draw has
 # no spread to measure (a ddof-1 se over it is NaN, a ddof-0 se exactly
 # 0); absorbed_fraction forms its se over pairs, and the one pair of
-# n = 2 has a spread of 0 about 2p whatever it does
+# n = 2 has a spread of 0 about 2p whatever it does; the antithetic
+# environments take two pairs, so that their pair sums have a spread
 _SE_KERNELS = {
     "ensemble_functional_means": (
         2, lambda n: ensemble_functional_means(STD, _SHORT, [0.05], n, 1)),
@@ -189,6 +204,14 @@ _SE_KERNELS = {
         2, lambda n: environment_survival_curve(STD, [0.05], n, 0.01, 1)),
     "environment_laplace": (
         2, lambda n: environment_laplace(STD, [1.0], 0.05, n, 0.01, 1)),
+    "environment_survival_curve_paired": (
+        4, lambda n: environment_survival_curve(STD, [0.05], n, 0.01, 1, antithetic=True)),
+    "environment_laplace_paired": (
+        4, lambda n: environment_laplace(STD, [1.0], 0.05, n, 0.01, 1, antithetic=True)),
+    "survival_points": (4, lambda n: survival_points(
+        STD, [0.05], n, SurvivalRoute.NEGATED_ALPHA_SIM, 1, dt=0.01)),
+    "laplace_limit_test": (
+        4, lambda n: laplace_limit_test(STD, [1.0], 0.05, n, _SHORT, 1)),
     "rao_blackwell": (2, lambda n: estimate_extinction(
         STD, ExtinctionMethod.RAO_BLACKWELL, n, 0.05, _SHORT, 1)),
     "absorbed_fraction": (3, lambda n: absorbed_fraction(STD, _SHORT, n, 1)),
