@@ -23,8 +23,8 @@ sampling; Asmussen & Glynn, Stochastic Simulation, 2007, ch. VI). The
 only approximation anywhere here is still the trapezoid rule for I_t on
 the simulation grid.
 
-The survival curve and the transform can also run their environments in
-antithetic pairs (Glasserman, Monte Carlo Methods in Financial
+The transform always runs its environments, and the survival curve can
+run them, in antithetic pairs (Glasserman, Monte Carlo Methods in Financial
 Engineering, 2003, sec. 4.2): in a batch of b environments, the first
 b // 2 step on xi and the last b // 2 on -xi, and with b odd the one in
 between steps alone on normals of its own, so a step draws b - b // 2
@@ -34,7 +34,7 @@ and the transform) and a pair sum varies far less than two independent
 values; a tilt's weight makes the product no longer monotone, and there
 the gain is measured, not guaranteed. The mean stays the mean
 over all n paths; the se comes from the spread of the pair sums, plus
-the lone path's share when n is odd. The Rao-Blackwell extinction
+the share of each odd batch's lone path. The Rao-Blackwell extinction
 probability and dufresne_samples stay i.i.d.: criterion 8 runs a KS test
 that needs independent samples, and the benchmark checks the RB se
 against the i.i.d. variance.
@@ -100,26 +100,17 @@ def _environment_batches(
     def worker(g, b: int):
         s = np.zeros(b)
         acc = np.zeros(b)
-        prev, cur = np.ones(b), np.empty(b)
-        dw, tmp = np.empty(b), np.empty(b)
+        prev = np.ones(b)
         h = b // 2 if paired else 0
-        drawn, twins = dw[: b - h], dw[b - h :]
         out = {}
         if 0 in at:
             out[at[0]] = reduce(at[0], acc, s)
         for k in range(1, n_steps + 1):
-            g.standard_normal(out=drawn)
-            drawn *= noise
-            if h:
-                np.negative(dw[:h], out=twins)
-            dw += drift
-            s += dw
-            np.negative(s, out=cur)
-            np.exp(cur, out=cur)
-            np.add(prev, cur, out=tmp)
-            tmp *= weight
-            acc += tmp
-            prev, cur = cur, prev
+            xi = g.standard_normal(b - h)
+            s += drift + noise * (np.concatenate((xi, -xi[:h])) if h else xi)
+            cur = np.exp(-s)
+            acc += weight * (prev + cur)
+            prev = cur
             if k in at:
                 out[at[k]] = reduce(at[k], acc, s)
         return out
@@ -129,32 +120,34 @@ def _environment_batches(
 
 def _sums(q: NDArray[np.float64], paired: bool = False) -> tuple:
     """A batch's sums of q for _mean_se: (sum, sum of squares), and when
-    paired also its number of pair sums x_j, their sum and their sum of
-    squares about their own mean."""
+    paired also its number of pair sums x_j, their sum, their sum of
+    squares about their own mean and its number of lone paths (b % 2)."""
     if not paired:
         return float(q.sum()), float((q**2).sum())
     b = q.shape[0]
     h = b // 2
     x = q[:h] + q[b - h :]
     d = x - x.mean() if h else x
-    return float(q.sum()), float((q**2).sum()), h, float(x.sum()), float(d @ d)
+    return float(q.sum()), float((q**2).sum()), h, float(x.sum()), float(d @ d), b - 2 * h
 
 
 def _mean_se(sums: list, n: int, paired: bool = False) -> tuple[float, float]:
     """(mean, std_error) of n values from the batches' _sums.
 
-    Unpaired, se^2 = (E_n[q^2] - p^2) / n. Paired, over the n // 2 pair
-    sums x_j, se^2 = (sum_j (x_j - 2p)^2 + [n odd] (E_n[q^2] - p^2)) / n^2,
-    E_n over all n paths; the first sum is taken batch by batch, about
-    each batch's mean pair sum and then that mean about 2p.
+    Unpaired, se^2 = (E_n[q^2] - p^2) / n. Paired, over the pair sums x_j
+    and the m lone paths (one per odd batch),
+    se^2 = (sum_j (x_j - 2p)^2 + m (E_n[q^2] - p^2)) / n^2, E_n over all
+    n paths; the first sum is taken batch by batch, about each batch's
+    mean pair sum and then that mean about 2p.
     """
     mean = sum(s[0] for s in sums) / n
+    var = max(sum(s[1] for s in sums) / n - mean**2, 0.0)
     if not paired:
-        var = max(sum(s[1] for s in sums) / n - mean**2, 0.0)
         return mean, math.sqrt(var / n)
-    spread = sum(m2 + (x1 - 2.0 * mean * h) ** 2 / h for _, _, h, x1, m2 in sums if h)
-    if n % 2:
-        spread += max(sum(s[1] for s in sums) / n - mean**2, 0.0)
+    spread = sum(m2 + (x1 - 2.0 * mean * h) ** 2 / h for _, _, h, x1, m2, _ in sums if h)
+    lone = sum(s[5] for s in sums)
+    if lone:
+        spread += lone * var
     return mean, math.sqrt(spread) / n
 
 
@@ -204,9 +197,8 @@ def environment_survival_curve(
 
     antithetic = True runs the environments in antithetic pairs (see
     _environment_batches), each member weighted by its own likelihood
-    ratio under a tilt; the se comes from the pair sums, plus the lone
-    path's share when n is odd (_mean_se). n must be at least 2, or 4
-    with pairs.
+    ratio under a tilt; the se comes from the pair sums, plus each odd
+    batch's lone path (_mean_se). n must be at least 2, or 4 with pairs.
     """
     _require_se_sample(n, 4 if antithetic else 2)
     if collect not in ("survival", "extinct"):
@@ -244,17 +236,16 @@ def environment_laplace(
     dt: float,
     seed: int,
     threads: int = 1,
-    antithetic: bool = False,
 ) -> dict:
     """E[exp(-lambda Z_t e^{-S_t})] by exact conditional transform.
 
     Averages exp(-z/(I_t + 1/lambda)) over n environments; the branching
     randomness never needs to be simulated. Returns {lambda: (mean, se)}.
-    antithetic = True runs the environments in antithetic pairs, as in
-    environment_survival_curve, with the se from the pair sums. n must
-    be at least 2, or 4 with pairs.
+    The environments always run in antithetic pairs (see
+    _environment_batches); the se comes from the pair sums, plus each odd
+    batch's lone path (_mean_se). n must be at least 4.
     """
-    _require_se_sample(n, 4 if antithetic else 2)
+    _require_se_sample(n, 4)
     if params.sigma_b <= 0:
         raise ValueError("the quenched transform needs sigma_b > 0")
     z = params.z0
@@ -264,13 +255,11 @@ def environment_laplace(
 
     def reduce(_, i_t, s_t):
         return {
-            lam: _sums(
-                np.ones(i_t.shape) if lam == 0.0 else np.exp(-z / (i_t + 1.0 / lam)), antithetic
-            )
+            lam: _sums(np.ones(i_t.shape) if lam == 0.0 else np.exp(-z / (i_t + 1.0 / lam)), True)
             for lam in lambdas
         }
 
     parts = _environment_batches(
-        params, [t], dt, n, seed, threads, params.sigma_b**2 / 2.0, reduce, antithetic
+        params, [t], dt, n, seed, threads, params.sigma_b**2 / 2.0, reduce, True
     )
-    return {lam: _mean_se([p[float(t)][lam] for p in parts], n, antithetic) for lam in lambdas}
+    return {lam: _mean_se([p[float(t)][lam] for p in parts], n, True) for lam in lambdas}

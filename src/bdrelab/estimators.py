@@ -353,8 +353,8 @@ def laplace_limit_test(
 
     The empirical side is computed exactly over environments (the
     conditional transform integrates out the branching noise), run in
-    antithetic pairs with the se from the pair sums (plus the lone path's
-    share when n is odd), so n must be at least 4; the reference side is
+    antithetic pairs with the se from the pair sums (plus each odd batch's
+    lone path), so n must be at least 4; the reference side is
     laplace_Y under the inverse-gamma reading. t_large should satisfy
     alpha * t_large >> 1 for the limit to have set in.
     """
@@ -366,9 +366,7 @@ def laplace_limit_test(
     # the references first: a quadrature budget that cannot converge
     # fails before any environment is simulated
     refs = [laplace_Y(lam, params.z0, params, Reading.INVERSE_GAMMA, q) for lam in lams]
-    emp = environment_laplace(
-        params, lams, t_large, n, cfg.dt, seed, threads=threads, antithetic=True
-    )
+    emp = environment_laplace(params, lams, t_large, n, cfg.dt, seed, threads=threads)
     out = []
     for lam, ref in zip(lams, refs):
         mean, se = emp[lam]

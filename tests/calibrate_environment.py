@@ -1,8 +1,9 @@
 """Seed-pooled calibration of the antithetic environment estimators.
 
 `envexact.environment_survival_curve` and `envexact.environment_laplace`
-report an estimate and a standard error; with `antithetic=True` the se
-comes from the spread of the pair sums. A 3-se gate at one seed sees a
+report an estimate and a standard error; on antithetic pairs (the
+transform always, the curve with `antithetic=True`) the se comes from
+the spread of the pair sums. A 3-se gate at one seed sees a
 bias only once it exceeds about 3 se; pooled over K seeds the same runs
 see about 3 / sqrt(K) se. Per record this script runs K = 50 calls on
 seeds 20001-20050, which `bdrelab verify` does not use, takes
@@ -102,7 +103,7 @@ def extinct_record() -> dict:
 
 def laplace_records() -> dict:
     t0 = time.process_time()
-    calls = [environment_laplace(STD, LAMBDAS, LAPLACE_T, N, LAPLACE_DT, seed, antithetic=True)
+    calls = [environment_laplace(STD, LAMBDAS, LAPLACE_T, N, LAPLACE_DT, seed)
              for seed in SEEDS]
     cpu = time.process_time() - t0
     out = {}

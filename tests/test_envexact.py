@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from bdrelab.envexact import dufresne_samples, environment_laplace, environment_survival_curve
+from bdrelab.envexact import (
+    _mean_se,
+    _sums,
+    dufresne_samples,
+    environment_laplace,
+    environment_survival_curve,
+)
 from bdrelab.errors import ConfigError
 from bdrelab.model import ModelParams
 from bdrelab.rng import RngStream
@@ -44,8 +50,8 @@ def test_conditional_atom_at_zero_matches_formula():
     # e^{-z/(I_t + 1/lambda)}, which decreases to it along the same environments
     t, n, dt, seed = 2.0, 2000, 0.01, 103
     lap = environment_laplace(STD, [1.0, 1e3, math.inf], t, n, dt, seed)
-    atom = environment_survival_curve(STD, [t], n, dt, seed, collect="extinct")[t]
-    alive = environment_survival_curve(STD, [t], n, dt, seed)[t]
+    atom = environment_survival_curve(STD, [t], n, dt, seed, "extinct", antithetic=True)[t]
+    alive = environment_survival_curve(STD, [t], n, dt, seed, antithetic=True)[t]
     assert lap[math.inf] == atom
     assert lap[1.0][0] > lap[1e3][0] > atom[0] > 0.0
     assert atom[0] + alive[0] == pytest.approx(1.0, abs=1e-12)
@@ -143,12 +149,25 @@ def test_antithetic_pairs_replay_by_hand():
         assert out[t] == pytest.approx((p, se), rel=1e-12)
 
 
+def test_paired_se_counts_the_lone_path_of_every_odd_batch():
+    # two batches of 5 (an odd batch size) leave two lone paths and n even
+    g = np.random.default_rng(3)
+    q1, q2 = g.random(5), g.random(5)
+    q = np.concatenate((q1, q2))
+    p = q.mean()
+    x = np.concatenate((q1[:2] + q1[3:], q2[:2] + q2[3:]))
+    se = math.sqrt(((x - 2 * p) ** 2).sum() + 2 * ((q**2).mean() - p**2)) / 10
+    assert _mean_se([_sums(q1, True), _sums(q2, True)], 10, True) == pytest.approx(
+        (p, se), rel=1e-12
+    )
+
+
 def test_antithetic_and_independent_environments_agree():
     # the same means on fresh noise, the pairs at a smaller se
-    lams, t, n = [0.5, 10.0], 5.0, 20_000
-    paired = environment_laplace(STD, lams, t, n, 0.01, 151, antithetic=True)
-    plain = environment_laplace(STD, lams, t, n, 0.01, 157)
-    for lam in lams:
-        (m1, se1), (m0, se0) = paired[lam], plain[lam]
+    times, n = [1.0, 5.0], 20_000
+    paired = environment_survival_curve(STD, times, n, 0.01, 151, "extinct", antithetic=True)
+    plain = environment_survival_curve(STD, times, n, 0.01, 157, "extinct")
+    for t in times:
+        (m1, se1), (m0, se0) = paired[t], plain[t]
         assert se1 < 0.8 * se0
-        assert abs(m1 - m0) <= 4 * math.hypot(se1, se0), (lam, m1, m0)
+        assert abs(m1 - m0) <= 4 * math.hypot(se1, se0), (t, m1, m0)

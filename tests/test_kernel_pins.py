@@ -7,7 +7,8 @@ are left out: the draws a retried path takes depend on which other paths
 are retried in the same step. The untilted environment pins also hold the
 tilt = 0 path of environment_survival_curve to its steps and sums from
 before the tilt existed; the tilted cases pin the weighted path, and the
-paired cases the antithetic one.
+paired cases the antithetic one. environment_laplace always runs in
+pairs, so its pins are paired too.
 
 The quadrature values (phi_beta, laplace_Y) are deterministic and pinned
 bit for bit, so a change that moves a last bit shows; laplace_Y's
@@ -115,10 +116,8 @@ def compute() -> dict:
             WEAK_NEGATED, [0.25, 1.0], 60_000, 0.05, seed=7, tilt=0.625, antithetic=True)),
         "extinct_curve_paired_odd_n": _curve(environment_survival_curve(
             STD, [0.0, 0.5, 1.0], 501, 0.05, seed=9, collect="extinct", antithetic=True)),
-        "laplace_paired": _curve(environment_laplace(
-            STD, [0.0, 0.5, 2.0], 1.0, 500, 0.05, seed=19, antithetic=True)),
-        "laplace_paired_lone_batch": _curve(environment_laplace(
-            STD, [0.5, 2.0], 1.0, 50_001, 0.05, seed=19, antithetic=True)),
+        "laplace_lone_batch": _curve(environment_laplace(
+            STD, [0.5, 2.0], 1.0, 50_001, 0.05, seed=19)),
         "states_bdre": _states("bdre", STD),
         "states_bdre_absorbing": _states(
             "bdre", NOISY, SchemeConfig(dt=0.01, horizon=0.5, absorption_threshold=0.01)
@@ -226,20 +225,17 @@ PINNED = {
     'extinct_curve_tilted': [
         0.01945002910318362, 0.001045388904927754, 0.08703635879778747, 0.002873096514457644,
     ],
+    # computed when environment_laplace ran its environments in antithetic pairs
     'laplace': [
-        1.0, 0.0, 0.657157334673236, 0.001073757007026907, 0.31878123690766486,
-        0.0035905390049503724,
+        1.0, 0.0, 0.6564985141907956, 0.0005864830404444483, 0.3162457330886664,
+        0.0016203464792667204,
     ],
     # computed when the environments ran in antithetic pairs
     'extinct_curve_paired_odd_n': [
         0.0, 0.0, 0.019156337669402123, 0.001126574498684727, 0.08545007700133098,
         0.002744251478517618,
     ],
-    'laplace_paired': [
-        1.0, 0.0, 0.6564985141907956, 0.0005864830404444483, 0.3162457330886664,
-        0.0016203464792667204,
-    ],
-    'laplace_paired_lone_batch': [
+    'laplace_lone_batch': [
         0.6566440864219653, 5.065557129214032e-05, 0.3169871401234053, 0.00014666692017463565,
     ],
     'survival_curve_tilted_paired': [

@@ -145,9 +145,7 @@ def test_ensemble_thread_count_does_not_change_results(monkeypatch):
             replace(STD, alpha=-1.0), [0.02, 0.05], n + 1, 0.01, seed=7, threads=th,
             tilt=1.0, antithetic=True,
         ),
-        "laplace_paired": lambda th: environment_laplace(
-            STD, [0.5, 2.0], 0.05, n, 0.01, 7, th, antithetic=True
-        ),
+        "laplace": lambda th: environment_laplace(STD, [0.5, 2.0], 0.05, n, 0.01, 7, th),
     }
     results = {}
     for name, run in kernels.items():
@@ -203,11 +201,9 @@ _SE_KERNELS = {
     "environment_survival_curve": (
         2, lambda n: environment_survival_curve(STD, [0.05], n, 0.01, 1)),
     "environment_laplace": (
-        2, lambda n: environment_laplace(STD, [1.0], 0.05, n, 0.01, 1)),
+        4, lambda n: environment_laplace(STD, [1.0], 0.05, n, 0.01, 1)),
     "environment_survival_curve_paired": (
         4, lambda n: environment_survival_curve(STD, [0.05], n, 0.01, 1, antithetic=True)),
-    "environment_laplace_paired": (
-        4, lambda n: environment_laplace(STD, [1.0], 0.05, n, 0.01, 1, antithetic=True)),
     "survival_points": (4, lambda n: survival_points(
         STD, [0.05], n, SurvivalRoute.NEGATED_ALPHA_SIM, 1, dt=0.01)),
     "laplace_limit_test": (
