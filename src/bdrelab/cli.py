@@ -223,30 +223,38 @@ def _cmd_simulate(args) -> int:
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     path_file = os.path.join(out, "paths.csv")
-    with open(path_file, "w", encoding="utf-8", newline="") as fh:
-        fh.write("path,t,z,s,model\n")
-        for i in range(args.n_paths):
-            rng = RngStream(cfg.seed, i)
-            if args.kind == "bdre":
-                path = simulate_bdre(cfg.model, cfg.scheme, rng)
-            elif args.kind == "cond-extinction":
-                path = simulate_conditioned_extinction(cfg.model, cfg.scheme, rng)
-            elif args.kind == "cond-survival":
-                path = simulate_conditioned_survival(cfg.model, cfg.scheme, rng)
-            elif args.kind == "quenched":
-                path = simulate_quenched(cfg.model, cfg.scheme, rng,
-                                         QuenchedVariant.UNCONDITIONED)
-            else:
-                path = simulate_discrete_bpre(args.n_scale, cfg.model,
-                                              cfg.scheme.horizon, rng)
-            # No float repr or model tag holds a comma or a quote, so these
-            # are the rows csv.writer would write.
-            tag = path.model_tag
-            fh.write("".join(
-                f"{i},{t!r},{z!r},{s!r},{tag}\n"
-                for t, z, s in zip(path.times.tolist(), path.z_values.tolist(),
-                                   path.s_values.tolist())
-            ))
+    # written beside paths.csv and renamed over it once every path is in,
+    # so a run that raises leaves no partial file
+    part_file = f"{path_file}.{os.getpid()}.part"
+    try:
+        with open(part_file, "w", encoding="utf-8", newline="") as fh:
+            fh.write("path,t,z,s,model\n")
+            for i in range(args.n_paths):
+                rng = RngStream(cfg.seed, i)
+                if args.kind == "bdre":
+                    path = simulate_bdre(cfg.model, cfg.scheme, rng)
+                elif args.kind == "cond-extinction":
+                    path = simulate_conditioned_extinction(cfg.model, cfg.scheme, rng)
+                elif args.kind == "cond-survival":
+                    path = simulate_conditioned_survival(cfg.model, cfg.scheme, rng)
+                elif args.kind == "quenched":
+                    path = simulate_quenched(cfg.model, cfg.scheme, rng,
+                                             QuenchedVariant.UNCONDITIONED)
+                else:
+                    path = simulate_discrete_bpre(args.n_scale, cfg.model,
+                                                  cfg.scheme.horizon, rng)
+                # No float repr or model tag holds a comma or a quote, so these
+                # are the rows csv.writer would write.
+                tag = path.model_tag
+                fh.write("".join(
+                    f"{i},{t!r},{z!r},{s!r},{tag}\n"
+                    for t, z, s in zip(path.times.tolist(), path.z_values.tolist(),
+                                       path.s_values.tolist())
+                ))
+        os.replace(part_file, path_file)
+    finally:
+        if os.path.exists(part_file):
+            os.remove(part_file)
     sys.stdout.write(f"{args.n_paths} paths -> {path_file}\n")
     return 0
 

@@ -49,7 +49,6 @@ __all__ = [
     "generator_apply",
     "bundle_U",
     "bundle_V",
-    "finite_difference_bundle",
     "survival_ratio",
     "drift_conditioned_extinction",
     "drift_conditioned_survival",
@@ -322,31 +321,6 @@ def bundle_V(params: ModelParams) -> FunctionBundle:
         return beta**2 * np.exp(-beta * np.asarray(s, float))
 
     return FunctionBundle(f=f, f_z=_zero, f_s=f_s, f_zz=_zero, f_ss=f_ss, f_zs=_zero)
-
-
-def finite_difference_bundle(
-    f: Callable[[ArrayLike, ArrayLike], ArrayLike], h: float = 1e-5
-) -> FunctionBundle:
-    """Central-difference derivative bundle for a smooth f; testing aid only."""
-
-    def f_z(z, s):
-        return (f(z + h, s) - f(z - h, s)) / (2 * h)
-
-    def f_s(z, s):
-        return (f(z, s + h) - f(z, s - h)) / (2 * h)
-
-    def f_zz(z, s):
-        return (f(z + h, s) - 2 * f(z, s) + f(z - h, s)) / h**2
-
-    def f_ss(z, s):
-        return (f(z, s + h) - 2 * f(z, s) + f(z, s - h)) / h**2
-
-    def f_zs(z, s):
-        return (
-            f(z + h, s + h) - f(z + h, s - h) - f(z - h, s + h) + f(z - h, s - h)
-        ) / (4 * h**2)
-
-    return FunctionBundle(f=f, f_z=f_z, f_s=f_s, f_zz=f_zz, f_ss=f_ss, f_zs=f_zs)
 
 
 def survival_ratio(z: ArrayLike, params: ModelParams) -> ArrayLike:

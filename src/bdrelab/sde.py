@@ -32,18 +32,15 @@ sigma_b = 0 the population equation is reducible (d log Z = dS exactly)
 and the engine uses the exact multiplicative update, so Z_t e^{-S_t}
 stays constant on the grid to machine precision.
 
-Every kernel of (Z, S) advances its paths with one full-truncation Euler step,
-`_euler_step`: a negative population proposal is clamped to 0, except in
-the survival-conditioned variants, which retry it as two half steps with
-fresh noise. The `simulate_*` loops use a scalar twin of the step,
-`_path_step`, bound once per path to its kind, parameters and dt, because
-one path at a time pays numpy's per-call cost on every operation; the
-model's drifts keep the path's Python float a float for it. Per step,
-counting each path's stream, draws and arrays (60 paths, dt 0.01, horizon
-5, median of five alternating runs on a 2-core Xeon, Python 3.11, numpy
-2.4): bdre 0.88 us against 1.74 us with a twin that tested its kind and
-built numpy 0-d arrays every step, cond-extinction 2.77 against 12.7,
-cond-survival 4.62 against 14.2, quenched 0.94 against 3.13.
+Every kernel of (Z, S) advances its paths with one full-truncation Euler
+step, bound once per call by `_stepper`: a negative population proposal
+is clamped to 0, except in the survival-conditioned variants, which retry
+it as two half steps with fresh noise. The ensembles bind it on numpy
+arrays. The `simulate_*` loops bind it once per path on Python floats,
+because one path at a time pays numpy's per-call cost on every operation,
+and feed it the increments sqrt(dt) * normal that the ensembles form, so a
+path steps to the bits of a one-element vector on the same normals (with
+sigma_b = 0, math.exp may differ from numpy's in the last bit).
 
 `absorbed_fraction` reads Z alone, so it runs the Z-marginal of the
 unconditioned step, `_z_chain_step`, one normal per step, not two, with
@@ -175,46 +172,67 @@ def _drifts(kind, params: ModelParams):
     return lambda z: model(z, params)
 
 
-def _euler_step(kind, params: ModelParams, Z, dt: float, dwe, dwb):
-    """One full-truncation Euler step of a path vector; returns (Z, ds).
+def _stepper(kind, params: ModelParams, xp):
+    """The Euler step of a kind, bound once: step(Z, dt, dwe, dwb) -> (prop, ds).
 
-    kind is a _Variant or a QuenchedVariant, Z is nonnegative and ds is
-    the environment increment the step used. A sigma_b = 0 population
-    takes the exact multiplicative update. The survival-conditioned kinds
-    return the raw proposal, which _guarded_step retries where it is not
-    positive.
+    kind is a _Variant or a QuenchedVariant; xp is np for a path vector Z
+    or math for one path's float. dwe and dwb are Brownian increments and
+    ds is the environment increment the step used. A sigma_b = 0
+    population takes the exact multiplicative update. The proposal is raw:
+    callers clamp it at 0, or retry it where it is not positive for the
+    survival-conditioned kinds (_guarded_step).
     """
-    dz, d_s = _drifts(kind, params)(Z)
-    ds = d_s * dt + params.sigma_e * dwe
+    drift = _drifts(kind, params)
+    se, sb = params.sigma_e, params.sigma_b
+    sqrt, exp = xp.sqrt, xp.exp
     if type(kind) is QuenchedVariant:
-        if params.sigma_b == 0:
-            return Z * np.exp((dz - 0.5 * params.sigma_e**2) * dt + params.sigma_e * dwe), ds
-        prop = Z + dz * Z * dt + params.sigma_e * Z * dwe + params.sigma_b * np.sqrt(Z) * dwb
+        if sb == 0:
+            half_se2 = 0.5 * se**2
+
+            def step(Z, dt, dwe, dwb):
+                dz, d_s = drift(Z)
+                return Z * exp((dz - half_se2) * dt + se * dwe), d_s * dt + se * dwe
+
+        else:
+
+            def step(Z, dt, dwe, dwb):
+                dz, d_s = drift(Z)
+                prop = Z + dz * Z * dt + se * Z * dwe + sb * sqrt(Z) * dwb
+                return prop, d_s * dt + se * dwe
+
+    elif sb == 0:
+
+        def step(Z, dt, dwe, dwb):
+            dz, d_s = drift(Z)
+            ds = d_s * dt + se * dwe
+            return Z * exp(ds), ds
+
     else:
-        if params.sigma_b == 0:
-            return Z * np.exp(ds), ds
-        prop = Z + dz * dt + Z * ds + params.sigma_b * np.sqrt(Z) * dwb
-    if kind in _GUARDED:
-        return prop, ds
-    return np.maximum(prop, 0.0), ds
+
+        def step(Z, dt, dwe, dwb):
+            dz, d_s = drift(Z)
+            ds = d_s * dt + se * dwe
+            return Z + dz * dt + Z * ds + sb * sqrt(Z) * dwb, ds
+
+    return step
 
 
-def _guarded_step(kind, params: ModelParams, Z, S, dt: float, dwe, dwb, g, depth: int = 0):
-    """_euler_step of a survival-conditioned kind with rejection; returns (Z, S).
+def _guarded_step(step, Z, S, dt: float, dwe, dwb, g, depth: int = 0):
+    """A bound array step of a survival-conditioned kind with rejection; returns (Z, S).
 
     Paths whose proposal is at or below 0 take the step as two half steps
     instead (_halve). Z stays positive and S adds the increments of the
     steps actually taken.
     """
-    prop, ds = _euler_step(kind, params, Z, dt, dwe, dwb)
+    prop, ds = step(Z, dt, dwe, dwb)
     S_next = S + ds
     bad = np.flatnonzero(prop <= 0)
     if bad.size:
-        prop[bad], S_next[bad] = _halve(kind, params, Z[bad], S[bad], dt, g, depth + 1)
+        prop[bad], S_next[bad] = _halve(step, Z[bad], S[bad], dt, g, depth + 1)
     return prop, S_next
 
 
-def _halve(kind, params: ModelParams, Z, S, dt: float, g, depth: int):
+def _halve(step, Z, S, dt: float, g, depth: int):
     """Two guarded half steps with fresh noise in place of a rejected step.
 
     A proposal at or below 0 is rejected, not clamped, because the true
@@ -232,89 +250,25 @@ def _halve(kind, params: ModelParams, Z, S, dt: float, g, depth: int):
     for _ in range(2):
         dwe = sq * g.standard_normal(Z.size)
         dwb = sq * g.standard_normal(Z.size)
-        Z, S = _guarded_step(kind, params, Z, S, half, dwe, dwb, g, depth)
+        Z, S = _guarded_step(step, Z, S, half, dwe, dwb, g, depth)
     return Z, S
-
-
-def _path_step(kind, params: ModelParams, dt: float):
-    """The Euler step of one path, bound once: step(z, ne, nb) -> (prop, ds).
-
-    The scalar twin of _euler_step for the simulate_* loops, from raw
-    normals ne, nb: it returns the raw proposal, which the loop clamps or
-    retries. The kind is tested here once per path, not once per step,
-    and the constants are hoisted where Python's left-to-right association
-    leaves the rounding as it was. Several noise terms round in another
-    order than in _euler_step (the coefficient times sqrt(dt) first, then
-    the normal); that order fixes the last bits of every recorded path, so
-    keep it.
-    """
-    drift = _drifts(kind, params)
-    se, sb = params.sigma_e, params.sigma_b
-    sqdt = math.sqrt(dt)
-    sqrt, exp = math.sqrt, math.exp
-    if type(kind) is QuenchedVariant:
-        if sb == 0:
-            half_se2 = 0.5 * se**2
-
-            def step(z, ne, nb):
-                dz, d_s = drift(z)
-                dwe = sqdt * ne
-                return z * exp((dz - half_se2) * dt + se * dwe), d_s * dt + se * dwe
-
-        else:
-
-            def step(z, ne, nb):
-                dz, d_s = drift(z)
-                dwe = sqdt * ne
-                prop = z + dz * z * dt + se * z * dwe + sb * sqrt(z) * sqdt * nb
-                return prop, d_s * dt + se * dwe
-
-    elif kind in _GUARDED:
-        if sb == 0:
-
-            def step(z, ne, nb):
-                dz, d_s = drift(z)
-                ds = d_s * dt + se * (sqdt * ne)
-                return z * exp(ds), ds
-
-        else:
-
-            def step(z, ne, nb):
-                dz, d_s = drift(z)
-                ds = d_s * dt + se * (sqdt * ne)
-                return z + dz * dt + z * ds + sb * sqrt(z) * (sqdt * nb), ds
-
-    else:
-        se_sqdt = se * sqdt
-        if sb == 0:
-
-            def step(z, ne, nb):
-                dz, d_s = drift(z)
-                ds = d_s * dt + se_sqdt * ne
-                return z * exp(ds), ds
-
-        else:
-
-            def step(z, ne, nb):
-                dz, d_s = drift(z)
-                ds = d_s * dt + se_sqdt * ne
-                return z + dz * dt + z * ds + sb * sqrt(z) * sqdt * nb, ds
-
-    return step
 
 
 def _simulate(kind, params: ModelParams, cfg: SchemeConfig, rng: RngStream) -> Path:
     """One path of any step kind: recording, absorption and guard.
 
-    An absorbed path keeps stepping at Z = 0, where the step leaves Z at 0
+    The path steps Python floats through the math binding of _stepper, on
+    increments sqrt(dt) * normal rounded as the ensembles round theirs. An
+    absorbed path keeps stepping at Z = 0, where the step leaves Z at 0
     and S moves with the environment alone.
     """
     n_steps = cfg.n_steps
     dt = cfg.horizon / n_steps
-    step = _path_step(kind, params, dt)
+    step = _stepper(kind, params, math)
     g = rng.generator()
-    ne_all, nb_all = g.standard_normal((n_steps, 2)).T.tolist()
+    dwe_all, dwb_all = (g.standard_normal((n_steps, 2)) * math.sqrt(dt)).T.tolist()
     guarded = kind in _GUARDED
+    retry = _stepper(kind, params, np) if guarded else None
     absorbing = params.sigma_b > 0 and not guarded
     threshold = cfg.absorption_threshold
 
@@ -323,11 +277,11 @@ def _simulate(kind, params: ModelParams, cfg: SchemeConfig, rng: RngStream) -> P
     absorbed_at: Optional[float] = None
     zs = [z]
     ss = [s]
-    for ne, nb in zip(ne_all, nb_all):
-        prop, ds = step(z, ne, nb)
+    for dwe, dwb in zip(dwe_all, dwb_all):
+        prop, ds = step(z, dt, dwe, dwb)
         if guarded and prop <= 0:
             # standard_normal(1) draws what standard_normal() would
-            zv, sv = _halve(kind, params, np.array([z]), np.array([s]), dt, g, 1)
+            zv, sv = _halve(retry, np.array([z]), np.array([s]), dt, g, 1)
             z, s = float(zv[0]), float(sv[0])
         else:
             # full truncation; a guarded proposal that gets here is positive
@@ -493,6 +447,7 @@ def _ensemble(kind, params, cfg, checkpoints, n, seed, threads) -> dict:
     dt = cfg.horizon / n_steps
     sqdt = math.sqrt(dt)
     cps = _checkpoint_steps(checkpoints, dt, n_steps)
+    step = _stepper(kind, params, np)
     guarded = kind in _GUARDED
     threshold = cfg.absorption_threshold
     absorbing = threshold > 0 and params.sigma_b > 0
@@ -507,9 +462,10 @@ def _ensemble(kind, params, cfg, checkpoints, n, seed, threads) -> dict:
             dwe = sqdt * g.standard_normal(b)
             dwb = sqdt * g.standard_normal(b)
             if guarded:
-                Z, S = _guarded_step(kind, params, Z, S, dt, dwe, dwb, g)
+                Z, S = _guarded_step(step, Z, S, dt, dwe, dwb, g)
             else:
-                Z, ds = _euler_step(kind, params, Z, dt, dwe, dwb)
+                prop, ds = step(Z, dt, dwe, dwb)
+                Z = np.maximum(prop, 0.0)
                 if absorbing:
                     Z[Z <= threshold] = 0.0
                 S = S + ds
@@ -612,10 +568,11 @@ def coupled_refinement_means(
     dt_f = dt_c / 2.0
     sq_f = math.sqrt(dt_f)
     cps = _checkpoint_steps(checkpoints, dt_c, n_coarse)
+    step = _stepper(_Variant.BDRE, params, np)
 
     def advance(Z, S, z_dt, dwe, dwb):
-        Z, ds = _euler_step(_Variant.BDRE, params, Z, z_dt, dwe, dwb)
-        return Z, S + ds
+        prop, ds = step(Z, z_dt, dwe, dwb)
+        return np.maximum(prop, 0.0), S + ds
 
     def worker(g, b: int):
         Zf = np.full(b, float(params.z0))
@@ -714,8 +671,8 @@ def _roulette_rung(params: ModelParams, escape: float) -> float:
 def _z_chain_step(params: ModelParams, dt: float):
     """The unconditioned Euler step of Z alone, bound once: step(Z, dw, tmp).
 
-    Given Z, the noise sigma_e Z dW_e + sigma_b sqrt(Z) dW_b of
-    _euler_step(_Variant.BDRE, ...) is exactly N(0, (sigma_e^2 Z^2 + sigma_b^2 Z) dt),
+    Given Z, the noise sigma_e Z dW_e + sigma_b sqrt(Z) dW_b of the
+    unconditioned _stepper is exactly N(0, (sigma_e^2 Z^2 + sigma_b^2 Z) dt),
     so Z + c Z dt + sqrt(Z (sigma_e^2 Z + sigma_b^2)) sqrt(dt) xi, with xi
     standard normal and c = alpha + sigma_e^2 / 2, has the same transition
     law from one normal instead of two. step(Z, sqrt(dt) * xi, tmp) writes

@@ -11,7 +11,9 @@ import pytest
 from bdrelab import cli
 from bdrelab.cli import main
 from bdrelab.config import DEFAULT_SEED, Experiment, ExperimentConfig, config_hash, write_config
+from bdrelab.errors import NumericalFailure
 from bdrelab.results import read_results_csv
+from bdrelab.sde import simulate_bdre
 from bdrelab.verify import VerifyReport
 
 
@@ -185,23 +187,23 @@ def test_simulate_writes_deterministic_paths(tmp_path, capsys):
 # a change meant to move bytes updates these and says so.
 PATHS_CSV_SHA256 = [
     ("--kind bdre --dt 0.01 --horizon 5 --n-paths 40 --seed 1",
-     "09a88b635138377922873a3576018990c37436fac682347c0d15ae6471f25654"),
+     "ebf390a2ad4dd574bae9aa0f62e0f8546b5bdcbd7c0f964d787bb58e6bcf93d1"),
     ("--kind cond-extinction --dt 0.01 --horizon 5 --n-paths 40 --seed 1",
-     "77ca52ac144a337ab67d191908f8c7c3ddaddbb3ec758511822cc27d54ed28e3"),
+     "da5f2169d97beb90d8920cefb5b0f7bb9998a1d5691bd8ba7c47ce9808b439cf"),
     ("--kind cond-survival --dt 0.01 --horizon 5 --n-paths 40 --seed 1",
      "110d2d49d2fa3d02fc388987d7befac326b80481b7dbcd2b500c765e73150646"),
     ("--kind quenched --dt 0.01 --horizon 5 --n-paths 40 --seed 1",
-     "4b185e5179b66756476009dd5e47a856ed67d7d82b5eda0b276805fc45bec952"),
+     "c0ab44e16d7b736faceb42e96d29cdd4f0946aca53430bb32ab39ad0666b552e"),
     ("--kind bpre --dt 0.01 --horizon 5 --n-paths 40 --seed 1",
      "1328d0474930ae817757b41ae5de278e5e2d94d211c03d5ad69e5a61e4267be5"),
     ("--kind bdre --dt 0.01 --horizon 5 --n-paths 40 --seed 2",
-     "ce26d36771cc19b3b8e57ca0f24dd7ee5c9b75a78048233a87cb4b6121065955"),
+     "e17b17a927dfa7653ed22efc3550308ffde23a30861c78caf4f4883b1b19e485"),
     ("--kind cond-extinction --dt 0.01 --horizon 5 --n-paths 40 --seed 2",
-     "ff984e4db0df0def3723168ec114d153bf91eca305e944e2d6833e8cfbf9684c"),
+     "14875133910a819eecd0799655c022591d96b5c753423ed4b69a4e440078d0a0"),
     ("--kind cond-survival --dt 0.01 --horizon 5 --n-paths 40 --seed 2",
      "339b88b15ece80dfe30a1d0029feae180f8ecd9325b87b10b8f1f4b13714a39e"),
     ("--kind quenched --dt 0.01 --horizon 5 --n-paths 40 --seed 2",
-     "7b2fe244e1c80b81132bff610c7784331bdaa2ab58525546b6eca0b78440f220"),
+     "8300701517e10f40ee085fccd5a39048819f68a655ac31fe54b0147b736935d0"),
     ("--kind bpre --dt 0.01 --horizon 5 --n-paths 40 --seed 2",
      "9cec6a007827fa05a09db47027465a9e4f5c0b85b25b49b94df24f47d851c5c7"),
     ("--kind cond-survival --dt 0.25 --horizon 5 --n-paths 40 --seed 7",
@@ -216,6 +218,25 @@ def test_simulate_paths_csv_bytes_are_pinned(argv, digest, tmp_path, capsys):
     code, _, _ = run(capsys, ["simulate", *argv.split(), "--output-dir", str(tmp_path)])
     assert code == 0
     assert hashlib.sha256((tmp_path / "paths.csv").read_bytes()).hexdigest() == digest
+
+
+def test_a_refused_simulate_run_leaves_no_paths_file(tmp_path, capsys, monkeypatch):
+    # refused at the first step: extinction conditioning needs sigma_e > 0
+    code, _, _ = run(capsys, ["simulate", "--kind", "cond-extinction", "--sigma-e", "0",
+                              "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+    # a numerical failure after two paths are written
+    def third_path_fails(params, scheme, rng):
+        if rng.stream_index == 2:
+            raise NumericalFailure("step-halving exhausted")
+        return simulate_bdre(params, scheme, rng)
+
+    monkeypatch.setattr(cli, "simulate_bdre", third_path_fails)
+    code, _, _ = run(capsys, ["simulate", "--n-paths", "4", "--output-dir", str(tmp_path)])
+    assert code == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_rejects_bad_path_count(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bdrelab.model import (
     DriftPair,
+    FunctionBundle,
     ModelParams,
     QuenchedVariant,
     Regime,
@@ -18,7 +19,6 @@ from bdrelab.model import (
     drift_conditioned_extinction,
     drift_conditioned_survival,
     extinction_probability,
-    finite_difference_bundle,
     generator_apply,
     quenched_drift_coefficient,
     rao_blackwell_se_ratio,
@@ -106,8 +106,6 @@ def test_generator_annihilates_scale_functions():
 
 
 def test_generator_not_zero_on_non_harmonic_function():
-    from bdrelab.model import FunctionBundle
-
     f = FunctionBundle(
         f=lambda z, s: z**2,
         f_z=lambda z, s: 2 * z,
@@ -117,6 +115,29 @@ def test_generator_not_zero_on_non_harmonic_function():
         f_zs=lambda z, s: 0.0,
     )
     assert abs(generator_apply(f, 1.0, 0.0, STD)) > 0.1
+
+
+def finite_difference_bundle(f, h: float = 1e-5) -> FunctionBundle:
+    """Central-difference derivative bundle for a smooth f."""
+
+    def f_z(z, s):
+        return (f(z + h, s) - f(z - h, s)) / (2 * h)
+
+    def f_s(z, s):
+        return (f(z, s + h) - f(z, s - h)) / (2 * h)
+
+    def f_zz(z, s):
+        return (f(z + h, s) - 2 * f(z, s) + f(z - h, s)) / h**2
+
+    def f_ss(z, s):
+        return (f(z, s + h) - 2 * f(z, s) + f(z, s - h)) / h**2
+
+    def f_zs(z, s):
+        return (
+            f(z + h, s + h) - f(z + h, s - h) - f(z - h, s + h) + f(z - h, s - h)
+        ) / (4 * h**2)
+
+    return FunctionBundle(f=f, f_z=f_z, f_s=f_s, f_zz=f_zz, f_ss=f_ss, f_zs=f_zs)
 
 
 def test_analytic_derivatives_match_finite_differences():

@@ -32,10 +32,10 @@ from bdrelab.sde import (
     _bridge_cap,
     _bridge_jump,
     _escape_level,
-    _euler_step,
     _guarded_step,
     _halve,
     _roulette_rung,
+    _stepper,
     _stratum_weights,
     _Variant,
     _window_normals,
@@ -98,6 +98,60 @@ def test_conditioned_variants_run_and_tag_paths():
     ps = simulate_conditioned_survival(STD, CFG, RngStream(7, 1))
     assert pe.model_tag != ps.model_tag
     assert np.all(ps.z_values > 0.0)  # survival conditioning never absorbs
+
+
+_SIMULATED_KINDS = [
+    (_Variant.BDRE, simulate_bdre),
+    (_Variant.COND_EXTINCTION, simulate_conditioned_extinction),
+    (_Variant.COND_SURVIVAL, simulate_conditioned_survival),
+    *(
+        (v, lambda p, c, r, v=v: simulate_quenched(p, c, r, v))
+        for v in QuenchedVariant
+    ),
+]
+
+
+def _one_element_replay(kind, params, cfg, stream):
+    """(z, s) on the grid from the array step on a one-element vector.
+
+    The path's normals come from the (n_steps, 2) block that a simulate_*
+    call draws, scaled by sqrt(dt) in one multiply; the survival-conditioned
+    kinds retry through _guarded_step on the same generator.
+    """
+    n_steps = cfg.n_steps
+    dt = cfg.horizon / n_steps
+    step = _stepper(kind, params, np)
+    g = stream.generator()
+    dw = g.standard_normal((n_steps, 2)) * math.sqrt(dt)
+    guarded = kind in (_Variant.COND_SURVIVAL, QuenchedVariant.COND_SURVIVAL)
+    Z, S = np.array([params.z0]), np.zeros(1)
+    zs, ss = [Z[0]], [S[0]]
+    for k in range(n_steps):
+        dwe, dwb = dw[k, :1], dw[k, 1:]
+        if guarded:
+            Z, S = _guarded_step(step, Z, S, dt, dwe, dwb, g)
+        else:
+            prop, ds = step(Z, dt, dwe, dwb)
+            Z, S = np.maximum(prop, 0.0), S + ds
+            Z[Z <= cfg.absorption_threshold] = 0.0
+        zs.append(Z[0])
+        ss.append(S[0])
+    return np.array(zs), np.array(ss)
+
+
+@pytest.mark.parametrize("kind,simulate", _SIMULATED_KINDS, ids=lambda k: getattr(k, "value", ""))
+@pytest.mark.parametrize("params", [STD, ModelParams(alpha=0.7, sigma_e=1.3, sigma_b=0.9, z0=1.0)])
+@pytest.mark.parametrize("cfg", [CFG, SchemeConfig(dt=0.2, horizon=4.0)])
+def test_a_simulated_path_is_the_array_step_on_one_element(kind, simulate, params, cfg):
+    # one Euler step for paths and ensembles: a simulate_* path equals, bit
+    # for bit, the numpy binding run on a one-element vector fed the same
+    # increments; sigma_b = 0 is left out, where math.exp and np.exp may
+    # differ in the last bit; at dt 0.2 the second point retries guarded steps
+    for i in range(3):
+        path = simulate(params, cfg, RngStream(29, i))
+        z, s = _one_element_replay(kind, params, cfg, RngStream(29, i))
+        assert np.array_equal(path.z_values, z)
+        assert np.array_equal(path.s_values, s)
 
 
 def test_quenched_environment_sign_convention():
@@ -246,9 +300,8 @@ def test_survival_guard_retries_with_half_steps_and_carries_s():
         return zi + pair.drift_z * h + zi * ds + STD.sigma_b * math.sqrt(zi) * wb, si + ds
 
     assert step(0.05, 0.1, dt, 0.1, -3.0)[0] <= 0 and step(0.02, 0.3, dt, 0.1, -3.0)[0] <= 0
-    got_z, got_s = _guarded_step(
-        _Variant.COND_SURVIVAL, STD, z, s, dt, dwe, dwb, np.random.default_rng(5)
-    )
+    bound = _stepper(_Variant.COND_SURVIVAL, STD, np)
+    got_z, got_s = _guarded_step(bound, z, s, dt, dwe, dwb, np.random.default_rng(5))
 
     # hand replay: the two rejected paths take two half steps each, drawing
     # environment noise for both, then branching noise for both, per half
@@ -266,7 +319,7 @@ def test_survival_guard_retries_with_half_steps_and_carries_s():
         assert got_z[i] == pytest.approx(want[i][0], rel=1e-14)
         assert got_s[i] == pytest.approx(want[i][1], rel=1e-14)
     with pytest.raises(NumericalFailure):
-        _halve(_Variant.COND_SURVIVAL, STD, z, s, dt, g, MAX_HALVINGS + 1)
+        _halve(bound, z, s, dt, g, MAX_HALVINGS + 1)
 
 
 def test_ensemble_checkpoint_must_sit_on_grid():
@@ -368,7 +421,7 @@ def test_z_chain_step_is_the_euler_step_on_its_combined_noise():
     g = np.random.default_rng(59)
     Z = np.exp(g.uniform(math.log(0.5), math.log(50.0), 1000))
     dwe, dwb = math.sqrt(dt) * np.clip(g.standard_normal((2, 1000)), -3.0, 3.0)
-    want, _ = _euler_step(_Variant.BDRE, params, Z, dt, dwe, dwb)
+    want, _ = _stepper(_Variant.BDRE, params, np)(Z, dt, dwe, dwb)
     xi = (params.sigma_e * Z * dwe + params.sigma_b * np.sqrt(Z) * dwb) / np.sqrt(
         (params.sigma_e**2 * Z**2 + params.sigma_b**2 * Z) * dt
     )
