@@ -33,7 +33,6 @@ from .config import (
 from .errors import ConfigError, NotComputableError, NumericalFailure
 from .estimators import (
     ExtinctionMethod,
-    Functional,
     SurvivalRoute,
     conditioned_law_equivalence_test,
     estimate_conditioned_survival,
@@ -286,9 +285,8 @@ def _cmd_estimate(args) -> int:
         routes = tuple(SurvivalRoute(r) for r in cfg.routes) or tuple(SurvivalRoute)
         for j, route in enumerate(routes):
             for t in cfg.t_grid:
-                run_cfg = replace(cfg.scheme, horizon=t)
                 est = estimate_conditioned_survival(
-                    cfg.model, t, route, cfg.n, run_cfg, cfg.seed + j, threads=threads
+                    cfg.model, t, route, cfg.n, cfg.scheme, cfg.seed + j, threads=threads
                 )
                 records.append(_rec(cfg, f"cond_survival.{route.value}.t={t:g}",
                                     est.mean, est.std_error, est.n, None,
@@ -297,10 +295,10 @@ def _cmd_estimate(args) -> int:
         cps = [t for t in cfg.t_grid if t <= cfg.scheme.horizon]
         if not cps:
             raise ConfigError("martingale experiment needs t_grid points within the horizon")
-        for functional in Functional:
+        ests = martingale_test(cfg.model, cps, cfg.n, cfg.scheme, cfg.seed, threads=threads)
+        for functional, row in ests.items():
             ref = functional_reference(functional, cfg.model)
-            for est in martingale_test(cfg.model, functional, cps, cfg.n,
-                                       cfg.scheme, cfg.seed, threads=threads):
+            for est in row:
                 records.append(_rec(cfg, f"martingale.{est.method_tag}", est.mean,
                                     est.std_error, est.n, ref, Provenance.SIMULATION))
     elif exp is Experiment.LAPLACE:
@@ -313,8 +311,7 @@ def _cmd_estimate(args) -> int:
                                 Provenance.QUADRATURE, pt.within_3se))
     elif exp is Experiment.LAW_EQUIVALENCE:
         t = cfg.t_grid[0]
-        run_cfg = replace(cfg.scheme, horizon=t)
-        ks = conditioned_law_equivalence_test(cfg.model, t, cfg.n, run_cfg,
+        ks = conditioned_law_equivalence_test(cfg.model, t, cfg.n, cfg.scheme,
                                               cfg.seed, threads=threads)
         records.append(_rec(cfg, f"law_equivalence.ks_statistic.t={t:g}", ks.statistic,
                             None, ks.n_x, ks.critical_1pct, Provenance.REFERENCE_LAW,
@@ -368,7 +365,7 @@ def _cmd_specfun(args) -> int:
                             1, 1.0 / math.sqrt(2.0 * math.pi), Provenance.QUADRATURE))
     if args.decay_constant:
         regime = classify_regime(cfg.model)
-        value = theorem1_constant(cfg.model, regime, cfg.model.z0, DEFAULT_QUAD)
+        value = theorem1_constant(cfg.model, cfg.model.z0, DEFAULT_QUAD)
         records.append(_rec(cfg, f"decay_level_constant.{regime.value}", value, None,
                             1, None, Provenance.CLOSED_FORM))
     if not records:

@@ -191,9 +191,8 @@ def environment_survival_curve(
     tilt = theta samples S with drift mu + theta sigma_e^2 instead and
     multiplies each path's value at t by the exact likelihood ratio
     exp((theta mu + theta^2 sigma_e^2 / 2) t - theta S_t), so the mean is
-    the untilted one and only the variance changes. tilt = 0 forms no
-    weight and draws, steps and sums exactly as without the option. The
-    only approximation either way is the trapezoid rule for I_t.
+    the untilted one and only the variance changes. The only
+    approximation is the trapezoid rule for I_t.
 
     antithetic = True runs the environments in antithetic pairs (see
     _environment_batches), each member weighted by its own likelihood
@@ -217,11 +216,10 @@ def environment_survival_curve(
             # I_0 = 0: survival is certain for z > 0, extinction for z = 0
             return _sums(np.full(i_t.shape, float((z > 0) == survival)), antithetic)
         q = -np.expm1(-z / i_t) if survival else np.exp(-z / i_t)
-        if theta:
-            q *= np.exp(log_mgf * t - theta * s_t)
+        q *= np.exp(log_mgf * t - theta * s_t)
         return _sums(q, antithetic)
 
-    stepped = replace(params, alpha=params.alpha + theta * params.sigma_e**2) if theta else params
+    stepped = replace(params, alpha=params.alpha + theta * params.sigma_e**2)
     parts = _environment_batches(
         stepped, checkpoints, dt, n, seed, threads, params.sigma_b**2 / 2.0, reduce, antithetic
     )

@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .envexact import environment_laplace, environment_survival_curve
 from .model import (
@@ -319,24 +318,24 @@ def functional_reference(functional: Functional, params: ModelParams) -> float:
 
 def martingale_test(
     params: ModelParams,
-    functional: Functional,
     t_checkpoints: Sequence[float],
     n: int,
     cfg: SchemeConfig,
     seed: int,
     threads: int = 1,
-) -> list[MCEstimate]:
-    """Ensemble means of a conserved functional at several checkpoints."""
+) -> dict[Functional, list[MCEstimate]]:
+    """Ensemble means of every conserved functional at several checkpoints.
+
+    One ensemble serves all three functionals; each gets its estimates in
+    checkpoint order.
+    """
     cps = sorted(float(t) for t in t_checkpoints)
     run_cfg = replace(cfg, horizon=max(cps))
     means = ensemble_functional_means(params, run_cfg, cps, n, seed, threads=threads)
-    out = []
-    for t in cps:
-        mean, se = means[t][functional.value]
-        out.append(
-            MCEstimate(mean=mean, std_error=se, n=n, method_tag=f"{functional.value}@t={t:g}")
-        )
-    return out
+    return {
+        f: [MCEstimate(*means[t][f.value], n=n, method_tag=f"{f.value}@t={t:g}") for t in cps]
+        for f in Functional
+    }
 
 
 def laplace_limit_test(
@@ -396,6 +395,8 @@ def conditioned_law_equivalence_test(
     equal), then compares marginals. With negative_control the
     second sample keeps +alpha, which must be detectably different.
     """
+    from scipy.stats import ks_2samp  # here, so that import bdrelab skips scipy.stats
+
     if params.alpha <= 0:
         raise ValueError("conditioning on extinction requires alpha > 0")
     if n < 1000:

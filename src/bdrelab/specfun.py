@@ -459,11 +459,10 @@ def laplace_Y(
 
 def theorem1_constant(
     params: ModelParams,
-    regime: Regime,
     z: float,
     q: QuadratureConfig = DEFAULT_QUAD,
 ) -> float:
-    """Leading constant of the conditioned-survival decay, per regime.
+    """Leading constant of the conditioned-survival decay in the regime of params.
 
     Intermediate: (2 z sigma_e / sigma_b^2) Int a psi(a) da.
     Strong: (z sigma_e^2 / sigma_b^2) E[1/G_nu] with nu = 2(alpha/sigma_e^2 - 1);
@@ -472,17 +471,13 @@ def theorem1_constant(
     constant integrates against phi_beta is never specified; only the
     weak decay exponents are verifiable.
     """
+    regime = classify_regime(params)
     if regime not in (
         Regime.WEAKLY_SUPERCRITICAL,
         Regime.INTERMEDIATE_SUPERCRITICAL,
         Regime.STRONGLY_SUPERCRITICAL,
     ):
         raise ValueError("theorem1_constant applies to supercritical regimes only")
-    actual = classify_regime(params)
-    if actual is not regime:
-        raise ValueError(
-            f"parameters classify as {actual.value}, not {regime.value}"
-        )
     if params.sigma_b <= 0 or z < 0:
         raise ValueError("requires sigma_b > 0 and z >= 0")
     if regime is Regime.WEAKLY_SUPERCRITICAL:

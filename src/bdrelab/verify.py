@@ -6,9 +6,10 @@ equivalence, the three decay rates, special-function cross-routes, the
 limit-law Laplace suite, the exponential-functional law selection, and
 the discrete-to-continuum bridge), collects every result as a
 ResultRecord, and reports pass/fail per check. Each check only returns
-its records and notes; run_verify walks one table of the checks, times
-each, and passes a check by a single rule: every gated record passes
-(a record whose pass is None is ungated). A tenth property, byte
+its records; run_verify walks one table of the checks, times each, and
+passes a check by a single rule: every gated record passes (a record
+whose pass is None is ungated). verify.log and the summary print each
+record by one formatter, _record_line. A tenth property, byte
 reproducibility of the written outputs, is checked by running verify
 twice and comparing files, and the test suite pins the sha256 of each
 data file at the default seed; the writer here is deterministic by
@@ -39,9 +40,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.special import kv as _bessel_kv
-from scipy.stats import gamma as _gamma_dist
-from scipy.stats import invgamma as _invgamma_dist
-from scipy.stats import kstest as _kstest
 
 from .config import DEFAULT_SEED, ExperimentConfig, config_hash
 from .envexact import dufresne_samples, environment_survival_curve
@@ -174,7 +172,6 @@ class CriterionOutcome:
     passed: bool
     records: list
     duration_s: float
-    notes: list
     sub_durations: dict = field(default_factory=dict)
 
 
@@ -198,6 +195,8 @@ class _Ctx:
         self.coverage: set[str] = set()
         self.rate_curves: dict = {}
         self.rate_fits: dict = {}
+        # sub-timings of the check that is running, by label
+        self.sub_durations: dict = {}
 
 
 def _seed(ctx: _Ctx, k: int, sub: int = 0) -> int:
@@ -222,7 +221,7 @@ def _generator_term_scale(bundle, z, s, p: ModelParams):
     return sum(np.abs(np.asarray(t, dtype=float)) for t in terms)
 
 
-def _criterion_1(ctx: _Ctx) -> tuple[list, list]:
+def _criterion_1(ctx: _Ctx) -> list:
     g = np.random.default_rng(np.random.SeedSequence((_seed(ctx, 1), 0)))
     n_params, n_states = 100, 100
     worst_u = 0.0
@@ -247,20 +246,19 @@ def _criterion_1(ctx: _Ctx) -> tuple[list, list]:
                 worst_v = max(worst_v, m)
     ctx.coverage.update({"generator_apply", "scale_U", "scale_V"})
     tol = 1e-8
-    records = [
+    return [
         ctx.rec("harmonicity.U.max_rel_residual", worst_u, None, n_params * n_states,
                 0.0, Provenance.CLOSED_FORM, worst_u <= tol),
         ctx.rec("harmonicity.V.max_rel_residual", worst_v, None, n_params * n_states,
                 0.0, Provenance.CLOSED_FORM, worst_v <= tol),
     ]
-    return records, [f"max relative residual: U {worst_u:.2e}, V {worst_v:.2e}"]
 
 
 # ---------------------------------------------------------------------------
 # criterion 2: extinction probability by three routes
 
 
-def _criterion_2(ctx: _Ctx) -> tuple[list, list, dict]:
+def _criterion_2(ctx: _Ctx) -> list:
     p = STANDARD
     closed = estimate_extinction(
         p, ExtinctionMethod.CLOSED_FORM, 1, 30.0,
@@ -273,14 +271,14 @@ def _criterion_2(ctx: _Ctx) -> tuple[list, list, dict]:
         SchemeConfig(dt=0.01, horizon=30.0),
         _seed(ctx, 2, 1), threads=ctx.threads,
     )
-    rb_s = time.perf_counter() - t0
+    ctx.sub_durations["rao_blackwell"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     pw = estimate_extinction(
         p, ExtinctionMethod.PATHWISE, 100_000, 30.0,
         SchemeConfig(dt=1e-3, horizon=30.0),
         _seed(ctx, 2, 2), threads=ctx.threads,
     )
-    pw_s = time.perf_counter() - t0
+    ctx.sub_durations["pathwise"] = time.perf_counter() - t0
     ctx.coverage.update(
         {"estimate_extinction", "extinction_probability", "rao_blackwell_se_ratio"}
     )
@@ -300,7 +298,7 @@ def _criterion_2(ctx: _Ctx) -> tuple[list, list, dict]:
     binomial_se = math.sqrt(pw.mean * (1.0 - pw.mean) / pw.n)
     ratio = binomial_se / rb.std_error
     se_over_binomial = pw.std_error / binomial_se
-    records = [
+    return [
         ctx.rec("extinction.closed_form", closed.mean, 0.0, 1, 0.25,
                 Provenance.CLOSED_FORM, abs(closed.mean - 0.25) < 1e-15),
         ctx.rec("extinction.rao_blackwell", rb.mean, rb.std_error, rb.n, 0.25,
@@ -323,13 +321,6 @@ def _criterion_2(ctx: _Ctx) -> tuple[list, list, dict]:
         ctx.rec("extinction.pathwise.se_over_binomial", se_over_binomial, None, 100_000, None,
                 Provenance.NONE, None),
     ]
-    notes = [
-        f"closed 0.25, RB {rb.mean:.5f} (se {rb.std_error:.5f}, {rb_s:.1f}s), "
-        f"pathwise {pw.mean:.5f} (se {pw.std_error:.5f}, {pw_s:.1f}s)",
-        f"max pairwise z {worst_z:.2f}; se ratio plain counting/RB {ratio:.2f}, "
-        f"pathwise se over binomial {se_over_binomial:.3f}",
-    ]
-    return records, notes, {"rao_blackwell": rb_s, "pathwise": pw_s}
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +335,7 @@ def _exact_v_se(p: ModelParams, t: float, n: int) -> float:
     return math.sqrt(var / n)
 
 
-def _criterion_3(ctx: _Ctx) -> tuple[list, list]:
+def _criterion_3(ctx: _Ctx) -> list:
     p = STANDARD
     n = 100_000
     cps = [0.5, 1.0, 2.0]
@@ -352,7 +343,6 @@ def _criterion_3(ctx: _Ctx) -> tuple[list, list]:
     data = coupled_refinement_means(p, cfg, cps, n, _seed(ctx, 3), threads=ctx.threads)
     refs = {f.value: functional_reference(f, p) for f in Functional}
     records = []
-    notes = []
     for t in cps:
         for name, ref in refs.items():
             fine_m, fine_se = data[t][name]["fine"]
@@ -370,21 +360,14 @@ def _criterion_3(ctx: _Ctx) -> tuple[list, list]:
                 ctx.rec(f"martingale.{name}.t={t:g}.refine_shift", diff_m, None, n, 0.0,
                         Provenance.SIMULATION, refine_ok)
             )
-            if not mean_ok or not refine_ok:
-                notes.append(
-                    f"{name} at t={t:g}: mean {fine_m:.4f} vs {ref:.4f} "
-                    f"(gate se {gate_se:.4f}), refine shift {diff_m:.2e}"
-                )
-    if not notes:
-        notes = ["all nine means hold; halving dt shifts every mean by far less than one combined se"]
-    return records, notes
+    return records
 
 
 # ---------------------------------------------------------------------------
 # criterion 4: conditioned law equals the negated-drift law
 
 
-def _criterion_4(ctx: _Ctx) -> tuple[list, list]:
+def _criterion_4(ctx: _Ctx) -> list:
     p = STANDARD
     cfg = SchemeConfig(dt=0.01, horizon=1.0)
     ks = conditioned_law_equivalence_test(p, 1.0, 10_000, cfg, _seed(ctx, 4), threads=ctx.threads)
@@ -392,7 +375,7 @@ def _criterion_4(ctx: _Ctx) -> tuple[list, list]:
         p, 1.0, 10_000, cfg, _seed(ctx, 4, 7), negative_control=True, threads=ctx.threads
     )
     ctx.coverage.add("conditioned_law_equivalence_test")
-    records = [
+    return [
         ctx.rec("law_equivalence.ks_statistic", ks.statistic, None, ks.n_x,
                 ks.critical_1pct, Provenance.REFERENCE_LAW, not ks.rejects),
         ctx.rec("law_equivalence.ks_pvalue", ks.p_value, None, ks.n_x, None,
@@ -400,18 +383,13 @@ def _criterion_4(ctx: _Ctx) -> tuple[list, list]:
         ctx.rec("law_equivalence.negative_control_statistic", ctrl.statistic, None,
                 ctrl.n_x, ctrl.critical_1pct, Provenance.REFERENCE_LAW, ctrl.rejects),
     ]
-    notes = [
-        f"matched laws: D {ks.statistic:.4f} vs critical {ks.critical_1pct:.4f} (p {ks.p_value:.3f})",
-        f"negative control: D {ctrl.statistic:.4f} rejects as it must",
-    ]
-    return records, notes
 
 
 # ---------------------------------------------------------------------------
 # criterion 5: the three decay rates
 
 
-def _criterion_5(ctx: _Ctx) -> tuple[list, list]:
+def _criterion_5(ctx: _Ctx) -> list:
     t_grid = (4.0, 6.0, 8.0, 10.0, 12.0)
     n = 100_000
     cases = [
@@ -420,7 +398,6 @@ def _criterion_5(ctx: _Ctx) -> tuple[list, list]:
         (2.0, 1.5, Regime.STRONGLY_SUPERCRITICAL),
     ]
     records = []
-    notes = []
     for i, (alpha, target, regime) in enumerate(cases):
         p = replace(STANDARD, alpha=alpha)
         pts = survival_points(
@@ -439,10 +416,6 @@ def _criterion_5(ctx: _Ctx) -> tuple[list, list]:
             ctx.rec(f"decay.alpha={alpha:g}.fit_rmse", fit.fit_rmse, None, n, None,
                     Provenance.REGRESSION, None)
         )
-        notes.append(
-            f"alpha={alpha:g}: fitted rate {fit.exponential_rate:.4f} vs {target:g} "
-            f"({'ok' if ok else 'OUT'}; power {fit.polynomial_power:g}, rmse {fit.fit_rmse:.3f})"
-        )
         # the tilted curve against one without the tilt, on fresh noise,
         # at a t where both resolve p(t)
         um, use = environment_survival_curve(
@@ -456,12 +429,8 @@ def _criterion_5(ctx: _Ctx) -> tuple[list, list]:
             ctx.rec(f"decay.alpha={alpha:g}.untilted_t=4", um, use, n, tm,
                     Provenance.SIMULATION, cross_ok)
         )
-        notes.append(
-            f"alpha={alpha:g}: untilted p(4) {um:.5f} vs tilted {tm:.5f} "
-            f"(z {(um - tm) / comb:+.2f}, {'ok' if cross_ok else 'OUT'})"
-        )
         if regime is Regime.STRONGLY_SUPERCRITICAL:
-            c_ref = theorem1_constant(p, regime, p.z0)
+            c_ref = theorem1_constant(p, p.z0)
             pm, pse = pts[12.0]
             level = math.exp(1.5 * 12.0) * pm
             level_se = math.exp(1.5 * 12.0) * pse
@@ -470,10 +439,6 @@ def _criterion_5(ctx: _Ctx) -> tuple[list, list]:
                 ctx.rec("decay.alpha=2.level_t=12", level, level_se, n, c_ref,
                         Provenance.PRINTED_CONSTANT, lok)
             )
-            notes.append(
-                f"strong level e^(1.5 t) p(t) at t=12: {level:.3f} +- {level_se:.3f} "
-                f"vs printed constant {c_ref:g} ({'ok' if lok else 'OUT: about 2x the printed value'})"
-            )
             # the same level read against the closed form from the tilt
             c_closed = strong_level_limit(p, p.z0)
             cok = abs(level - c_closed) <= 0.15 * c_closed
@@ -481,12 +446,8 @@ def _criterion_5(ctx: _Ctx) -> tuple[list, list]:
                 ctx.rec("decay.alpha=2.level_t=12.closed_form", level, level_se, n, c_closed,
                         Provenance.CLOSED_FORM, cok)
             )
-            notes.append(
-                f"the same level vs the closed form z sigma_e^2 nu / sigma_b^2 = {c_closed:g} "
-                f"({'ok' if cok else 'OUT'})"
-            )
         if regime is Regime.INTERMEDIATE_SUPERCRITICAL:
-            c_ref = theorem1_constant(p, regime, p.z0)
+            c_ref = theorem1_constant(p, p.z0)
             pm, pse = pts[12.0]
             level = math.exp(0.5 * 12.0) * math.sqrt(12.0) * pm
             level_se = math.exp(0.5 * 12.0) * math.sqrt(12.0) * pse
@@ -495,14 +456,14 @@ def _criterion_5(ctx: _Ctx) -> tuple[list, list]:
                         Provenance.QUADRATURE, None)
             )
     ctx.coverage.update({"theorem1_constant", "strong_level_limit"})
-    return records, notes
+    return records
 
 
 # ---------------------------------------------------------------------------
 # criterion 6: special functions by independent routes
 
 
-def _criterion_6(ctx: _Ctx) -> tuple[list, list]:
+def _criterion_6(ctx: _Ctx) -> list:
     q = DEFAULT_QUAD
     abscissae = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
     worst_psi = max(
@@ -519,7 +480,7 @@ def _criterion_6(ctx: _Ctx) -> tuple[list, list]:
         worst_phi = max(worst_phi, d)
     mig_ok = mean_inverse_gamma(2.0) == 1.0 and mean_inverse_gamma(1.0) == INFINITE
     ctx.coverage.update({"psi", "integral_a_psi", "phi_beta", "mean_inverse_gamma"})
-    records = [
+    return [
         ctx.rec("specfun.psi.max_rel_diff", worst_psi, None, len(abscissae), 0.0,
                 Provenance.CLOSED_FORM, worst_psi <= 1e-8),
         ctx.rec("specfun.integral_a_psi", moment, None, 1, moment_ref,
@@ -532,33 +493,24 @@ def _criterion_6(ctx: _Ctx) -> tuple[list, list]:
         ctx.rec("specfun.mean_inverse_gamma.spot", 1.0, None, 2, 1.0,
                 Provenance.CLOSED_FORM, mig_ok),
     ]
-    notes = [
-        f"psi worst rel diff {worst_psi:.2e}; moment {moment:.10f}; "
-        f"phi_beta worst rel diff {worst_phi:.2e} over nine (a, beta) pairs"
-    ]
-    return records, notes
 
 
 # ---------------------------------------------------------------------------
 # criterion 7: Laplace transform of the martingale limit
 
 
-def _criterion_7(ctx: _Ctx) -> tuple[list, list]:
+def _criterion_7(ctx: _Ctx) -> list:
     p = STANDARD
     cfg = SchemeConfig(dt=0.0025, horizon=20.0)
     points = laplace_limit_test(
         p, (0.5, 1.0, 2.0, 10.0), 20.0, 100_000, cfg, _seed(ctx, 7), threads=ctx.threads
     )
     ctx.coverage.update({"laplace_limit_test", "laplace_Y"})
-    records = []
-    notes = []
-    for pt in points:
-        records.append(
-            ctx.rec(f"laplace.lam={pt.lam:g}", pt.estimate.mean, pt.estimate.std_error,
-                    pt.estimate.n, pt.reference, Provenance.QUADRATURE, pt.within_3se)
-        )
-        if not pt.within_3se:
-            notes.append(f"lambda={pt.lam:g}: {pt.estimate.mean:.5f} vs {pt.reference:.5f} OUT")
+    records = [
+        ctx.rec(f"laplace.lam={pt.lam:g}", pt.estimate.mean, pt.estimate.std_error,
+                pt.estimate.n, pt.reference, Provenance.QUADRATURE, pt.within_3se)
+        for pt in points
+    ]
     inv_limit = laplace_Y(1e6, p.z0, p, Reading.INVERSE_GAMMA)
     ext = extinction_probability(p.z0, p)
     inv_ok = abs(inv_limit - ext) <= 1e-4
@@ -568,7 +520,7 @@ def _criterion_7(ctx: _Ctx) -> tuple[list, list]:
     printed_beta1 = laplace_Y(math.inf, 1.0, p_beta1, Reading.AS_PRINTED)
     bessel_ref = float(2.0 * _bessel_kv(1, 2.0))
     beta1_ok = abs(printed_beta1 - bessel_ref) <= 1e-8
-    records += [
+    return records + [
         ctx.rec("laplace.inverse_gamma_limit", inv_limit, None, 1, ext,
                 Provenance.CLOSED_FORM, inv_ok),
         ctx.rec("laplace.as_printed_limit", printed_limit, None, 1, ext,
@@ -576,28 +528,25 @@ def _criterion_7(ctx: _Ctx) -> tuple[list, list]:
         ctx.rec("laplace.as_printed_beta1", printed_beta1, None, 1, bessel_ref,
                 Provenance.QUADRATURE, beta1_ok),
     ]
-    notes.insert(0, (
-        f"four lambdas within 3 se; inverse-gamma reading limit {inv_limit:.6f} -> 0.25; "
-        f"as-printed reading limit {printed_limit:.4f} (differs, as it must)"
-    ))
-    return records, notes
 
 
 # ---------------------------------------------------------------------------
 # criterion 8: which way the gamma law enters the exponential functional
 
 
-def _criterion_8(ctx: _Ctx) -> tuple[list, list]:
+def _criterion_8(ctx: _Ctx) -> list:
+    from scipy.stats import gamma, invgamma, kstest  # here, so that import bdrelab skips it
+
     p = STANDARD
     n = 100_000
     samples = dufresne_samples(p, horizon=40.0, n=n, dt=0.01, seed=_seed(ctx, 8),
                                threads=ctx.threads)
     beta = p.beta
     scale = 2.0 / p.sigma_e**2
-    stat_inv, p_inv = _kstest(samples, lambda x: _invgamma_dist.cdf(x, a=beta, scale=scale))
-    stat_gam, p_gam = _kstest(samples, lambda x: _gamma_dist.cdf(x, a=beta, scale=scale))
+    stat_inv, p_inv = kstest(samples, lambda x: invgamma.cdf(x, a=beta, scale=scale))
+    stat_gam, p_gam = kstest(samples, lambda x: gamma.cdf(x, a=beta, scale=scale))
     crit = KS_CRITICAL_1PCT / math.sqrt(n)
-    records = [
+    return [
         ctx.rec("dufresne.ks_inverse_gamma", float(stat_inv), None, n, crit,
                 Provenance.REFERENCE_LAW, stat_inv <= crit),
         ctx.rec("dufresne.ks_inverse_gamma_pvalue", float(p_inv), None, n, None,
@@ -608,18 +557,13 @@ def _criterion_8(ctx: _Ctx) -> tuple[list, list]:
                 float(samples.std(ddof=1) / math.sqrt(n)), n,
                 1.0 / (p.alpha - 0.5 * p.sigma_e**2), Provenance.CLOSED_FORM, None),
     ]
-    notes = [
-        f"inverse-gamma law: D {stat_inv:.5f} vs critical {crit:.5f} (p {p_inv:.3f}); "
-        f"as-printed gamma law: D {stat_gam:.3f} rejects",
-    ]
-    return records, notes
 
 
 # ---------------------------------------------------------------------------
 # criterion 9: discrete-to-continuum bridge
 
 
-def _criterion_9(ctx: _Ctx) -> tuple[list, list]:
+def _criterion_9(ctx: _Ctx) -> list:
     bridge_params = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=math.sqrt(2.0), z0=2.0)
     target = extinction_probability(bridge_params.z0, bridge_params)
     freq, se = bridge_extinction_frequency(
@@ -629,7 +573,6 @@ def _criterion_9(ctx: _Ctx) -> tuple[list, list]:
         ctx.rec("bridge.extinction_nscale=1000", freq, se, 10_000, target,
                 Provenance.CLOSED_FORM, abs(freq - target) <= 3 * se),
     ]
-    notes = [f"extinction frequency {freq:.4f} +- {se:.4f} vs diffusion value {target:g}"]
     # ungated: how the frequency approaches the diffusion value in n_scale
     for j, n_scale in enumerate((250, 500), start=1):
         f, f_se = bridge_extinction_frequency(
@@ -639,8 +582,7 @@ def _criterion_9(ctx: _Ctx) -> tuple[list, list]:
             ctx.rec(f"bridge.extinction_nscale={n_scale}", f, f_se, 10_000, target,
                     Provenance.CLOSED_FORM, None)
         )
-        notes.append(f"n_scale {n_scale}: {f:.4f} +- {f_se:.4f} (ungated trend)")
-    return records, notes
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +610,7 @@ def _coverage_probe(ctx: _Ctx) -> None:
 
     for j, route in enumerate(SurvivalRoute):
         estimate_conditioned_survival(p, 0.5, route, 2000, cfg, _seed(ctx, 12, j))
-    martingale_test(p, Functional.U_OF_Z, [0.5], 2000, cfg, _seed(ctx, 12, 9))
+    martingale_test(p, [0.5], 2000, cfg, _seed(ctx, 12, 9))
 
     ctx.coverage.update(
         {
@@ -684,8 +626,8 @@ def _coverage_probe(ctx: _Ctx) -> None:
 
 # ---------------------------------------------------------------------------
 
-# criterion k is entry k; each returns its records and notes, criterion 2
-# also its sub-durations
+# criterion k is entry k; each returns its records, and criterion 2 puts
+# its sub-durations on ctx
 _CRITERIA = (
     ("harmonicity of the scale functions", _criterion_1),
     ("extinction-probability triangle", _criterion_2),
@@ -710,12 +652,13 @@ def run_verify(
     outcomes = []
     durations = {}
     for index, (name, fn) in enumerate(_CRITERIA, start=1):
+        ctx.sub_durations = {}
         t0 = time.perf_counter()
-        records, notes, *sub = fn(ctx)
+        records = fn(ctx)
         duration = time.perf_counter() - t0
         # the one pass rule: every gated record passes (None means ungated)
         passed = all(r.passed for r in records if r.passed is not None)
-        out = CriterionOutcome(index, name, passed, records, duration, notes, dict(*sub))
+        out = CriterionOutcome(index, name, passed, records, duration, ctx.sub_durations)
         durations[f"criterion_{index}"] = duration
         for label, sub_s in out.sub_durations.items():
             durations[f"criterion_{index}.{label}"] = sub_s
@@ -739,6 +682,18 @@ def run_verify(
     return report
 
 
+def _record_line(r: ResultRecord) -> str:
+    """One record as one line: value, se, reference, provenance and gate."""
+    line = f"{r.quantity} = {r.value:.6g}"
+    if r.std_error is not None:
+        line += f" ± {r.std_error:.3g}"
+    if r.theoretical is not None:
+        line += f" vs {r.theoretical:.6g}"
+    if r.provenance is not Provenance.NONE:
+        line += f" ({r.provenance.value})"
+    return line + ("  ungated" if r.passed is None else "  pass" if r.passed else "  FAIL")
+
+
 def _write_outputs(report: VerifyReport, ctx: _Ctx, output_dir: str) -> None:
     os.makedirs(output_dir, exist_ok=True)
     write_results(report.records, os.path.join(output_dir, "results.csv"), ResultFormat.CSV)
@@ -750,12 +705,13 @@ def _write_outputs(report: VerifyReport, ctx: _Ctx, output_dir: str) -> None:
         fh.write(f"verify run at {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
         fh.write(f"seed {report.seed}, config hash {report.config_hash}\n\n")
         for out in report.outcomes:
+            sub = "".join(f", {label} {s:.1f}s" for label, s in out.sub_durations.items())
             fh.write(
                 f"criterion {out.index}: {out.name}: "
-                f"{'PASS' if out.passed else 'FAIL'} ({out.duration_s:.1f}s)\n"
+                f"{'PASS' if out.passed else 'FAIL'} ({out.duration_s:.1f}s{sub})\n"
             )
-            for line in out.notes:
-                fh.write(f"    {line}\n")
+            for r in out.records:
+                fh.write(f"    {_record_line(r)}\n")
         fh.write(f"\ncoverage: {len(report.coverage)} operations exercised\n")
         missing = REQUIRED_COVERAGE - report.coverage
         if missing:
@@ -768,14 +724,13 @@ def format_summary(report: VerifyReport) -> str:
         mark = "PASS" if out.passed else "FAIL"
         lines.append(f"criterion {out.index:>2}  {mark}  {out.name} ({out.duration_s:.1f}s)")
         if not out.passed:
-            for note in out.notes:
-                lines.append(f"              {note}")
+            lines += [f"              {_record_line(r)}" for r in out.records if r.passed is False]
     lines.append(
         "criterion 10  ----  byte reproducibility (run verify twice and compare outputs)"
     )
     n_fail = sum(1 for out in report.outcomes if not out.passed)
     lines.append(
         f"{len(report.outcomes) - n_fail}/{len(report.outcomes)} checks pass"
-        + (f"; {n_fail} recorded failure(s), see notes above" if n_fail else "")
+        + (f"; {n_fail} recorded failure(s), see the failing records above" if n_fail else "")
     )
     return "\n".join(lines)

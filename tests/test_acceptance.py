@@ -15,10 +15,18 @@ so the recorded disagreement is reported, not patched over.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
-from bdrelab.verify import REQUIRED_COVERAGE, run_verify
+from bdrelab.results import Provenance, ResultRecord
+from bdrelab.verify import (
+    REQUIRED_COVERAGE,
+    CriterionOutcome,
+    VerifyReport,
+    format_summary,
+    run_verify,
+)
 
 DATA_FILES = (
     "results.csv",
@@ -227,3 +235,28 @@ DATA_FILES_SHA256 = {
 def test_verify_data_file_bytes_are_pinned(verify_runs, name):
     digest = hashlib.sha256((verify_runs[2] / name).read_bytes()).hexdigest()
     assert digest == DATA_FILES_SHA256[name], f"{name} moved from its pinned bytes"
+
+
+def test_verify_log_has_one_line_per_record(verify_runs):
+    rep, _, dir_a, _ = verify_runs
+    log = (dir_a / "verify.log").read_text(encoding="utf-8").splitlines()
+    # record lines are the indented ones, each led by its quantity
+    logged = Counter(line.split()[0] for line in log if line.startswith("    "))
+    assert logged == Counter(r.quantity for r in rep.records)
+    assert set(logged.values()) == {1}
+
+
+def test_summary_lists_exactly_the_failing_gated_records():
+    def rec(quantity, passed):
+        return ResultRecord(quantity, 1.0, 0.1, 10, 2.0, Provenance.CLOSED_FORM, passed,
+                            seed=1, config_hash="abc")
+
+    bad = CriterionOutcome(2, "bad", False, [rec("c.holds", True), rec("c.fails_a", False),
+                                             rec("c.ungated", None), rec("c.fails_b", False)], 1.0)
+    good = CriterionOutcome(1, "good", True, [rec("g.holds", True), rec("g.ungated", None)], 1.0)
+    report = VerifyReport([good, bad], good.records + bad.records, frozenset(), False, 1,
+                          "abc", {})
+    summary = format_summary(report)
+    listed = [line.split()[0] for line in summary.splitlines() if line.startswith(" ")]
+    assert listed == ["c.fails_a", "c.fails_b"]
+    assert "1/2 checks pass" in summary

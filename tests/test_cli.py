@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from bdrelab import cli
+from bdrelab import cli, estimators
 from bdrelab.cli import main
 from bdrelab.config import DEFAULT_SEED, Experiment, ExperimentConfig, config_hash, write_config
 from bdrelab.errors import NumericalFailure
@@ -277,6 +277,29 @@ def test_bridge_writes_record(tmp_path, capsys):
     assert recs[0].theoretical == pytest.approx(4 / 9)
 
 
+# sha256 of the martingale experiment's results.csv: three functionals at
+# two checkpoints, in that order, from one ensemble
+MARTINGALE_ARGV = ("estimate --experiment martingale --n 2000 --horizon 6 --dt 0.02 "
+                   "--seed 3 --threads 1")
+MARTINGALE_CSV_SHA256 = "959b3b0275bdce9c9ec049acc490214cbdf51371d109a43b13c5c5891ce2e729"
+
+
+def test_estimate_martingale_runs_one_ensemble_and_is_pinned(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = estimators.ensemble_functional_means
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "ensemble_functional_means", counted)
+    code, _, _ = run(capsys, [*MARTINGALE_ARGV.split(), "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == MARTINGALE_CSV_SHA256
+
+
 def test_estimate_rates_experiment_is_redirected(tmp_path, capsys):
     cfg_path = tmp_path / "r.cfg"
     write_config(replace(ExperimentConfig(), experiment=Experiment.RATES), str(cfg_path))
@@ -290,3 +313,12 @@ def test_python_dash_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "bdrelab", "--help"], capture_output=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, bdrelab; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

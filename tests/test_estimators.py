@@ -217,7 +217,9 @@ def test_functional_references():
 
 
 def test_martingale_test_small_n():
-    ests = martingale_test(STD, Functional.Z_OVER_EXPS, [0.5, 1.0], 20_000, scheme(), 401)
+    by_functional = martingale_test(STD, [0.5, 1.0], 20_000, scheme(), 401)
+    assert list(by_functional) == list(Functional)
+    ests = by_functional[Functional.Z_OVER_EXPS]
     assert [e.method_tag for e in ests] == ["Z_over_expS@t=0.5", "Z_over_expS@t=1"]
     for est in ests:
         assert abs(est.mean - 1.0) < 4 * est.std_error

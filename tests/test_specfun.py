@@ -283,12 +283,12 @@ def test_theorem1_constant_by_regime():
     strong = ModelParams(2.0, 1.0, 1.0, 1.0)
     inter = ModelParams(1.0, 1.0, 1.0, 1.0)
     weak = ModelParams(0.5, 1.0, 1.0, 1.0)
-    assert theorem1_constant(strong, Regime.STRONGLY_SUPERCRITICAL, 1.0) == pytest.approx(1.0)
-    assert theorem1_constant(inter, Regime.INTERMEDIATE_SUPERCRITICAL, 1.0) == pytest.approx(
-        2.0 / math.sqrt(2.0 * math.pi)
-    )
+    assert theorem1_constant(strong, 1.0) == pytest.approx(1.0)
+    assert theorem1_constant(inter, 1.0) == pytest.approx(2.0 / math.sqrt(2.0 * math.pi))
     with pytest.raises(NotComputableError):
-        theorem1_constant(weak, Regime.WEAKLY_SUPERCRITICAL, 1.0)
+        theorem1_constant(weak, 1.0)
+    with pytest.raises(ValueError):
+        theorem1_constant(ModelParams(-1.0, 1.0, 1.0, 1.0), 1.0)
 
 
 def test_strong_level_limit_is_two_at_the_standard_point():
@@ -297,15 +297,8 @@ def test_strong_level_limit_is_two_at_the_standard_point():
     assert strong_level_limit(ModelParams(2.0, 1.0, 1.0, 1.0), 1.0) == 2.0
 
 
-def test_theorem1_constant_regime_mismatch_rejected():
-    strong = ModelParams(2.0, 1.0, 1.0, 1.0)
-    assert classify_regime(strong) is Regime.STRONGLY_SUPERCRITICAL
-    with pytest.raises(ValueError):
-        theorem1_constant(strong, Regime.INTERMEDIATE_SUPERCRITICAL, 1.0)
-
-
 def test_theorem1_constant_strong_with_infinite_moment():
     # nu = 2 (alpha / sigma_e^2 - 1) <= 1 makes E[1/Gamma] blow up
     p = ModelParams(1.2, 1.0, 1.0, 1.0)
     assert classify_regime(p) is Regime.STRONGLY_SUPERCRITICAL
-    assert theorem1_constant(p, Regime.STRONGLY_SUPERCRITICAL, 1.0) == INFINITE
+    assert theorem1_constant(p, 1.0) == INFINITE
