@@ -16,28 +16,45 @@ and the branching noise is integrated out in closed form.
 
 Every estimator here runs on one reducer, _environment_batches: it steps
 batches of environments and hands (I_t, S_t) at each checkpoint to a
-reduction of the estimator's choosing. The survival curve can sample its
+reduction of the estimator's choosing. Only the correction levels below
+run their twin, _coupled_batches, which steps in time blocks and hands
+over two trapezoids of I_t per path. The survival curve can sample its
 environments under an exponential tilt, dQ/dP = e^{theta S_t} / E[e^{theta S_t}],
 and weight each path by the exact likelihood ratio dP/dQ (importance
 sampling; Asmussen & Glynn, Stochastic Simulation, 2007, ch. VI). The
 only approximation anywhere here is still the trapezoid rule for I_t on
 the simulation grid.
 
-The transform always runs its environments, and the survival curve can
-run them, in antithetic pairs (Glasserman, Monte Carlo Methods in Financial
-Engineering, 2003, sec. 4.2): in a batch of b environments, the first
-b // 2 step on xi and the last b // 2 on -xi, and with b odd the one in
-between steps alone on normals of its own, so a step draws b - b // 2
-normals. Untilted, both values are monotone in every normal, so the
-members of a pair are negatively correlated (about -0.76 for e^{-z/I_t}
-and the transform) and a pair sum varies far less than two independent
-values; a tilt's weight makes the product no longer monotone, and there
-the gain is measured, not guaranteed. The mean stays the mean
-over all n paths; the se comes from the spread of the pair sums, plus
-the share of each odd batch's lone path. The Rao-Blackwell extinction
-probability and dufresne_samples stay i.i.d.: criterion 8 runs a KS test
-that needs independent samples, and the benchmark checks the RB se
-against the i.i.d. variance.
+The transform always runs, and the survival curve can run, the paired
+multilevel route (Giles, Operations Research 56, 2008). Level 0 runs the
+n environments in antithetic pairs (Glasserman, Monte Carlo Methods in
+Financial Engineering, 2003, sec. 4.2) on the coarsest grid dt 2^L that
+holds every checkpoint, with dt 2^L at most 0.08: in a batch of b
+environments the first b // 2 step on xi and the last b // 2 on -xi, and
+with b odd the one in between steps alone on normals of its own.
+Untilted, both values are monotone in every normal, so the members of a
+pair are negatively correlated (about -0.76 for e^{-z/I_t} and the
+transform) and a pair sum varies far less than two independent values; a
+tilt's weight makes the product no longer monotone, and there the gain
+is measured, not guaranteed. Level l = 1..L runs N_l independent
+environments on the grid dt 2^{L-l}, each reducing its value at the
+trapezoid on that grid minus its value at the trapezoid on the grid
+twice as coarse, both on the one S path; S_t is exact on every grid, so a
+tilt's likelihood ratio is shared by the two. On one Brownian path the
+two trapezoids differ by O(h), so a correction varies about 4x less per
+level and a few hundred to a few thousand environments serve it. The
+levels telescope: the mean has exactly the expectation of the trapezoid
+on dt, the same as one level on dt, from about a fifth (criterion 5's
+curves) to a twentieth (criterion 7's transform at n = 1e5) of the
+path-steps. n counts level 0's environments; N_l is set from n
+(_level_size) and L from the grid (_depth), with no option. se^2 is
+level 0's paired se^2, from the spread of the pair sums plus the share
+of each odd batch's lone path, plus each correction level's i.i.d.
+se^2; each level draws from streams of its own. The Rao-Blackwell
+extinction probability and dufresne_samples stay i.i.d. on one level:
+criterion 8 runs a KS test that needs independent samples of the
+functional itself, which a difference of levels is not, and the
+benchmark checks the RB se against the i.i.d. variance.
 """
 
 from __future__ import annotations
@@ -52,13 +69,29 @@ from numpy.typing import NDArray
 from .errors import ConfigError
 from .model import ModelParams
 from .rng import _require_se_sample, _run_batches
-from .sde import _checkpoint_steps
+from .sde import _BLOCK_DOUBLES, _checkpoint_steps
 
 __all__ = [
     "environment_survival_curve",
     "environment_laplace",
     "dufresne_samples",
 ]
+
+
+def _grid(times: Sequence[float], dt: float) -> tuple:
+    """(sorted times, step, number of steps, {step index: time}) of the grid.
+
+    The last time T sets the grid: round(T / dt) steps of equal length, at
+    least one or ConfigError, and every other time must sit on it.
+    """
+    times = sorted(float(t) for t in times)
+    if not dt > 0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+    n_steps = int(round(times[-1] / dt))
+    if n_steps < 1:
+        raise ConfigError(f"t = {times[-1]} is shorter than half a step dt = {dt}")
+    step = times[-1] / n_steps
+    return times, step, n_steps, _checkpoint_steps(times, step, n_steps)
 
 
 def _environment_batches(
@@ -74,25 +107,17 @@ def _environment_batches(
 ) -> list:
     """Per batch of environments, {t: reduce(t, I_t, S_t)} at each time.
 
-    The last time T sets the grid: round(T / dt) steps of equal length,
-    at least one or ConfigError, and every other time must sit on it. S
-    takes exact Gaussian increments and I_t = scale * Int_0^t e^{-S_s} ds
-    the trapezoid rule; scale = sigma_b^2 / 2 gives the I_t of the
-    quenched law, scale = 1 the raw Dufresne functional. I_t and S_t are
-    the running arrays, final only at T, so reduce must not keep or change
-    them. Batch k draws from RngStream(seed, k). paired runs a batch of b
-    in antithetic pairs: column j < b // 2 steps on xi_j and column
-    b - b // 2 + j on -xi_j, and with b odd column b // 2 on a normal of
-    its own, so each step draws b - b // 2 normals.
+    The grid is _grid's. S takes exact Gaussian increments and
+    I_t = scale * Int_0^t e^{-S_s} ds the trapezoid rule; scale =
+    sigma_b^2 / 2 gives the I_t of the quenched law, scale = 1 the raw
+    Dufresne functional. I_t and S_t are the running arrays, final only at
+    T, so reduce must not keep or change them. Batch k draws from
+    RngStream(seed, k). paired runs a batch of b in antithetic pairs:
+    column j < b // 2 steps on xi_j and column b - b // 2 + j on -xi_j,
+    and with b odd column b // 2 on a normal of its own, so each step draws
+    b - b // 2 normals.
     """
-    times = sorted(float(t) for t in times)
-    if not dt > 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-    n_steps = int(round(times[-1] / dt))
-    if n_steps < 1:
-        raise ConfigError(f"t = {times[-1]} is shorter than half a step dt = {dt}")
-    step = times[-1] / n_steps
-    at = _checkpoint_steps(times, step, n_steps)
+    times, step, n_steps, at = _grid(times, dt)
     noise = params.sigma_e * math.sqrt(step)
     drift = params.alpha * step
     weight = scale * 0.5 * step
@@ -116,6 +141,64 @@ def _environment_batches(
         return out
 
     return _run_batches(worker, n, seed, threads)
+
+
+def _coupled_batches(
+    params: ModelParams,
+    step: float,
+    at: dict,
+    n: int,
+    seed: int,
+    level: int,
+    threads: int,
+    scale: float,
+    reduce: Callable,
+) -> list:
+    """Per batch of environments, {t: reduce(t, I_h, I_2h, S_t)} at each time.
+
+    Each environment steps S on the grid of step h = step, up to the last
+    index of at ({step index: time}, every index even), and reduces two
+    trapezoids of I_t on that one path: I_h on every node and I_2h on the
+    even ones. The steps run in blocks of an even number of steps and at
+    most _BLOCK_DOUBLES normals, each block one draw of a (k, b) array and
+    one cumulative sum, ending at every index of at. Batch k draws from
+    RngStream(seed, k, level), so no level shares a stream with another.
+    """
+    noise = params.sigma_e * math.sqrt(step)
+    drift = params.alpha * step
+    weight = scale * 0.5 * step
+    ends = sorted(k for k in at if k > 0)
+
+    def worker(g, b: int):
+        s = np.zeros(b)
+        fine = np.zeros(b)
+        coarse = np.zeros(b)
+        prev = np.ones(b)
+        room = max(2, _BLOCK_DOUBLES // b // 2 * 2)
+        out = {}
+        if 0 in at:
+            out[at[0]] = reduce(at[0], fine, coarse, s)
+        done = 0
+        for end in ends:
+            while done < end:
+                k = min(room, end - done)
+                # S over the block, then e^{-S}, in place in one (k, b) array
+                e = g.standard_normal((k, b))
+                e *= noise
+                e += drift
+                np.cumsum(e, axis=0, out=e)
+                e += s
+                s = e[-1].copy()
+                np.negative(e, out=e)
+                np.exp(e, out=e)
+                fine += weight * (prev + e[-1] + 2.0 * e[:-1].sum(axis=0))
+                coarse += 2.0 * weight * (prev + e[-1] + 2.0 * e[1:-1:2].sum(axis=0))
+                prev = e[-1]
+                done += k
+            out[at[end]] = reduce(at[end], fine, coarse, s)
+        return out
+
+    return _run_batches(worker, n, seed, threads, level)
 
 
 def _sums(q: NDArray[np.float64], paired: bool = False) -> tuple:
@@ -149,6 +232,88 @@ def _mean_se(sums: list, n: int, paired: bool = False) -> tuple[float, float]:
     if lone:
         spread += lone * var
     return mean, math.sqrt(spread) / n
+
+
+# The paired route's levels: the coarsest grid's step is the largest dt 2^L
+# at most _COARSEST_STEP that holds every checkpoint, and level l >= 1 runs
+# max(_LEVEL_LEAST, ceil(_LEVEL_SHARE n 2^{-3(l-1)/2})) environments
+_COARSEST_STEP = 0.08
+_LEVEL_SHARE = 0.1
+_LEVEL_LEAST = 256
+
+
+def _depth(step: float, at: dict) -> int:
+    """The number L of correction levels on a grid of step with checkpoint
+    indices at: the largest L with step 2^L <= _COARSEST_STEP and every
+    index of at a multiple of 2^L."""
+    depth = 0
+    while step * 2 ** (depth + 1) <= _COARSEST_STEP * (1 + 1e-9) and all(
+        k % 2 ** (depth + 1) == 0 for k in at
+    ):
+        depth += 1
+    return depth
+
+
+def _level_size(n: int, level: int) -> int:
+    """N_l, the environments of correction level l >= 1 for n at level 0.
+
+    Giles' allocation N_l ~ sqrt(V_l / C_l): the correction's variance V_l
+    falls about 4x per level and its cost C_l doubles, so N_l falls by
+    2^{3/2} per level, from _LEVEL_SHARE n, and never below _LEVEL_LEAST,
+    since the corrections are heavy-tailed (kurtosis up to about 150).
+    """
+    return max(_LEVEL_LEAST, math.ceil(_LEVEL_SHARE * n * 2.0 ** (-1.5 * (level - 1))))
+
+
+def _paired_levels(
+    params: ModelParams,
+    times: Sequence[float],
+    dt: float,
+    n: int,
+    seed: int,
+    threads: int,
+    scale: float,
+    values: Callable,
+) -> tuple:
+    """Multilevel means of values(t, I_t, S_t), a list of arrays, at each time.
+
+    Level 0 runs n environments in antithetic pairs (_environment_batches)
+    on the coarsest grid dt 2^L (_depth); level l = 1..L runs N_l
+    environments (_level_size) on the grid dt 2^{L-l}, each reducing
+    values at its trapezoid on that grid minus values at its trapezoid on
+    the grid twice as coarse (_coupled_batches). The levels telescope, so
+    the mean has the expectation of the trapezoid on dt, and the levels
+    are independent, so se^2 is level 0's paired se^2 plus each level's
+    i.i.d. se^2. Returns ({t: [(mean, se) per value]}, finest), finest
+    being None when L = 0, else (level L's {t: [(mean, se) per value]},
+    N_L): the trapezoid on dt minus the trapezoid on 2 dt.
+    """
+    times, step, _, at = _grid(times, dt)
+    depth = _depth(step, at)
+    parts = _environment_batches(
+        params, times, step * 2**depth, n, seed, threads, scale,
+        lambda t, i_t, s_t: [_sums(v, True) for v in values(t, i_t, s_t)], True,
+    )
+    est = {t: [_mean_se(x, n, True) for x in zip(*(p[t] for p in parts))] for t in parts[0]}
+
+    def reduce(t, fine, coarse, s_t):
+        return [_sums(f - c) for f, c in zip(values(t, fine, s_t), values(t, coarse, s_t))]
+
+    finest = None
+    for level in range(1, depth + 1):
+        shift = depth - level
+        size = _level_size(n, level)
+        parts = _coupled_batches(
+            params, step * 2**shift, {k >> shift: t for k, t in at.items()}, size, seed,
+            level, threads, scale, reduce,
+        )
+        diff = {t: [_mean_se(x, size) for x in zip(*(p[t] for p in parts))] for t in parts[0]}
+        est = {
+            t: [(m + dm, math.hypot(se, dse)) for (m, se), (dm, dse) in zip(est[t], diff[t])]
+            for t in est
+        }
+        finest = diff, size
+    return est, finest
 
 
 def dufresne_samples(
@@ -194,10 +359,13 @@ def environment_survival_curve(
     the untilted one and only the variance changes. The only
     approximation is the trapezoid rule for I_t.
 
-    antithetic = True runs the environments in antithetic pairs (see
-    _environment_batches), each member weighted by its own likelihood
-    ratio under a tilt; the se comes from the pair sums, plus each odd
-    batch's lone path (_mean_se). n must be at least 2, or 4 with pairs.
+    antithetic = True runs the paired multilevel route (_paired_levels):
+    n environments in antithetic pairs on the coarsest grid that holds
+    every checkpoint, plus the coupled corrections down to dt, so the mean
+    has the expectation of the trapezoid on dt. Under a tilt each
+    environment carries its own likelihood ratio, shared by a
+    correction's two trapezoids, since S_t is exact on every grid. n must
+    be at least 2, or 4 with pairs.
     """
     _require_se_sample(n, 4 if antithetic else 2)
     if collect not in ("survival", "extinct"):
@@ -211,19 +379,24 @@ def environment_survival_curve(
     theta = float(tilt)
     log_mgf = theta * params.alpha + 0.5 * theta**2 * params.sigma_e**2  # per unit t
 
-    def reduce(t, i_t, s_t):
+    def values(t, i_t, s_t):
         if t == 0.0:
             # I_0 = 0: survival is certain for z > 0, extinction for z = 0
-            return _sums(np.full(i_t.shape, float((z > 0) == survival)), antithetic)
+            return [np.full(i_t.shape, float((z > 0) == survival))]
         q = -np.expm1(-z / i_t) if survival else np.exp(-z / i_t)
         q *= np.exp(log_mgf * t - theta * s_t)
-        return _sums(q, antithetic)
+        return [q]
 
     stepped = replace(params, alpha=params.alpha + theta * params.sigma_e**2)
+    scale = params.sigma_b**2 / 2.0
+    if antithetic:
+        est, _ = _paired_levels(stepped, checkpoints, dt, n, seed, threads, scale, values)
+        return {t: v[0] for t, v in est.items()}
     parts = _environment_batches(
-        stepped, checkpoints, dt, n, seed, threads, params.sigma_b**2 / 2.0, reduce, antithetic
+        stepped, checkpoints, dt, n, seed, threads, scale,
+        lambda t, i_t, s_t: _sums(values(t, i_t, s_t)[0]),
     )
-    return {t: _mean_se([p[t] for p in parts], n, antithetic) for t in parts[0]}
+    return {t: _mean_se([p[t] for p in parts], n) for t in parts[0]}
 
 
 def environment_laplace(
@@ -237,11 +410,14 @@ def environment_laplace(
 ) -> dict:
     """E[exp(-lambda Z_t e^{-S_t})] by exact conditional transform.
 
-    Averages exp(-z/(I_t + 1/lambda)) over n environments; the branching
-    randomness never needs to be simulated. Returns {lambda: (mean, se)}.
-    The environments always run in antithetic pairs (see
-    _environment_batches); the se comes from the pair sums, plus each odd
-    batch's lone path (_mean_se). n must be at least 4.
+    Averages exp(-z/(I_t + 1/lambda)) over environments; the branching
+    randomness never needs to be simulated. The environments always run
+    the paired multilevel route (_paired_levels), n of them in antithetic
+    pairs on the coarsest grid, so n must be at least 4. Returns
+    {lambda: (mean, se, dt_bias)}: dt_bias is the finest level's
+    correction (mean, se, environments), the transform with the
+    trapezoid on dt minus the one on 2 dt, or None when t on dt allows
+    no level.
     """
     _require_se_sample(n, 4)
     if params.sigma_b <= 0:
@@ -251,13 +427,16 @@ def environment_laplace(
     if any(l < 0 for l in lambdas):
         raise ValueError("lambda must be nonnegative")
 
-    def reduce(_, i_t, s_t):
-        return {
-            lam: _sums(np.ones(i_t.shape) if lam == 0.0 else np.exp(-z / (i_t + 1.0 / lam)), True)
-            for lam in lambdas
-        }
+    def values(_, i_t, s_t):
+        return [np.ones(i_t.shape) if lam == 0.0 else np.exp(-z / (i_t + 1.0 / lam))
+                for lam in lambdas]
 
-    parts = _environment_batches(
-        params, [t], dt, n, seed, threads, params.sigma_b**2 / 2.0, reduce, True
+    est, finest = _paired_levels(
+        params, [t], dt, n, seed, threads, params.sigma_b**2 / 2.0, values
     )
-    return {lam: _mean_se([p[float(t)][lam] for p in parts], n, True) for lam in lambdas}
+    (at_t,) = est.values()
+    if finest is None:
+        return {lam: (*v, None) for lam, v in zip(lambdas, at_t)}
+    diff, size = finest
+    (bias,) = diff.values()
+    return {lam: (*v, (*b, size)) for lam, v, b in zip(lambdas, at_t, bias)}

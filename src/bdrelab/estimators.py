@@ -124,9 +124,14 @@ class KSReport:
 
 @dataclass(frozen=True)
 class LaplacePoint:
+    """The transform at lam against its reference; dt_bias is the finest
+    level's correction (the transform with the trapezoid on dt minus the
+    one on 2 dt), None when the grid allows no level."""
+
     lam: float
     estimate: MCEstimate
     reference: float
+    dt_bias: MCEstimate | None = None
 
     @property
     def within_3se(self) -> bool:
@@ -242,11 +247,16 @@ def survival_points(
     sigma_e^2: 0 in the weak and intermediate regimes, sigma_e^2 - alpha
     in the strong one. This keeps the relative error of p(t) nearly flat
     in t, so the deep-t tail stays resolvable; the only approximation is
-    still the trapezoid rule for I_t. The environments run in antithetic
-    pairs, one on xi and its twin on -xi, each weighted by its own
-    likelihood ratio, and the se comes from the pair sums (plus the lone
-    path's share when n_per_t is odd), so n_per_t must be at least 4.
-    NegatedAlphaSim is the only route; any other raises ValueError.
+    still the trapezoid rule for I_t on dt. The environments run the
+    paired multilevel route (see envexact): n_per_t of them in antithetic
+    pairs, one on xi and its twin on -xi, on the coarsest grid of step at
+    most 0.08 that holds every t, each weighted by its own likelihood
+    ratio, plus the coupled corrections down to dt, each sharing one
+    ratio between its two trapezoids. The mean has the expectation of the
+    trapezoid on dt; the se comes from the pair sums (plus the lone
+    path's share when n_per_t is odd) and the corrections' own spread, so
+    n_per_t must be at least 4. NegatedAlphaSim is the only route; any
+    other raises ValueError.
     """
     if route is not SurvivalRoute.NEGATED_ALPHA_SIM:
         raise ValueError(f"survival_points supports only NegatedAlphaSim, not {route}")
@@ -351,11 +361,17 @@ def laplace_limit_test(
     """Empirical transform of Z_t e^{-S_t} against the limit-law quadrature.
 
     The empirical side is computed exactly over environments (the
-    conditional transform integrates out the branching noise), run in
-    antithetic pairs with the se from the pair sums (plus each odd batch's
-    lone path), so n must be at least 4; the reference side is
-    laplace_Y under the inverse-gamma reading. t_large should satisfy
-    alpha * t_large >> 1 for the limit to have set in.
+    conditional transform integrates out the branching noise) on the
+    paired multilevel route (see envexact): n environments in antithetic
+    pairs on the coarsest grid of step at most 0.08 that holds t_large,
+    plus the coupled corrections down to cfg.dt, so the mean has the
+    expectation of the trapezoid on cfg.dt and the se comes from the pair
+    sums (plus each odd batch's lone path) and the corrections' own
+    spread; n must be at least 4. Each point's dt_bias is the finest
+    correction, the transform on cfg.dt minus on 2 cfg.dt, over its own
+    environments. The reference side is laplace_Y under the inverse-gamma
+    reading. t_large should satisfy alpha * t_large >> 1 for the limit to
+    have set in.
     """
     if params.alpha <= 0:
         raise ValueError("the martingale limit requires alpha > 0")
@@ -368,12 +384,14 @@ def laplace_limit_test(
     emp = environment_laplace(params, lams, t_large, n, cfg.dt, seed, threads=threads)
     out = []
     for lam, ref in zip(lams, refs):
-        mean, se = emp[lam]
+        mean, se, bias = emp[lam]
         out.append(
             LaplacePoint(
                 lam=lam,
                 estimate=MCEstimate(mean=mean, std_error=se, n=n, method_tag=f"lam={lam:g}"),
                 reference=ref,
+                dt_bias=None if bias is None else MCEstimate(
+                    *bias, method_tag=f"dt_bias@lam={lam:g}"),
             )
         )
     return out

@@ -24,19 +24,24 @@ ENSEMBLE_BATCH = 50_000
 
 @dataclass(frozen=True)
 class RngStream:
+    """The stream (seed, stream_index), or (seed, stream_index, level) for
+    a level >= 1 of a multilevel estimator; level 0 is the plain pair."""
+
     seed: int
     stream_index: int = 0
+    level: int = 0
 
     def __post_init__(self) -> None:
         if not (-(2**63) <= self.seed < _U64):
             raise ValueError("seed must fit in 64 bits")
         if self.stream_index < 0:
             raise ValueError("stream_index must be nonnegative")
+        if self.level < 0:
+            raise ValueError("level must be nonnegative")
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence((self.seed % _U64, self.stream_index))
-        )
+        key = (self.seed % _U64, self.stream_index) + ((self.level,) if self.level else ())
+        return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def _require_se_sample(n: int, least: int = 2) -> None:
@@ -54,17 +59,18 @@ def _run_batches(
     n: int,
     seed: int,
     threads: int,
+    level: int = 0,
 ) -> list:
     """worker(g, b) for each batch of at most ENSEMBLE_BATCH of n items, in order.
 
-    Batch k draws from g, the generator of RngStream(seed, k),
+    Batch k draws from g, the generator of RngStream(seed, k, level),
     built in the thread that runs the batch. n must be at least 1.
     """
     if n < 1:
         raise ValueError(f"n must be a positive count, got n={n}")
 
     def job(k: int):
-        g = RngStream(seed, k).generator()
+        g = RngStream(seed, k, level).generator()
         return worker(g, min(ENSEMBLE_BATCH, n - k * ENSEMBLE_BATCH))
 
     batches = range(-(-n // ENSEMBLE_BATCH))  # ceil(n / ENSEMBLE_BATCH)

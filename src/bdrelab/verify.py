@@ -506,11 +506,18 @@ def _criterion_7(ctx: _Ctx) -> list:
         p, (0.5, 1.0, 2.0, 10.0), 20.0, 100_000, cfg, _seed(ctx, 7), threads=ctx.threads
     )
     ctx.coverage.update({"laplace_limit_test", "laplace_Y"})
-    records = [
-        ctx.rec(f"laplace.lam={pt.lam:g}", pt.estimate.mean, pt.estimate.std_error,
-                pt.estimate.n, pt.reference, Provenance.QUADRATURE, pt.within_3se)
-        for pt in points
-    ]
+    records = []
+    for pt in points:
+        records.append(
+            ctx.rec(f"laplace.lam={pt.lam:g}", pt.estimate.mean, pt.estimate.std_error,
+                    pt.estimate.n, pt.reference, Provenance.QUADRATURE, pt.within_3se)
+        )
+        # ungated: the transform on dt minus the transform on 2 dt
+        bias = pt.dt_bias
+        records.append(
+            ctx.rec(f"laplace.lam={pt.lam:g}.dt_bias", bias.mean, bias.std_error, bias.n,
+                    None, Provenance.NONE, None)
+        )
     inv_limit = laplace_Y(1e6, p.z0, p, Reading.INVERSE_GAMMA)
     ext = extinction_probability(p.z0, p)
     inv_ok = abs(inv_limit - ext) <= 1e-4
@@ -682,6 +689,16 @@ def run_verify(
     return report
 
 
+# the negative controls: each passes when its value differs from its reference
+_MUST_DIFFER = frozenset(
+    {
+        "law_equivalence.negative_control_statistic",
+        "dufresne.ks_as_printed_gamma",
+        "laplace.as_printed_limit",
+    }
+)
+
+
 def _record_line(r: ResultRecord) -> str:
     """One record as one line: value, se, reference, provenance and gate."""
     line = f"{r.quantity} = {r.value:.6g}"
@@ -691,6 +708,8 @@ def _record_line(r: ResultRecord) -> str:
         line += f" vs {r.theoretical:.6g}"
     if r.provenance is not Provenance.NONE:
         line += f" ({r.provenance.value})"
+    if r.quantity in _MUST_DIFFER:
+        line += "  must differ"
     return line + ("  ungated" if r.passed is None else "  pass" if r.passed else "  FAIL")
 
 

@@ -1,12 +1,14 @@
-"""Seed-pooled calibration of the antithetic environment estimators.
+"""Seed-pooled calibration of the paired multilevel environment estimators.
 
-`envexact.environment_survival_curve` and `envexact.environment_laplace`
-report an estimate and a standard error; on antithetic pairs (the
-transform always, the curve with `antithetic=True`) the se comes from
-the spread of the pair sums. A 3-se gate at one seed sees a
-bias only once it exceeds about 3 se; pooled over K seeds the same runs
-see about 3 / sqrt(K) se. Per record this script runs K = 50 calls on
-seeds 20001-20050, which `bdrelab verify` does not use, takes
+`envexact.environment_survival_curve(antithetic=True)` and
+`envexact.environment_laplace` run n environments in antithetic pairs on
+the coarsest grid that holds every checkpoint, plus the coupled
+corrections down to dt, and report an estimate and a standard error:
+level 0's from the spread of its pair sums, each correction level's from
+its i.i.d. spread. A 3-se gate at one seed sees a bias only once it
+exceeds about 3 se; pooled over K seeds the same runs see about
+3 / sqrt(K) se. Per record this script runs K = 50 calls on seeds
+20001-20050, which `bdrelab verify` does not use, takes
 z = (p - target) / se per call and reports:
 
 - the mean z, with its own se 1 / sqrt(K) if the z are standard;
@@ -19,24 +21,35 @@ z = (p - target) / se per call and reports:
   verify's n; for the extinct curve, which verify runs unpaired, that is
   the se a paired call at verify's n would have).
 
-The records, at n = 10,000 paired paths and the standard
-alpha = sigma_e = sigma_b = z0 = 1:
+The records, at n = 10,000 paired paths:
 - the extinct curve e^{-z/I_T} at T = 30, dt 0.01 (criterion 2's
-  Rao-Blackwell half, there unpaired at n = 1e5), against the closed form
-  1/4;
+  Rao-Blackwell half, there unpaired at n = 1e5) at the standard
+  alpha = sigma_e = sigma_b = z0 = 1, against the closed form 1/4;
 - the transform exp(-z/(I_t + 1/lambda)) at t = 20, dt 0.0025 and
-  lambda = 0.5, 1, 2, 10 (criterion 7, paired at n = 1e5), against
-  laplace_Y under the inverse-gamma reading, a quadrature. The four
-  lambda run on the same environments, so their z are strongly
-  correlated within a seed.
+  lambda = 0.5, 1, 2, 10 (criterion 7, at n = 1e5) at the standard
+  point, against laplace_Y under the inverse-gamma reading, a
+  quadrature. The four lambda run on the same environments, so their z
+  are strongly correlated within a seed. Each also reports its finest
+  level's correction (the transform on dt minus on 2 dt) pooled over
+  the seeds, dt_bias with dt_bias_se;
+- criterion 5's three tilted survival curves (alpha = 0.5, 1, 2, drift
+  negated, tilt min(alpha / sigma_e^2, 1), dt 0.01, at n = 1e5 there) at
+  t = 4 and t = 12, against the pooled mean of the single-level i.i.d.
+  tilted curve on dt, whose expectation the levels reproduce. That
+  reference runs 50 calls of its own on seeds 30001-30050: on a shared
+  seed its first step would reuse level 0's first normals. Its own se,
+  target_se = sqrt(mean se^2 / K), adds about (target_se / se)^2 to the
+  mean z^2 of a record, and pooled_bias_z is the pooled bias over the
+  se of the difference of the two pooled means.
 
 The trapezoid rule for I_t and the finite horizon are part of what a
-calibration sees. Pytest does not collect this file (its name does not
-start with test_). Run it from the repository root:
+calibration sees against a closed form or a quadrature. Pytest does not
+collect this file (its name does not start with test_). Run it from the
+repository root:
 
-    python tests/calibrate_environment.py > CALIB_20.json
+    python tests/calibrate_environment.py > CALIB_23.json
 
-It prints one JSON object; about 75 s of CPU on a 2-core Xeon.
+It prints one JSON object; about 60 s of CPU on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -64,6 +77,9 @@ STD = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=1.0)
 EXTINCT_T, EXTINCT_DT, EXTINCT_VERIFY_N = 30.0, 0.01, 100_000
 LAPLACE_T, LAPLACE_DT, LAPLACE_VERIFY_N = 20.0, 0.0025, 100_000
 LAMBDAS = (0.5, 1.0, 2.0, 10.0)
+REFERENCE_SEEDS = range(30001, 30051)
+CURVE_TIMES, CURVE_DT, CURVE_VERIFY_N = (4.0, 12.0), 0.01, 100_000
+ALPHAS = (0.5, 1.0, 2.0)
 
 
 def pooled(p: np.ndarray, se: np.ndarray, target: float, verify_n: int) -> dict:
@@ -108,25 +124,58 @@ def laplace_records() -> dict:
     cpu = time.process_time() - t0
     out = {}
     for lam in LAMBDAS:
-        runs = np.array([c[lam] for c in calls])
+        runs = np.array([c[lam][:2] for c in calls])
+        bias = np.array([c[lam][2][:2] for c in calls])
         ref = laplace_Y(lam, STD.z0, STD, Reading.INVERSE_GAMMA)
         rec = {"t": LAPLACE_T, "dt": LAPLACE_DT, "provenance": "quadrature"}
         rec.update(pooled(runs[:, 0], runs[:, 1], ref, LAPLACE_VERIFY_N))
+        # the finest level, the transform on dt minus on 2 dt, pooled
+        rec["dt_bias"] = float(bias[:, 0].mean())
+        rec["dt_bias_se"] = float(math.sqrt(np.mean(bias[:, 1] ** 2) / len(bias)))
         out[f"laplace.lam={lam:g}"] = rec
     out["cpu_s_all_lambdas"] = round(cpu, 1)
     return out
 
 
+def curve_records() -> dict:
+    out = {}
+    for alpha in ALPHAS:
+        neg = ModelParams(alpha=-alpha, sigma_e=1.0, sigma_b=1.0, z0=1.0)
+        tilt = min(alpha, 1.0)
+        t0 = time.process_time()
+        calls = [environment_survival_curve(neg, CURVE_TIMES, N, CURVE_DT, seed, tilt=tilt,
+                                            antithetic=True) for seed in SEEDS]
+        cpu = time.process_time() - t0
+        refs = [environment_survival_curve(neg, CURVE_TIMES, N, CURVE_DT, seed, tilt=tilt)
+                for seed in REFERENCE_SEEDS]
+        for t in CURVE_TIMES:
+            runs = np.array([c[t] for c in calls])
+            ref = np.array([r[t] for r in refs])
+            rec = {"t": t, "dt": CURVE_DT, "tilt": tilt,
+                   "provenance": "pooled single-level i.i.d. curve on dt, seeds "
+                                 f"{REFERENCE_SEEDS.start}-{REFERENCE_SEEDS.stop - 1}"}
+            rec.update(pooled(runs[:, 0], runs[:, 1], float(ref[:, 0].mean()),
+                              CURVE_VERIFY_N))
+            rec["target_se"] = float(math.sqrt(np.mean(ref[:, 1] ** 2) / len(ref)))
+            rec["pooled_bias_z"] = rec["pooled_bias"] / math.hypot(rec["pooled_bias_se"],
+                                                                  rec["target_se"])
+            out[f"decay.alpha={alpha:g}.p(t={t:g})"] = rec
+        out[f"decay.alpha={alpha:g}.cpu_s"] = round(cpu, 1)
+    return out
+
+
 def main() -> None:
     out = {
-        "what": "antithetic environment estimators against closed form and quadrature, "
-                "pooled over seeds",
+        "what": "paired multilevel environment estimators against closed form, quadrature "
+                "and the single-level curve, pooled over seeds",
         "n": N,
         "antithetic": True,
+        "multilevel": True,
         "seeds": f"{SEEDS.start}-{SEEDS.stop - 1}",
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        "records": {"extinct_curve.t=30": extinct_record(), **laplace_records()},
+        "records": {"extinct_curve.t=30": extinct_record(), **laplace_records(),
+                    **curve_records()},
     }
     print(json.dumps(out, indent=2))
 

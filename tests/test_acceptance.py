@@ -160,6 +160,8 @@ def test_criterion_07_laplace_suite(verify_runs):
             f"lambda={lam:g}: {r.value:.5f} vs {r.theoretical:.5f}"
         )
         assert r.n == 100_000
+        # the finest level's correction, the transform on dt minus on 2 dt
+        assert by_name[f"laplace.lam={lam:g}.dt_bias"].passed is None
     inv = by_name["laplace.inverse_gamma_limit"]
     assert abs(inv.value - 0.25) <= 1e-4
     printed = by_name["laplace.as_printed_limit"]
@@ -220,14 +222,14 @@ def test_criterion_10_byte_reproducibility(verify_runs):
 # or fitted constant changes a digest; a change meant to move bytes updates
 # these and says so.
 DATA_FILES_SHA256 = {
-    "results.csv": "ec5f70c881346ea47ae222b10a13f13c471e36d2f11b52c0cbaf73410ef55a8a",
-    "results.jsonl": "1d995ea71a124294f6fda0916ab86219269e1721a8995729fb691f1e9a4f0d00",
-    "survival_curve_alpha0p5.dat": "e03a690ebd443077a50df81eec10213e3a5751252a7fc872e4ab9a2242057d06",
-    "survival_curve_alpha1.dat": "14f977fd3756781e762b416adb808e6bd9cec4500cd514c8b80761f3f9a52abd",
-    "survival_curve_alpha2.dat": "46e6a870b65c5041533e534b5a73296c5ee7e24a203301286ea972f8af996cbd",
-    "plot_survival_alpha0p5.gp": "609042008b94c6992f51442aa352c7e6368b7c79682aa3df200e68c435104389",
-    "plot_survival_alpha1.gp": "34ba5b123df83ec24ae809b8637edc0e0f2a8ad179c69639d88e1a962db48469",
-    "plot_survival_alpha2.gp": "7a38c29bac15d231835e13273d15ace2b02861cb7ae63a5daa153e2cffadc5b0",
+    "results.csv": "df1d329cfa66000a0b28226f2d847accc88ab17bf77c47d8b407b4a24b654d80",
+    "results.jsonl": "05d86a1465aacceac3d849a2052580fd369710856c2200714a4d4d710cc0c367",
+    "survival_curve_alpha0p5.dat": "e396c7daa2702bb049860f514fbc1904daf8e4bf71f8afd57224bdab876f8361",
+    "survival_curve_alpha1.dat": "748fb1efdbac4f1cc70c993a585c896d58b6f6b4f6c88a774f9c814b144f4609",
+    "survival_curve_alpha2.dat": "7aa0cc72e184129f95e095d428953cb31d482c0f0ef28d3f52c6d46d26632989",
+    "plot_survival_alpha0p5.gp": "633b7b1337750fae3ad8979e5632f5c66d2546478783dc6ba9eaf67a75e1ce16",
+    "plot_survival_alpha1.gp": "a703997b9275f66d4d4bc281b3c3719a81cd3a1cb3db5636f35b558e0726ed87",
+    "plot_survival_alpha2.gp": "40e8d1ee0829a0f67fdd83ffbafb92915e54d71eac38bca79cdb9a054e7b2329",
 }
 
 
@@ -244,6 +246,17 @@ def test_verify_log_has_one_line_per_record(verify_runs):
     logged = Counter(line.split()[0] for line in log if line.startswith("    "))
     assert logged == Counter(r.quantity for r in rep.records)
     assert set(logged.values()) == {1}
+
+
+def test_negative_controls_are_marked_in_the_log(verify_runs):
+    # a negative control passes when its value differs from its reference
+    log = (verify_runs[2] / "verify.log").read_text(encoding="utf-8").splitlines()
+    marked = {line.split()[0] for line in log if "  must differ  " in line}
+    assert marked == {
+        "law_equivalence.negative_control_statistic",
+        "dufresne.ks_as_printed_gamma",
+        "laplace.as_printed_limit",
+    }
 
 
 def test_summary_lists_exactly_the_failing_gated_records():

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from bdrelab.envexact import (
+    _coupled_batches,
+    _depth,
+    _environment_batches,
+    _grid,
     _mean_se,
     _sums,
     dufresne_samples,
@@ -41,7 +45,7 @@ def test_conditional_population_mean_is_exact():
     # quenched transform at lambda = 0 is z, up to O(lambda) and no Monte Carlo error
     z0, lam = 1.5, 1e-6
     p = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1.0, z0=z0)
-    m, _ = environment_laplace(p, [lam], t=2.0, n=2000, dt=0.01, seed=101)[lam]
+    m, _, _ = environment_laplace(p, [lam], t=2.0, n=2000, dt=0.01, seed=101)[lam]
     assert (1.0 - m) / lam == pytest.approx(z0, rel=1e-4)
 
 
@@ -52,16 +56,16 @@ def test_conditional_atom_at_zero_matches_formula():
     lap = environment_laplace(STD, [1.0, 1e3, math.inf], t, n, dt, seed)
     atom = environment_survival_curve(STD, [t], n, dt, seed, "extinct", antithetic=True)[t]
     alive = environment_survival_curve(STD, [t], n, dt, seed, antithetic=True)[t]
-    assert lap[math.inf] == atom
+    assert lap[math.inf][:2] == atom
     assert lap[1.0][0] > lap[1e3][0] > atom[0] > 0.0
     assert atom[0] + alive[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_environment_laplace_endpoints():
     out = environment_laplace(STD, [0.0, 1.0], t=2.0, n=2000, dt=0.01, seed=109)
-    m0, se0 = out[0.0]
+    m0, se0, _ = out[0.0]
     assert m0 == 1.0 and se0 == 0.0
-    m1, _ = out[1.0]
+    m1, _, _ = out[1.0]
     assert 0.0 < m1 < 1.0
 
 
@@ -171,3 +175,73 @@ def test_antithetic_and_independent_environments_agree():
         (m1, se1), (m0, se0) = paired[t], plain[t]
         assert se1 < 0.8 * se0
         assert abs(m1 - m0) <= 4 * math.hypot(se1, se0), (t, m1, m0)
+
+
+@pytest.mark.parametrize("b", [5, 20_000])
+def test_a_correction_level_replays_by_hand(b):
+    # level 2 of a tilted curve on h = 0.02 to t = 0.32: one S path per
+    # environment, the trapezoid of I_t on every node and the one on the
+    # even nodes; 5 environments step in one block per checkpoint, 20 000
+    # in blocks of 6 steps, so the blocks never meet the checkpoints
+    p, h, scale = NEGATED[1.0], 0.02, 0.5
+    at = {8: 0.16, 16: 0.32}
+    (out,) = _coupled_batches(
+        p, h, at, b, 29, 2, 1, scale, lambda t, f, c, s: (f.copy(), c.copy(), s.copy())
+    )
+    xi = RngStream(29, 0, 2).generator().standard_normal((16, b))
+    s = np.zeros((17, b))
+    for k in range(16):
+        s[k + 1] = s[k] + p.alpha * h + math.sqrt(h) * xi[k]
+    e = np.exp(-s)
+    for k, t in at.items():
+        fine = sum(scale * 0.5 * h * (e[j - 1] + e[j]) for j in range(1, k + 1))
+        coarse = sum(scale * h * (e[j - 2] + e[j]) for j in range(2, k + 1, 2))
+        np.testing.assert_allclose(out[t][0], fine, rtol=1e-12)
+        np.testing.assert_allclose(out[t][1], coarse, rtol=1e-12)
+        # S_t crosses 0, where only an absolute tolerance means anything
+        np.testing.assert_allclose(out[t][2], s[k], rtol=1e-12, atol=1e-12)
+
+
+def test_levels_stop_at_the_coarsest_grid_that_holds_every_checkpoint():
+    def depth(times, dt):
+        _, step, _, at = _grid(times, dt)
+        return _depth(step, at)
+
+    # criterion 5's grid and criterion 7's transform: the coarsest step 0.08
+    assert depth([4.0, 6.0, 8.0, 10.0, 12.0], 0.01) == 3
+    assert depth([20.0], 0.0025) == 5
+    # t = 6 is on the grid 0.04 but not on 0.16, which the cap forbids anyway
+    assert depth([6.0, 8.0], 0.02) == 2
+    # a checkpoint on no coarser grid, and a dt whose double tops the cap
+    assert depth([0.03, 0.08], 0.01) == 0
+    assert depth([1.0], 0.05) == 0
+
+
+@pytest.mark.parametrize("alpha", sorted(NEGATED))
+def test_multilevel_and_single_level_curves_agree(alpha):
+    # the levels telescope to the trapezoid on dt: the paired multilevel
+    # curve against the i.i.d. curve on dt, both tilted, on fresh noise
+    times, n, theta = [2.0, 4.0], 20_000, min(alpha, 1.0)
+    levels = environment_survival_curve(
+        NEGATED[alpha], times, n, 0.01, 161, tilt=theta, antithetic=True
+    )
+    plain = environment_survival_curve(NEGATED[alpha], times, n, 0.01, 163, tilt=theta)
+    for t in times:
+        (m1, se1), (m0, se0) = levels[t], plain[t]
+        assert abs(m1 - m0) <= 4 * math.hypot(se1, se0), (t, m1, m0)
+
+
+def test_multilevel_and_single_level_transforms_agree():
+    # five levels down to dt 0.005 against the i.i.d. transform on dt, on fresh noise
+    lams, t, n, dt = [0.5, 10.0], 4.0, 20_000, 0.005
+    levels = environment_laplace(STD, lams, t, n, dt, 167)
+    parts = _environment_batches(
+        STD, [t], dt, n, 173, 1, 0.5,
+        lambda _, i_t, s_t: [_sums(np.exp(-1.0 / (i_t + 1.0 / lam))) for lam in lams],
+    )
+    for j, lam in enumerate(lams):
+        m0, se0 = _mean_se([p[t][j] for p in parts], n)
+        m1, se1, (bias, bias_se, size) = levels[lam]
+        assert abs(m1 - m0) <= 4 * math.hypot(se1, se0), (lam, m1, m0)
+        # the finest level: the transform on dt minus the one on 2 dt
+        assert size == 256 and abs(bias) <= 4 * bias_se + 1e-4

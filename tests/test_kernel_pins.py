@@ -84,7 +84,13 @@ def _path(path) -> list:
 
 
 def _curve(out) -> list:
-    return [v for t in sorted(out) for v in out[t]]
+    """(mean, se) at each key in order; a transform's dt_bias is left to _transform."""
+    return [v for t in sorted(out) for v in out[t][:2]]
+
+
+def _transform(out) -> list:
+    """environment_laplace's (mean, se) and finest correction at each lambda in order."""
+    return [v for lam in sorted(out) for v in (*out[lam][:2], *out[lam][2])]
 
 
 def compute() -> dict:
@@ -118,6 +124,17 @@ def compute() -> dict:
             STD, [0.0, 0.5, 1.0], 501, 0.05, seed=9, collect="extinct", antithetic=True)),
         "laplace_lone_batch": _curve(environment_laplace(
             STD, [0.5, 2.0], 1.0, 50_001, 0.05, seed=19)),
+        # the multilevel route on dt 0.01: three correction levels below
+        # h0 = 0.08, two below h0 = 0.08 at dt 0.02 with level 0 in two
+        # batches, and n odd
+        "survival_curve_tilted_levels": _curve(environment_survival_curve(
+            STRONG_NEGATED, [0.0, 0.24, 0.48], 500, 0.01, seed=9, tilt=1.0, antithetic=True)),
+        "survival_curve_tilted_levels_two_batches": _curve(environment_survival_curve(
+            WEAK_NEGATED, [0.16, 0.32], 60_000, 0.02, seed=7, tilt=0.625, antithetic=True)),
+        "extinct_curve_levels_odd_n": _curve(environment_survival_curve(
+            STD, [0.0, 0.4, 0.8], 501, 0.01, seed=9, collect="extinct", antithetic=True)),
+        "laplace_levels": _transform(environment_laplace(
+            STD, [0.5, 2.0], 0.8, 500, 0.01, seed=19)),
         "states_bdre": _states("bdre", STD),
         "states_bdre_absorbing": _states(
             "bdre", NOISY, SchemeConfig(dt=0.01, horizon=0.5, absorption_threshold=0.01)
@@ -245,6 +262,24 @@ PINNED = {
     'survival_curve_tilted_paired_two_batches': [
         0.9974189482859593, 0.00023911374402086876, 0.7334965099487128,
         0.00027941036510521186,
+    ],
+    # computed when the paired route ran its environments on levels
+    'survival_curve_tilted_levels': [
+        1.0, 0.0, 0.9892762053442391, 0.009883550899298994, 0.8940992001087044,
+        0.012247891269647575,
+    ],
+    'survival_curve_tilted_levels_two_batches': [
+        0.9998375239046714, 0.00016129876588254238, 0.9893873512404167,
+        0.00027163407849489676,
+    ],
+    'extinct_curve_levels_odd_n': [
+        0.0, 0.0, 0.010029393788736952, 0.0008061618268379835, 0.059957096756278444,
+        0.0024754114090140993,
+    ],
+    'laplace_levels': [
+        0.6497647945756269, 0.000440693640562054, 4.4802758294368306e-06,
+        1.5852656875447096e-05, 256, 0.29326072160230915, 0.0013672086158645798,
+        1.300420217540039e-05, 5.4675044240258e-05, 256,
     ],
     'quenched_cond_extinction': [
         200.0, 1.0, 1.0, 1.0, 181.66276699544974, 0.7097838539032179, 0.6106401896507349,

@@ -64,6 +64,12 @@ def test_rng_streams_are_reproducible_and_distinct():
     c = RngStream(11, 1).generator().standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # a multilevel estimator's level l >= 1 has streams of its own; level 0
+    # is the plain pair
+    d = RngStream(11, 0, 1).generator().standard_normal(4)
+    e = RngStream(11, 0, 2).generator().standard_normal(4)
+    assert np.array_equal(RngStream(11, 0, 0).generator().standard_normal(4), a)
+    assert not any(np.array_equal(x, y) for x, y in ((a, d), (c, d), (d, e)))
 
 
 def test_path_grid_and_nonnegativity():
@@ -200,6 +206,13 @@ def test_ensemble_thread_count_does_not_change_results(monkeypatch):
             tilt=1.0, antithetic=True,
         ),
         "laplace": lambda th: environment_laplace(STD, [0.5, 2.0], 0.05, n, 0.01, 7, th),
+        # the multilevel route: level 0 in two batches on h0 = 0.04 and two
+        # correction levels, then three for the transform on h0 = 0.08
+        "environment_levels": lambda th: environment_survival_curve(
+            replace(STD, alpha=-1.0), [0.04, 0.08], n + 1, 0.01, seed=7, threads=th,
+            tilt=1.0, antithetic=True,
+        ),
+        "laplace_levels": lambda th: environment_laplace(STD, [0.5, 2.0], 0.08, n, 0.01, 7, th),
     }
     results = {}
     for name, run in kernels.items():
@@ -258,6 +271,11 @@ _SE_KERNELS = {
         4, lambda n: environment_laplace(STD, [1.0], 0.05, n, 0.01, 1)),
     "environment_survival_curve_paired": (
         4, lambda n: environment_survival_curve(STD, [0.05], n, 0.01, 1, antithetic=True)),
+    # three correction levels below h0 = 0.08
+    "environment_survival_curve_levels": (
+        4, lambda n: environment_survival_curve(STD, [0.08], n, 0.01, 1, antithetic=True)),
+    "environment_laplace_levels": (
+        4, lambda n: environment_laplace(STD, [1.0], 0.08, n, 0.01, 1)),
     "survival_points": (4, lambda n: survival_points(
         STD, [0.05], n, SurvivalRoute.NEGATED_ALPHA_SIM, 1, dt=0.01)),
     "laplace_limit_test": (
