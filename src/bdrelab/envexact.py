@@ -15,46 +15,38 @@ the whole package: only the scalar pair (S_t, I_t) has to be simulated,
 and the branching noise is integrated out in closed form.
 
 Every estimator here runs on one reducer, _environment_batches: it steps
-batches of environments and hands (I_t, S_t) at each checkpoint to a
-reduction of the estimator's choosing. Only the correction levels below
-run their twin, _coupled_batches, which steps in time blocks and hands
-over two trapezoids of I_t per path. The survival curve can sample its
-environments under an exponential tilt, dQ/dP = e^{theta S_t} / E[e^{theta S_t}],
-and weight each path by the exact likelihood ratio dP/dQ (importance
-sampling; Asmussen & Glynn, Stochastic Simulation, 2007, ch. VI). The
-only approximation anywhere here is still the trapezoid rule for I_t on
-the simulation grid.
+batches of environments in blocks of time steps and hands (I_t, S_t) at
+each checkpoint to a reduction of the estimator's choosing. The survival
+curve can sample its environments under an exponential tilt,
+dQ/dP = e^{theta S_t} / E[e^{theta S_t}], and weight each path by the
+exact likelihood ratio dP/dQ (importance sampling; Asmussen & Glynn,
+Stochastic Simulation, 2007, ch. VI). The only approximation anywhere
+here is the trapezoid rule for I_t on the simulation grid.
 
 The transform always runs, and the survival curve can run, the paired
-multilevel route (Giles, Operations Research 56, 2008). Level 0 runs the
-n environments in antithetic pairs (Glasserman, Monte Carlo Methods in
-Financial Engineering, 2003, sec. 4.2) on the coarsest grid dt 2^L that
-holds every checkpoint, with dt 2^L at most 0.08: in a batch of b
-environments the first b // 2 step on xi and the last b // 2 on -xi, and
-with b odd the one in between steps alone on normals of its own.
-Untilted, both values are monotone in every normal, so the members of a
-pair are negatively correlated (about -0.76 for e^{-z/I_t} and the
-transform) and a pair sum varies far less than two independent values; a
-tilt's weight makes the product no longer monotone, and there the gain
-is measured, not guaranteed. Level l = 1..L runs N_l independent
-environments on the grid dt 2^{L-l}, each reducing its value at the
-trapezoid on that grid minus its value at the trapezoid on the grid
-twice as coarse, both on the one S path; S_t is exact on every grid, so a
-tilt's likelihood ratio is shared by the two. On one Brownian path the
-two trapezoids differ by O(h), so a correction varies about 4x less per
-level and a few hundred to a few thousand environments serve it. The
-levels telescope: the mean has exactly the expectation of the trapezoid
-on dt, the same as one level on dt, from about a fifth (criterion 5's
-curves) to a twentieth (criterion 7's transform at n = 1e5) of the
-path-steps. n counts level 0's environments; N_l is set from n
-(_level_size) and L from the grid (_depth), with no option. se^2 is
-level 0's paired se^2, from the spread of the pair sums plus the share
-of each odd batch's lone path, plus each correction level's i.i.d.
-se^2; each level draws from streams of its own. The Rao-Blackwell
-extinction probability and dufresne_samples stay i.i.d. on one level:
-criterion 8 runs a KS test that needs independent samples of the
-functional itself, which a difference of levels is not, and the
-benchmark checks the RB se against the i.i.d. variance.
+multilevel route (Giles, Operations Research 56, 2008; _paired_levels).
+Level 0 runs the n environments in antithetic pairs (Glasserman, Monte
+Carlo Methods in Financial Engineering, 2003, sec. 4.2) on the coarsest
+grid that holds every checkpoint, of step at most 0.08. Untilted, both
+values are monotone in every normal, so the members of a pair are
+negatively correlated (about -0.76 for e^{-z/I_t} and the transform) and
+a pair sum varies far less than two independent values; a tilt's weight
+makes the product no longer monotone, and there the gain is measured,
+not guaranteed. Each correction level l = 1..L reduces, on one S path
+per environment, its value at the trapezoid on the grid dt 2^{L-l} minus
+its value at the trapezoid on the grid twice as coarse; S_t is exact on
+every grid, so a tilt's likelihood ratio is shared by the two. On one
+Brownian path the two trapezoids differ by O(h), so a correction varies
+about 4x less per level and a few hundred to a few thousand environments
+serve it. The levels telescope to the expectation of the trapezoid on
+dt, from about a fifth (criterion 5's curves) to a twentieth (criterion
+7's transform at n = 1e5) of the path-steps of one level on dt. n counts
+level 0's environments; L and each level's N_l follow from the grid and
+n (_depth, _level_size), with no option. The Rao-Blackwell extinction
+probability and dufresne_samples stay i.i.d. on one level: criterion 8
+runs a KS test that needs independent samples of the functional itself,
+which a difference of levels is not, and the benchmark checks the RB se
+against the i.i.d. variance.
 """
 
 from __future__ import annotations
@@ -69,7 +61,7 @@ from numpy.typing import NDArray
 from .errors import ConfigError
 from .model import ModelParams
 from .rng import _require_se_sample, _run_batches
-from .sde import _BLOCK_DOUBLES, _checkpoint_steps
+from .sde import _checkpoint_steps
 
 __all__ = [
     "environment_survival_curve",
@@ -79,123 +71,105 @@ __all__ = [
 
 
 def _grid(times: Sequence[float], dt: float) -> tuple:
-    """(sorted times, step, number of steps, {step index: time}) of the grid.
+    """(step, {step index: time}) of the grid.
 
     The last time T sets the grid: round(T / dt) steps of equal length, at
     least one or ConfigError, and every other time must sit on it.
     """
-    times = sorted(float(t) for t in times)
+    times = [float(t) for t in times]
+    if not times or not all(map(math.isfinite, times)):
+        raise ConfigError(f"times must be one or more finite numbers, got {times}")
     if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    n_steps = int(round(times[-1] / dt))
+    last = max(times)
+    n_steps = int(round(last / dt))
     if n_steps < 1:
-        raise ConfigError(f"t = {times[-1]} is shorter than half a step dt = {dt}")
-    step = times[-1] / n_steps
-    return times, step, n_steps, _checkpoint_steps(times, step, n_steps)
+        raise ConfigError(f"t = {last} is shorter than half a step dt = {dt}")
+    step = last / n_steps
+    return step, _checkpoint_steps(times, step, n_steps)
+
+
+# Doubles per block of steps of a batch of b environments. sde's 2^17 ran
+# the batches of 10,000 environments slower, in one process and over runs
+_BLOCK_DOUBLES = 2**15
+
+
+def _trapezoid(acc, x, weight: float, w):
+    """acc + weight (x_0 + x_1) + weight (x_1 + x_2) + ..., x_j the rows of
+    x, summed in w, an array of one row fewer."""
+    np.add(x[:-1], x[1:], out=w)
+    w *= weight
+    w[0] += acc
+    # numpy sums down axis 0 row by row, but one column pairwise
+    return w.sum(axis=0) if w.shape[1] > 1 else w.cumsum(axis=0)[-1]
 
 
 def _environment_batches(
     params: ModelParams,
-    times: Sequence[float],
-    dt: float,
+    step: float,
+    at: dict,
     n: int,
     seed: int,
     threads: int,
     scale: float,
     reduce: Callable,
     paired: bool = False,
+    level: int = 0,
 ) -> list:
     """Per batch of environments, {t: reduce(t, I_t, S_t)} at each time.
 
-    The grid is _grid's. S takes exact Gaussian increments and
-    I_t = scale * Int_0^t e^{-S_s} ds the trapezoid rule; scale =
-    sigma_b^2 / 2 gives the I_t of the quenched law, scale = 1 the raw
-    Dufresne functional. I_t and S_t are the running arrays, final only at
-    T, so reduce must not keep or change them. Batch k draws from
-    RngStream(seed, k). paired runs a batch of b in antithetic pairs:
-    column j < b // 2 steps on xi_j and column b - b // 2 + j on -xi_j,
-    and with b odd column b // 2 on a normal of its own, so each step draws
-    b - b // 2 normals.
-    """
-    times, step, n_steps, at = _grid(times, dt)
-    noise = params.sigma_e * math.sqrt(step)
-    drift = params.alpha * step
-    weight = scale * 0.5 * step
+    S takes exact Gaussian increments on the grid of step h = step to the
+    last index of at ({step index: time}, _grid's), and I_t = scale *
+    Int_0^t e^{-S_s} ds the trapezoid rule on that grid: scale =
+    sigma_b^2 / 2 for the quenched law, 1 for the Dufresne functional.
+    level >= 1 (every index of at even) also carries I_2h, the trapezoid
+    on the even nodes of the same path, and calls reduce(t, I_t, I_2h,
+    S_t). reduce must not keep or change the arrays.
 
-    def worker(g, b: int):
-        s = np.zeros(b)
-        acc = np.zeros(b)
-        prev = np.ones(b)
-        h = b // 2 if paired else 0
-        out = {}
-        if 0 in at:
-            out[at[0]] = reduce(at[0], acc, s)
-        for k in range(1, n_steps + 1):
-            xi = g.standard_normal(b - h)
-            s += drift + noise * (np.concatenate((xi, -xi[:h])) if h else xi)
-            cur = np.exp(-s)
-            acc += weight * (prev + cur)
-            prev = cur
-            if k in at:
-                out[at[k]] = reduce(at[k], acc, s)
-        return out
-
-    return _run_batches(worker, n, seed, threads)
-
-
-def _coupled_batches(
-    params: ModelParams,
-    step: float,
-    at: dict,
-    n: int,
-    seed: int,
-    level: int,
-    threads: int,
-    scale: float,
-    reduce: Callable,
-) -> list:
-    """Per batch of environments, {t: reduce(t, I_h, I_2h, S_t)} at each time.
-
-    Each environment steps S on the grid of step h = step, up to the last
-    index of at ({step index: time}, every index even), and reduces two
-    trapezoids of I_t on that one path: I_h on every node and I_2h on the
-    even ones. The steps run in blocks of an even number of steps and at
-    most _BLOCK_DOUBLES normals, each block one draw of a (k, b) array and
-    one cumulative sum, ending at every index of at. Batch k draws from
-    RngStream(seed, k, level), so no level shares a stream with another.
+    Batch i draws from RngStream(seed, i, level) one array of normals, a
+    row per step, for each block of steps: at most _BLOCK_DOUBLES, an even
+    number of steps at level >= 1, and ending at every index of at. S and
+    the trapezoids are summed row by row, the arithmetic of a step at a
+    time. paired runs antithetic pairs: column j < b // 2 steps on xi_j and
+    column b - b // 2 + j on -xi_j, and with b odd column b // 2 alone, so
+    a step draws b - b // 2 normals.
     """
     noise = params.sigma_e * math.sqrt(step)
     drift = params.alpha * step
     weight = scale * 0.5 * step
+    even = 2 if level else 1
     ends = sorted(k for k in at if k > 0)
 
     def worker(g, b: int):
-        s = np.zeros(b)
-        fine = np.zeros(b)
-        coarse = np.zeros(b)
-        prev = np.ones(b)
-        room = max(2, _BLOCK_DOUBLES // b // 2 * 2)
+        m = b - b // 2 if paired else b  # columns on normals of their own
+        room = max(even, _BLOCK_DOUBLES // b // even * even)
+        # rows 0..k of a block, the node before it and its k steps: -S in
+        # neg, each the exact negative of S + (drift + noise xi), and e^{-S}
+        # in ex; one allocation, as four each call faulted in fresh pages
+        normals, neg, ex, w = np.empty((4, room + 1, b))
+        neg[0], ex[0] = 0.0, 1.0
+        acc = list(np.zeros((even, b)))  # I_t, and I_2h at level >= 1
         out = {}
         if 0 in at:
-            out[at[0]] = reduce(at[0], fine, coarse, s)
+            out[at[0]] = reduce(at[0], *acc, -neg[0])
         done = 0
         for end in ends:
             while done < end:
                 k = min(room, end - done)
-                # S over the block, then e^{-S}, in place in one (k, b) array
-                e = g.standard_normal((k, b))
-                e *= noise
-                e += drift
-                np.cumsum(e, axis=0, out=e)
-                e += s
-                s = e[-1].copy()
-                np.negative(e, out=e)
-                np.exp(e, out=e)
-                fine += weight * (prev + e[-1] + 2.0 * e[:-1].sum(axis=0))
-                coarse += 2.0 * weight * (prev + e[-1] + 2.0 * e[1:-1:2].sum(axis=0))
-                prev = e[-1]
+                ns, x = neg[: k + 1], ex[: k + 1]
+                xi = g.standard_normal(out=normals.ravel()[: k * m].reshape(k, m))
+                np.multiply(xi, -noise, out=ns[1:, :m])
+                np.negative(ns[1:, : b - m], out=ns[1:, m:])
+                ns[1:] -= drift
+                for above, row in zip(ns, ns[1:]):
+                    row += above
+                np.exp(ns[1:], out=x[1:])
+                acc[0] = _trapezoid(acc[0], x, weight, w[:k])
+                if level:
+                    acc[1] = _trapezoid(acc[1], x[::2], 2.0 * weight, w[: k // 2])
+                ns[0], x[0] = ns[k], x[k]
                 done += k
-            out[at[end]] = reduce(at[end], fine, coarse, s)
+            out[at[end]] = reduce(at[end], *acc, -neg[0])
         return out
 
     return _run_batches(worker, n, seed, threads, level)
@@ -207,11 +181,10 @@ def _sums(q: NDArray[np.float64], paired: bool = False) -> tuple:
     squares about their own mean and its number of lone paths (b % 2)."""
     if not paired:
         return float(q.sum()), float((q**2).sum())
-    b = q.shape[0]
-    h = b // 2
-    x = q[:h] + q[b - h :]
+    h = len(q) // 2
+    x = q[:h] + q[len(q) - h :]
     d = x - x.mean() if h else x
-    return float(q.sum()), float((q**2).sum()), h, float(x.sum()), float(d @ d), b - 2 * h
+    return float(q.sum()), float((q**2).sum()), h, float(x.sum()), float(d @ d), len(q) % 2
 
 
 def _mean_se(sums: list, n: int, paired: bool = False) -> tuple[float, float]:
@@ -228,9 +201,7 @@ def _mean_se(sums: list, n: int, paired: bool = False) -> tuple[float, float]:
     if not paired:
         return mean, math.sqrt(var / n)
     spread = sum(m2 + (x1 - 2.0 * mean * h) ** 2 / h for _, _, h, x1, m2, _ in sums if h)
-    lone = sum(s[5] for s in sums)
-    if lone:
-        spread += lone * var
+    spread += sum(s[5] for s in sums) * var  # the lone paths
     return mean, math.sqrt(spread) / n
 
 
@@ -277,42 +248,39 @@ def _paired_levels(
 ) -> tuple:
     """Multilevel means of values(t, I_t, S_t), a list of arrays, at each time.
 
-    Level 0 runs n environments in antithetic pairs (_environment_batches)
-    on the coarsest grid dt 2^L (_depth); level l = 1..L runs N_l
-    environments (_level_size) on the grid dt 2^{L-l}, each reducing
-    values at its trapezoid on that grid minus values at its trapezoid on
-    the grid twice as coarse (_coupled_batches). The levels telescope, so
-    the mean has the expectation of the trapezoid on dt, and the levels
-    are independent, so se^2 is level 0's paired se^2 plus each level's
-    i.i.d. se^2. Returns ({t: [(mean, se) per value]}, finest), finest
-    being None when L = 0, else (level L's {t: [(mean, se) per value]},
-    N_L): the trapezoid on dt minus the trapezoid on 2 dt.
+    One loop runs the levels on _environment_batches: level 0 runs n
+    environments in antithetic pairs on the grid dt 2^L (_depth), level
+    l = 1..L runs N_l (_level_size) on dt 2^{L-l}, each reducing values at
+    its trapezoid minus values at the one twice as coarse. The levels are
+    independent, so se^2 is level 0's paired se^2 plus each level's i.i.d.
+    se^2. Returns ({t: [(mean, se) per value]}, finest), finest None when
+    L = 0, else (level L's {t: [(mean, se) per value]}, N_L): the
+    trapezoid on dt minus the trapezoid on 2 dt.
     """
-    times, step, _, at = _grid(times, dt)
+    step, at = _grid(times, dt)
     depth = _depth(step, at)
-    parts = _environment_batches(
-        params, times, step * 2**depth, n, seed, threads, scale,
-        lambda t, i_t, s_t: [_sums(v, True) for v in values(t, i_t, s_t)], True,
-    )
-    est = {t: [_mean_se(x, n, True) for x in zip(*(p[t] for p in parts))] for t in parts[0]}
 
-    def reduce(t, fine, coarse, s_t):
+    def pairs(t, i_t, s_t):
+        return [_sums(v, True) for v in values(t, i_t, s_t)]
+
+    def corrections(t, fine, coarse, s_t):
         return [_sums(f - c) for f, c in zip(values(t, fine, s_t), values(t, coarse, s_t))]
 
-    finest = None
-    for level in range(1, depth + 1):
+    est = finest = None
+    for level in range(depth + 1):
         shift = depth - level
-        size = _level_size(n, level)
-        parts = _coupled_batches(
+        size = _level_size(n, level) if level else n
+        parts = _environment_batches(
             params, step * 2**shift, {k >> shift: t for k, t in at.items()}, size, seed,
-            level, threads, scale, reduce,
+            threads, scale, corrections if level else pairs, not level, level,
         )
-        diff = {t: [_mean_se(x, size) for x in zip(*(p[t] for p in parts))] for t in parts[0]}
-        est = {
+        diff = {t: [_mean_se(x, size, not level) for x in zip(*(p[t] for p in parts))]
+                for t in parts[0]}
+        est = diff if est is None else {
             t: [(m + dm, math.hypot(se, dse)) for (m, se), (dm, dse) in zip(est[t], diff[t])]
             for t in est
         }
-        finest = diff, size
+        finest = (diff, size) if level else None
     return est, finest
 
 
@@ -328,7 +296,7 @@ def dufresne_samples(
     if params.alpha <= 0:
         raise ValueError("the exponential functional requires alpha > 0")
     parts = _environment_batches(
-        params, [horizon], dt, n, seed, threads, 1.0, lambda t, i_t, s_t: i_t
+        params, *_grid([horizon], dt), n, seed, threads, 1.0, lambda t, i_t, s_t: i_t
     )
     return np.concatenate([p[float(horizon)] for p in parts])
 
@@ -356,16 +324,12 @@ def environment_survival_curve(
     tilt = theta samples S with drift mu + theta sigma_e^2 instead and
     multiplies each path's value at t by the exact likelihood ratio
     exp((theta mu + theta^2 sigma_e^2 / 2) t - theta S_t), so the mean is
-    the untilted one and only the variance changes. The only
-    approximation is the trapezoid rule for I_t.
+    the untilted one and only the variance changes.
 
-    antithetic = True runs the paired multilevel route (_paired_levels):
-    n environments in antithetic pairs on the coarsest grid that holds
-    every checkpoint, plus the coupled corrections down to dt, so the mean
-    has the expectation of the trapezoid on dt. Under a tilt each
-    environment carries its own likelihood ratio, shared by a
-    correction's two trapezoids, since S_t is exact on every grid. n must
-    be at least 2, or 4 with pairs.
+    antithetic = True runs the paired multilevel route (_paired_levels),
+    whose mean has the expectation of the trapezoid on dt; under a tilt
+    each environment carries its own likelihood ratio. n must be at least
+    2, or 4 with pairs.
     """
     _require_se_sample(n, 4 if antithetic else 2)
     if collect not in ("survival", "extinct"):
@@ -393,7 +357,7 @@ def environment_survival_curve(
         est, _ = _paired_levels(stepped, checkpoints, dt, n, seed, threads, scale, values)
         return {t: v[0] for t, v in est.items()}
     parts = _environment_batches(
-        stepped, checkpoints, dt, n, seed, threads, scale,
+        stepped, *_grid(checkpoints, dt), n, seed, threads, scale,
         lambda t, i_t, s_t: _sums(values(t, i_t, s_t)[0]),
     )
     return {t: _mean_se([p[t] for p in parts], n) for t in parts[0]}
@@ -424,6 +388,8 @@ def environment_laplace(
         raise ValueError("the quenched transform needs sigma_b > 0")
     z = params.z0
     lambdas = [float(l) for l in lambdas]
+    if not lambdas:
+        raise ConfigError("no lambda given to transform at")
     if any(l < 0 for l in lambdas):
         raise ValueError("lambda must be nonnegative")
 

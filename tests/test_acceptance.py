@@ -222,11 +222,11 @@ def test_criterion_10_byte_reproducibility(verify_runs):
 # or fitted constant changes a digest; a change meant to move bytes updates
 # these and says so.
 DATA_FILES_SHA256 = {
-    "results.csv": "df1d329cfa66000a0b28226f2d847accc88ab17bf77c47d8b407b4a24b654d80",
-    "results.jsonl": "05d86a1465aacceac3d849a2052580fd369710856c2200714a4d4d710cc0c367",
-    "survival_curve_alpha0p5.dat": "e396c7daa2702bb049860f514fbc1904daf8e4bf71f8afd57224bdab876f8361",
-    "survival_curve_alpha1.dat": "748fb1efdbac4f1cc70c993a585c896d58b6f6b4f6c88a774f9c814b144f4609",
-    "survival_curve_alpha2.dat": "7aa0cc72e184129f95e095d428953cb31d482c0f0ef28d3f52c6d46d26632989",
+    "results.csv": "224214780d84e0fb26b1b34b1f28e46e6bb1bb4112b1a1e9ec2353c4eeddd27f",
+    "results.jsonl": "f5c6d7b5bd72f82cef424d4a3814832d3a425ae0aecf9bb208849266b994b137",
+    "survival_curve_alpha0p5.dat": "9dbc2f612a742e2eaa7925b9c6508b5d990e29f6dc8cfdda07a31c12dfcacd40",
+    "survival_curve_alpha1.dat": "60eda721b7dec973d53c9593c6ee3d08acee18c4133efe2e88329f02125b14ae",
+    "survival_curve_alpha2.dat": "fb2848d2f87923ae01c57fe576d847ca4439bbe66295415eb8307b5001c93fb2",
     "plot_survival_alpha0p5.gp": "633b7b1337750fae3ad8979e5632f5c66d2546478783dc6ba9eaf67a75e1ce16",
     "plot_survival_alpha1.gp": "a703997b9275f66d4d4bc281b3c3719a81cd3a1cb3db5636f35b558e0726ed87",
     "plot_survival_alpha2.gp": "40e8d1ee0829a0f67fdd83ffbafb92915e54d71eac38bca79cdb9a054e7b2329",

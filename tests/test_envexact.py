@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bdrelab.envexact import (
-    _coupled_batches,
     _depth,
     _environment_batches,
     _grid,
@@ -99,6 +98,22 @@ def test_time_shorter_than_half_a_step_is_a_config_error():
         dufresne_samples(STD, horizon=0.004, n=10, dt=0.01, seed=1)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: environment_survival_curve(STD, [], n=10, dt=0.01, seed=1), "times"),
+        (lambda: environment_survival_curve(STD, [1.0, math.nan], 10, 0.01, 1), "times"),
+        (lambda: environment_laplace(STD, [1.0], t=math.nan, n=10, dt=0.01, seed=1), "times"),
+        (lambda: dufresne_samples(STD, horizon=math.inf, n=10, dt=0.01, seed=1), "times"),
+        (lambda: environment_laplace(STD, [], t=1.0, n=10, dt=0.01, seed=1), "lambda"),
+    ],
+    ids=["no-time", "nan-checkpoint", "nan-t", "infinite-horizon", "no-lambda"],
+)
+def test_no_time_a_nonfinite_time_or_no_lambda_is_a_config_error(call, name):
+    with pytest.raises(ConfigError, match=name):
+        call()
+
+
 @pytest.mark.parametrize("alpha", sorted(NEGATED))
 def test_tilted_and_untilted_curves_agree(alpha):
     # the likelihood ratio makes the tilted mean the untilted one; fresh noise
@@ -182,11 +197,12 @@ def test_a_correction_level_replays_by_hand(b):
     # level 2 of a tilted curve on h = 0.02 to t = 0.32: one S path per
     # environment, the trapezoid of I_t on every node and the one on the
     # even nodes; 5 environments step in one block per checkpoint, 20 000
-    # in blocks of 6 steps, so the blocks never meet the checkpoints
+    # in blocks of 2 steps
     p, h, scale = NEGATED[1.0], 0.02, 0.5
     at = {8: 0.16, 16: 0.32}
-    (out,) = _coupled_batches(
-        p, h, at, b, 29, 2, 1, scale, lambda t, f, c, s: (f.copy(), c.copy(), s.copy())
+    (out,) = _environment_batches(
+        p, h, at, b, 29, 1, scale, lambda t, f, c, s: (f.copy(), c.copy(), s.copy()),
+        level=2,
     )
     xi = RngStream(29, 0, 2).generator().standard_normal((16, b))
     s = np.zeros((17, b))
@@ -202,10 +218,52 @@ def test_a_correction_level_replays_by_hand(b):
         np.testing.assert_allclose(out[t][2], s[k], rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "paired, level, b, at",
+    [
+        # i.i.d. on an odd checkpoint index, with t = 0 handed over too
+        (False, 0, 5_000, {0: 0.0, 9: 0.18, 16: 0.32}),
+        # pairs with a lone column, b // 2
+        (True, 0, 5_001, {9: 0.18, 16: 0.32}),
+        # a correction level, which also carries the trapezoid on the even nodes
+        (False, 2, 5_000, {8: 0.16, 16: 0.32}),
+    ],
+    ids=["iid-level-0", "paired-level-0", "level-2"],
+)
+def test_the_block_stepper_replays_a_step_at_a_time(paired, level, b, at):
+    # on h = 0.02 to t = 0.32 a block holds 6 steps, so blocks end between
+    # checkpoints; S and the trapezoid on every node are the ones of a step
+    # at a time, bit for bit
+    p, h, scale, seed = NEGATED[1.0], 0.02, 0.5, 29
+    (out,) = _environment_batches(
+        p, h, at, b, seed, 1, scale, lambda t, *x: [a.copy() for a in x], paired, level
+    )
+    g = RngStream(seed, 0, level).generator()
+    half = b // 2 if paired else 0
+    drift, noise, w = p.alpha * h, p.sigma_e * math.sqrt(h), scale * 0.5 * h
+    s, fine, prev = np.zeros(b), np.zeros(b), np.ones(b)
+    e = [prev]  # e^{-S} on every node, for the trapezoid on the even ones
+    for k in range(1, 17):
+        xi = g.standard_normal(b - half)
+        s = s + (drift + noise * np.concatenate((xi, -xi[:half])))
+        cur = np.exp(-s)
+        fine = fine + w * (prev + cur)
+        prev = cur
+        e.append(cur)
+        if k not in at:
+            continue
+        got = out[at[k]]
+        assert np.array_equal(got[0], fine) and np.array_equal(got[-1], s)
+        if level:
+            coarse = sum(2.0 * w * (e[j - 2] + e[j]) for j in range(2, k + 1, 2))
+            np.testing.assert_allclose(got[1], coarse, rtol=1e-12)
+    if 0 in at:
+        assert all(np.array_equal(x, np.zeros(b)) for x in out[0.0])
+
+
 def test_levels_stop_at_the_coarsest_grid_that_holds_every_checkpoint():
     def depth(times, dt):
-        _, step, _, at = _grid(times, dt)
-        return _depth(step, at)
+        return _depth(*_grid(times, dt))
 
     # criterion 5's grid and criterion 7's transform: the coarsest step 0.08
     assert depth([4.0, 6.0, 8.0, 10.0, 12.0], 0.01) == 3
@@ -236,7 +294,7 @@ def test_multilevel_and_single_level_transforms_agree():
     lams, t, n, dt = [0.5, 10.0], 4.0, 20_000, 0.005
     levels = environment_laplace(STD, lams, t, n, dt, 167)
     parts = _environment_batches(
-        STD, [t], dt, n, 173, 1, 0.5,
+        STD, *_grid([t], dt), n, 173, 1, 0.5,
         lambda _, i_t, s_t: [_sums(np.exp(-1.0 / (i_t + 1.0 / lam))) for lam in lams],
     )
     for j, lam in enumerate(lams):
