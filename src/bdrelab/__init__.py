@@ -51,7 +51,7 @@ from .model import (
     scale_V,
     survival_ratio,
 )
-from .results import Provenance, ResultFormat, ResultRecord, read_results_csv, write_results
+from .results import Provenance, ResultRecord, read_results_csv, write_results
 from .rng import RngStream
 from .sde import (
     Path,
@@ -116,7 +116,6 @@ __all__ = [
     "scale_V",
     "survival_ratio",
     "Provenance",
-    "ResultFormat",
     "ResultRecord",
     "read_results_csv",
     "write_results",

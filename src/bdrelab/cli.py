@@ -50,7 +50,6 @@ from .model import (
 )
 from .results import (
     Provenance,
-    ResultFormat,
     ResultRecord,
     format_records_csv,
     write_decay_plot,
@@ -197,10 +196,8 @@ def _threads(args) -> int:
 
 def _emit(records, cfg: ExperimentConfig) -> None:
     sys.stdout.write(format_records_csv(records))
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    write_results(records, os.path.join(out, "results.csv"), ResultFormat.CSV)
-    write_results(records, os.path.join(out, "results.jsonl"), ResultFormat.JSON_LINES)
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    write_results(records, cfg.output_dir)
 
 
 def _rec(cfg: ExperimentConfig, quantity: str, value: float, se: Optional[float],

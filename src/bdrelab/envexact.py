@@ -77,8 +77,8 @@ def _grid(times: Sequence[float], dt: float) -> tuple:
     least one or ConfigError, and every other time must sit on it.
     """
     times = [float(t) for t in times]
-    if not times or not all(map(math.isfinite, times)):
-        raise ConfigError(f"times must be one or more finite numbers, got {times}")
+    if not times or not all(0.0 <= t < math.inf for t in times):
+        raise ConfigError(f"times must be one or more finite times >= 0, got {times}")
     if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
     last = max(times)

@@ -25,6 +25,7 @@ from .model import (
     extinction_probability,
     scale_U,
 )
+from .rng import _require_se_sample
 from .sde import (
     SchemeConfig,
     absorbed_fraction,
@@ -198,12 +199,13 @@ def estimate_conditioned_survival(
     counts survivors. NegatedAlphaSim runs the plain quenched SDE with
     alpha negated, which has the same law. Reweighting never conditions:
     it reweights unconditioned paths by the scale function,
-    E[U(Z_t) 1{Z_t > 0}]/U(z0).
+    E[U(Z_t) 1{Z_t > 0}]/U(z0). n must be at least 2.
     """
     if params.alpha <= 0:
         raise ValueError("conditioning on extinction requires alpha > 0")
     if t < 0:
         raise ValueError("t must be nonnegative")
+    _require_se_sample(n)
     if t == 0:
         return MCEstimate(mean=1.0, std_error=0.0, n=n, method_tag=route.value)
     run_cfg = replace(cfg, horizon=t)

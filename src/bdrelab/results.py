@@ -19,7 +19,6 @@ from .errors import ConfigError
 __all__ = [
     "Provenance",
     "ResultRecord",
-    "ResultFormat",
     "CSV_COLUMNS",
     "format_records_csv",
     "write_results",
@@ -50,11 +49,6 @@ class Provenance(Enum):
     PRINTED_CONSTANT = "printed-constant"
     REFERENCE_LAW = "reference-law"
     NONE = "none"
-
-
-class ResultFormat(Enum):
-    CSV = "CSV"
-    JSON_LINES = "JSONLines"
 
 
 @dataclass(frozen=True)
@@ -120,35 +114,25 @@ def format_records_csv(records: Sequence[ResultRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_results(
-    records: Sequence[ResultRecord], path: str, fmt: ResultFormat = ResultFormat.CSV
-) -> None:
-    """Write records with the fixed column schema; header always present."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if fmt is ResultFormat.CSV:
-                fh.write(format_records_csv(records))
-            else:
-                for rec in records:
-                    obj = {
-                        "quantity": rec.quantity,
-                        "value": _json_num(rec.value),
-                        "std_error": _json_num(rec.std_error),
-                        "n": rec.n,
-                        "theoretical": _json_num(rec.theoretical),
-                        "provenance": rec.provenance.value,
-                        "pass": rec.passed,
-                        "seed": rec.seed,
-                        "config_hash": rec.config_hash,
-                    }
-                    fh.write(json.dumps(obj, sort_keys=False) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write results to {path}: {exc}") from exc
+def write_results(records: Sequence[ResultRecord], output_dir: str) -> None:
+    """results.csv and results.jsonl in output_dir, both with the columns
+    CSV_COLUMNS in order; the CSV header is always present."""
+    jsonl = "".join(
+        json.dumps(dict(zip(CSV_COLUMNS, map(_json_cell, _row(rec))))) + "\n" for rec in records
+    )
+    for name, text in (("results.csv", format_records_csv(records)), ("results.jsonl", jsonl)):
+        path = os.path.join(output_dir, name)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write results to {path}: {exc}") from exc
 
 
-def _json_num(v: Optional[float]):
-    if v is None:
-        return None
+def _json_cell(v):
+    """A record field as JSON: an enum by its value, an infinity as a string."""
+    if isinstance(v, Enum):
+        return v.value
     if isinstance(v, float) and math.isinf(v):
         return "inf" if v > 0 else "-inf"
     return v

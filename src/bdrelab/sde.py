@@ -36,11 +36,13 @@ Every kernel of (Z, S) advances its paths with one full-truncation Euler
 step, bound once per call by `_stepper`: a negative population proposal
 is clamped to 0, except in the survival-conditioned variants, which retry
 it as two half steps with fresh noise. The ensembles bind it on numpy
-arrays. The `simulate_*` loops bind it once per path on Python floats,
-because one path at a time pays numpy's per-call cost on every operation,
-and feed it the increments sqrt(dt) * normal that the ensembles form, so a
-path steps to the bits of a one-element vector on the same normals (with
-sigma_b = 0, math.exp may differ from numpy's in the last bit).
+arrays in one loop, `_ensemble`, which also steps the coarse twins of
+`coupled_refinement_means`, clamped and absorbed as their fine paths are.
+The `simulate_*` loops bind it once per path on Python floats, because one
+path at a time pays numpy's per-call cost on every operation, and feed it
+the increments sqrt(dt) * normal that the ensembles form, so a path steps
+to the bits of a one-element vector on the same normals (with sigma_b = 0,
+math.exp may differ from numpy's in the last bit).
 
 `absorbed_fraction` reads Z alone, so it runs the Z-marginal of the
 unconditioned step, `_z_chain_step`, one normal per step, not two, with
@@ -66,14 +68,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtri
 
-from .errors import NumericalFailure
+from .errors import ConfigError, NumericalFailure
 from .model import (
     ModelParams,
     QuenchedVariant,
@@ -431,56 +433,71 @@ def path_functionals(path: Path, params: ModelParams) -> dict:
 
 
 def _checkpoint_steps(checkpoints: Sequence[float], dt: float, n_steps: int) -> dict:
-    """{step index: time} for checkpoints on the grid k dt, 0 <= k <= n_steps."""
+    """{step index: time} for checkpoints on the grid k dt, 0 <= k <= n_steps;
+    ConfigError for no checkpoint and for one that is not a finite time >= 0."""
+    times = [float(t) for t in checkpoints]
+    if not times or not all(0.0 <= t < math.inf for t in times):
+        raise ConfigError(f"checkpoint times must be one or more finite times >= 0, got {times}")
     table = {}
-    for t in checkpoints:
+    for t in times:
         k = int(round(t / dt))
-        if not (0 <= k <= n_steps) or abs(k * dt - t) > 1e-9 * max(1.0, t):
+        if k > n_steps or abs(k * dt - t) > 1e-9 * max(1.0, t):
             raise ValueError(f"checkpoint {t} not on the grid")
-        table[k] = float(t)
+        table[k] = t
     return table
 
 
-def _ensemble(kind, params, cfg, checkpoints, n, seed, threads) -> dict:
-    """{checkpoint: (Z, S)} over n paths of a step kind, in batch order."""
+def _ensemble(kind, params, cfg, checkpoints, n, seed, threads, coarse=False) -> dict:
+    """{checkpoint: (Z, S)} over n paths of a step kind, in batch order.
+
+    With coarse, each path of an unguarded kind has a twin that steps 2 dt on
+    its path's two fine increments summed, clamped and absorbed alike; a
+    checkpoint then holds (Z, S, Z_twin, S_twin) and sits on the twin's grid.
+    """
     n_steps = cfg.n_steps
     dt = cfg.horizon / n_steps
     sqdt = math.sqrt(dt)
-    cps = _checkpoint_steps(checkpoints, dt, n_steps)
+    span = 2 if coarse else 1
+    cps = _checkpoint_steps(checkpoints, span * dt, n_steps // span)
+    cps = {span * k: t for k, t in cps.items()}
     step = _stepper(kind, params, np)
     guarded = kind in _GUARDED
     threshold = cfg.absorption_threshold
     absorbing = threshold > 0 and params.sigma_b > 0
 
+    def advance(Z, S, h, dwe, dwb):
+        prop, ds = step(Z, h, dwe, dwb)
+        Z = np.maximum(prop, 0.0)
+        if absorbing:
+            Z[Z <= threshold] = 0.0
+        return Z, S + ds
+
     def worker(g, b: int):
+        # every step binds new arrays, so a checkpoint keeps them uncopied
         Z = np.full(b, float(params.z0))
         S = np.zeros(b)
+        twin = (Z, S) if coarse else ()
         out = {}
         if 0 in cps:
-            out[cps[0]] = (Z.copy(), S.copy())
+            out[cps[0]] = (Z, S) + twin
         for k in range(1, n_steps + 1):
             dwe = sqdt * g.standard_normal(b)
             dwb = sqdt * g.standard_normal(b)
             if guarded:
                 Z, S = _guarded_step(step, Z, S, dt, dwe, dwb, g)
             else:
-                prop, ds = step(Z, dt, dwe, dwb)
-                Z = np.maximum(prop, 0.0)
-                if absorbing:
-                    Z[Z <= threshold] = 0.0
-                S = S + ds
+                Z, S = advance(Z, S, dt, dwe, dwb)
+            if coarse:
+                if k % 2:
+                    held = dwe, dwb
+                else:
+                    twin = advance(*twin, 2.0 * dt, held[0] + dwe, held[1] + dwb)
             if k in cps:
-                out[cps[k]] = (Z.copy(), S.copy())
+                out[cps[k]] = (Z, S) + twin
         return out
 
     parts = _run_batches(worker, n, seed, threads)
-    return {
-        t: (
-            np.concatenate([p[t][0] for p in parts]),
-            np.concatenate([p[t][1] for p in parts]),
-        )
-        for t in cps.values()
-    }
+    return {t: tuple(map(np.concatenate, zip(*(p[t] for p in parts)))) for t in cps.values()}
 
 
 def ensemble_final_states(
@@ -537,12 +554,14 @@ def ensemble_functional_means(
     _require_se_sample(n)
     states = ensemble_final_states("bdre", params, cfg, checkpoints, n, seed, threads)
     return {
-        t: {
-            name: (float(v.mean()), float(v.std(ddof=1) / math.sqrt(n)))
-            for name, v in _functionals(Z, S, params).items()
-        }
+        t: {name: _mean_se(v) for name, v in _functionals(Z, S, params).items()}
         for t, (Z, S) in states.items()
     }
+
+
+def _mean_se(v) -> tuple[float, float]:
+    """The mean of a sample and its standard error, sd (ddof 1) / sqrt(size)."""
+    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
 
 
 def coupled_refinement_means(
@@ -555,63 +574,27 @@ def coupled_refinement_means(
 ) -> dict:
     """Functional means at step dt and dt/2 driven by the same noise.
 
-    The fine path uses steps of dt/2; the coarse path consumes the same
-    Brownian increments pair-summed. Coupling turns the refinement check
-    into a pure discretization comparison: the difference of means is free
-    of the O(n^{-1/2}) sampling noise that independent reruns would add.
+    The fine paths are the ensemble that ensemble_functional_means runs at
+    dt/2; each has a coarse twin at dt on the same Brownian increments
+    pair-summed, clamped and absorbed alike (_ensemble). The difference of
+    means is then a pure discretization comparison, free of the O(n^{-1/2})
+    sampling noise of independent reruns. Checkpoints sit on the grid of dt.
     Returns {checkpoint: {name: {'coarse': (mean, se), 'fine': (mean, se),
-    'diff': (mean_diff, se_diff)}}}; n must be at least 2.
+    'diff': (mean_diff, se_diff)}}} without t = 0; n must be at least 2.
     """
     _require_se_sample(n)
-    n_coarse = cfg.n_steps
-    dt_c = cfg.horizon / n_coarse
-    dt_f = dt_c / 2.0
-    sq_f = math.sqrt(dt_f)
-    cps = _checkpoint_steps(checkpoints, dt_c, n_coarse)
-    step = _stepper(_Variant.BDRE, params, np)
-
-    def advance(Z, S, z_dt, dwe, dwb):
-        prop, ds = step(Z, z_dt, dwe, dwb)
-        return np.maximum(prop, 0.0), S + ds
-
-    def worker(g, b: int):
-        Zf = np.full(b, float(params.z0))
-        Sf = np.zeros(b)
-        Zc = np.full(b, float(params.z0))
-        Sc = np.zeros(b)
-        out = {}
-        for k in range(1, n_coarse + 1):
-            dwe1 = sq_f * g.standard_normal(b)
-            dwb1 = sq_f * g.standard_normal(b)
-            dwe2 = sq_f * g.standard_normal(b)
-            dwb2 = sq_f * g.standard_normal(b)
-            Zf, Sf = advance(Zf, Sf, dt_f, dwe1, dwb1)
-            Zf, Sf = advance(Zf, Sf, dt_f, dwe2, dwb2)
-            Zc, Sc = advance(Zc, Sc, dt_c, dwe1 + dwe2, dwb1 + dwb2)
-            if k in cps:
-                out[cps[k]] = (Zc.copy(), Sc.copy(), Zf.copy(), Sf.copy())
-        return out
-
-    parts = _run_batches(worker, n, seed, threads)
+    # horizon / (2 n_steps) is exactly half the coarse step horizon / n_steps
+    fine = replace(cfg, dt=cfg.horizon / (2 * cfg.n_steps))
+    states = _ensemble(_Variant.BDRE, params, fine, checkpoints, n, seed, threads, coarse=True)
     result = {}
-    for t in cps.values():
+    for t, (Zf, Sf, Zc, Sc) in states.items():
         if t == 0.0:
             continue
-        Zc = np.concatenate([p[t][0] for p in parts])
-        Sc = np.concatenate([p[t][1] for p in parts])
-        Zf = np.concatenate([p[t][2] for p in parts])
-        Sf = np.concatenate([p[t][3] for p in parts])
-        fine = _functionals(Zf, Sf, params)
-        per = {}
-        for name, fc in _functionals(Zc, Sc, params).items():
-            ff = fine[name]
-            d = fc - ff
-            per[name] = {
-                "coarse": (float(fc.mean()), float(fc.std(ddof=1) / math.sqrt(n))),
-                "fine": (float(ff.mean()), float(ff.std(ddof=1) / math.sqrt(n))),
-                "diff": (float(d.mean()), float(d.std(ddof=1) / math.sqrt(n))),
-            }
-        result[t] = per
+        ff = _functionals(Zf, Sf, params)
+        result[t] = {
+            name: dict(coarse=_mean_se(fc), fine=_mean_se(ff[name]), diff=_mean_se(fc - ff[name]))
+            for name, fc in _functionals(Zc, Sc, params).items()
+        }
     return result
 
 

@@ -74,7 +74,6 @@ from .model import (
 )
 from .results import (
     Provenance,
-    ResultFormat,
     ResultRecord,
     write_decay_plot,
     write_results,
@@ -715,8 +714,7 @@ def _record_line(r: ResultRecord) -> str:
 
 def _write_outputs(report: VerifyReport, ctx: _Ctx, output_dir: str) -> None:
     os.makedirs(output_dir, exist_ok=True)
-    write_results(report.records, os.path.join(output_dir, "results.csv"), ResultFormat.CSV)
-    write_results(report.records, os.path.join(output_dir, "results.jsonl"), ResultFormat.JSON_LINES)
+    write_results(report.records, output_dir)
     for alpha, pts in sorted(ctx.rate_curves.items()):
         tag = f"alpha{alpha:g}".replace(".", "p")
         write_decay_plot(output_dir, f"_{tag}", alpha, pts, ctx.rate_fits[alpha])

@@ -28,7 +28,6 @@ from bdrelab.model import ModelParams
 from bdrelab.results import (
     CSV_COLUMNS,
     Provenance,
-    ResultFormat,
     ResultRecord,
     format_records_csv,
     read_results_csv,
@@ -131,17 +130,16 @@ def records_for_io():
 
 
 def test_csv_round_trip(tmp_path):
-    path = tmp_path / "r.csv"
-    write_results(records_for_io(), str(path), ResultFormat.CSV)
-    back = read_results_csv(str(path))
+    write_results(records_for_io(), str(tmp_path))
+    back = read_results_csv(str(tmp_path / "results.csv"))
     assert back == records_for_io()
 
 
 def test_csv_header_always_present(tmp_path):
-    path = tmp_path / "empty.csv"
-    write_results([], str(path), ResultFormat.CSV)
-    text = path.read_text(encoding="utf-8")
+    write_results([], str(tmp_path))
+    text = (tmp_path / "results.csv").read_text(encoding="utf-8")
     assert text == ",".join(CSV_COLUMNS) + "\n"
+    assert (tmp_path / "results.jsonl").read_text(encoding="utf-8") == ""
 
 
 def test_csv_cell_conventions():
@@ -155,10 +153,10 @@ def test_csv_cell_conventions():
 
 
 def test_jsonl_mirrors_records(tmp_path):
-    path = tmp_path / "r.jsonl"
-    write_results(records_for_io(), str(path), ResultFormat.JSON_LINES)
-    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    write_results(records_for_io(), str(tmp_path))
+    objs = [json.loads(line) for line in (tmp_path / "results.jsonl").read_text().splitlines()]
     assert len(objs) == 3
+    assert all(tuple(obj) == CSV_COLUMNS for obj in objs)
     assert objs[0]["quantity"] == "a.mean"
     assert objs[0]["pass"] is True
     assert objs[1]["std_error"] is None

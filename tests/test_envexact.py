@@ -106,8 +106,9 @@ def test_time_shorter_than_half_a_step_is_a_config_error():
         (lambda: environment_laplace(STD, [1.0], t=math.nan, n=10, dt=0.01, seed=1), "times"),
         (lambda: dufresne_samples(STD, horizon=math.inf, n=10, dt=0.01, seed=1), "times"),
         (lambda: environment_laplace(STD, [], t=1.0, n=10, dt=0.01, seed=1), "lambda"),
+        (lambda: environment_survival_curve(STD, [-1.0, 1.0], 10, 0.01, 1), "times"),
     ],
-    ids=["no-time", "nan-checkpoint", "nan-t", "infinite-horizon", "no-lambda"],
+    ids=["no-time", "nan-checkpoint", "nan-t", "infinite-horizon", "no-lambda", "negative-time"],
 )
 def test_no_time_a_nonfinite_time_or_no_lambda_is_a_config_error(call, name):
     with pytest.raises(ConfigError, match=name):

@@ -10,10 +10,11 @@ from scipy.stats import chi2, ks_2samp, kstest
 
 from bdrelab import rng
 from bdrelab.envexact import dufresne_samples, environment_laplace, environment_survival_curve
-from bdrelab.errors import NumericalFailure
+from bdrelab.errors import ConfigError, NumericalFailure
 from bdrelab.estimators import (
     ExtinctionMethod,
     SurvivalRoute,
+    estimate_conditioned_survival,
     estimate_extinction,
     laplace_limit_test,
     survival_points,
@@ -31,6 +32,7 @@ from bdrelab.sde import (
     SchemeConfig,
     _bridge_cap,
     _bridge_jump,
+    _ensemble,
     _escape_level,
     _guarded_step,
     _halve,
@@ -287,6 +289,11 @@ _SE_KERNELS = {
         3, lambda n: absorbed_fraction(replace(STD, sigma_b=0.0), _SHORT, n, 1)),
     "pathwise": (3, lambda n: estimate_extinction(
         STD, ExtinctionMethod.PATHWISE, n, 0.05, _SHORT, 1)),
+    **{
+        f"conditioned_survival_{route.name.lower()}": (
+            2, lambda n, route=route: estimate_conditioned_survival(STD, 0.05, route, n, _SHORT, 3))
+        for route in SurvivalRoute
+    },
 }
 
 
@@ -341,14 +348,100 @@ def test_survival_guard_retries_with_half_steps_and_carries_s():
 
 
 def test_ensemble_checkpoint_must_sit_on_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not on the grid"):
         ensemble_final_states("bdre", STD, CFG, [0.105], 100, seed=1)
+    # on the fine grid of dt / 2, off the coarse grid of dt
+    with pytest.raises(ValueError, match="not on the grid"):
+        coupled_refinement_means(STD, CFG, [0.105], 100, seed=1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ensemble_final_states("bdre", STD, CFG, [], 100, seed=1),
+        lambda: ensemble_final_states("bdre", STD, CFG, [1.0, math.nan], 100, seed=1),
+        lambda: ensemble_quenched_final(QuenchedVariant.UNCONDITIONED, STD, CFG, [-0.5], 100, 1),
+        lambda: coupled_refinement_means(STD, CFG, [], 100, seed=1),
+        lambda: coupled_refinement_means(STD, CFG, [math.inf], 100, seed=1),
+        lambda: ensemble_functional_means(STD, CFG, [-1.0, 1.0], 100, seed=1),
+    ],
+    ids=["no-checkpoint", "nan", "negative", "coupled-none", "coupled-inf", "means-negative"],
+)
+def test_no_checkpoint_a_nonfinite_or_a_negative_one_is_a_config_error(call):
+    # refused before any path is stepped
+    with pytest.raises(ConfigError, match="checkpoint times"):
+        call()
 
 
 def test_martingale_mean_small_n():
     means = ensemble_functional_means(STD, CFG, [2.0], 20_000, seed=41)
     m, se = means[2.0]["U_of_Z"]
     assert abs(m - 0.25) < 4 * se
+
+
+@pytest.mark.parametrize(
+    "params, cfg",
+    [
+        (STD, CFG),
+        (replace(STD, sigma_b=0.0), CFG),
+        (STD, replace(CFG, absorption_threshold=0.01)),
+    ],
+    ids=["branching", "no-branching", "absorbing"],
+)
+def test_the_fine_half_of_the_coupled_pair_is_the_ensemble_at_half_the_step(params, cfg):
+    coupled = coupled_refinement_means(params, cfg, [1.0, 2.0], 2000, seed=13)
+    plain = ensemble_functional_means(params, replace(cfg, dt=cfg.dt / 2), [1.0, 2.0], 2000, 13)
+    for t, means in plain.items():
+        for name, mean_se in means.items():
+            assert coupled[t][name]["fine"] == mean_se, (t, name)
+
+
+def test_the_coarse_twin_replays_a_step_at_a_time():
+    # 5 paths over 6 fine steps; z0 = 0.05 and sigma_b = 2 clamp some at 0
+    p = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=2.0, z0=0.05)
+    cfg = SchemeConfig(dt=0.05, horizon=0.3)
+    times = [0.0, 0.1, 0.2, 0.3]
+    got = _ensemble(_Variant.BDRE, p, cfg, times, 5, 11, 1, coarse=True)
+    h = cfg.horizon / cfg.n_steps
+    sq = math.sqrt(h)
+
+    def euler(z, s, dt, dwe, dwb):
+        ds = p.alpha * dt + p.sigma_e * dwe
+        prop = z + 0.5 * p.sigma_e**2 * z * dt + z * ds + p.sigma_b * np.sqrt(z) * dwb
+        return np.maximum(prop, 0.0), s + ds
+
+    g = RngStream(11, 0).generator()
+    fine = coarse = (np.full(5, 0.05), np.zeros(5))
+    want = {0.0: fine + coarse}
+    for t in times[1:]:  # one coarse step: two fine steps' normals, in draw order
+        dwe1, dwb1, dwe2, dwb2 = (sq * g.standard_normal(5) for _ in range(4))
+        fine = euler(*euler(*fine, h, dwe1, dwb1), h, dwe2, dwb2)
+        coarse = euler(*coarse, 2 * h, dwe1 + dwe2, dwb1 + dwb2)
+        want[t] = fine + coarse
+    assert list(got) == times
+    for t in times:
+        for a, b in zip(got[t], want[t], strict=True):
+            assert np.array_equal(a, b), t
+    assert np.any(want[0.3][0] == 0) and np.any(want[0.3][2] == 0)
+
+
+def test_both_chains_of_the_coupled_pair_absorb_at_the_threshold():
+    noisy = ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=2.0, z0=0.05)
+    cfg = SchemeConfig(dt=0.01, horizon=0.5, absorption_threshold=0.01)
+    free = replace(cfg, absorption_threshold=0.0)
+    got, clamped = (
+        _ensemble(_Variant.BDRE, noisy, replace(c, dt=0.005), [0.5], 2000, 3, 1, coarse=True)[0.5]
+        for c in (cfg, free)
+    )
+    for z, z_free in ((got[0], clamped[0]), (got[2], clamped[2])):  # Z, then the twin's
+        assert not np.any((z > 0) & (z <= 0.01))
+        # absorbed paths that the clamp at 0 alone would have kept alive
+        assert np.any((z == 0) & (z_free > 0))
+
+    def coarse_u(c):
+        return coupled_refinement_means(noisy, c, [0.5], 2000, 3)[0.5]["U_of_Z"]["coarse"]
+
+    assert coarse_u(cfg) != coarse_u(free)
 
 
 def test_coupled_refinement_shares_environment_exactly():
