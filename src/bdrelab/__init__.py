@@ -51,7 +51,7 @@ from .model import (
     scale_V,
     survival_ratio,
 )
-from .results import Provenance, ResultRecord, read_results_csv, write_results
+from .results import Gate, Provenance, ResultRecord, read_results_csv, write_results
 from .rng import RngStream
 from .sde import (
     Path,
@@ -115,6 +115,7 @@ __all__ = [
     "scale_U",
     "scale_V",
     "survival_ratio",
+    "Gate",
     "Provenance",
     "ResultRecord",
     "read_results_csv",

@@ -49,6 +49,7 @@ from .model import (
     extinction_probability,
 )
 from .results import (
+    Gate,
     Provenance,
     ResultRecord,
     format_records_csv,
@@ -202,10 +203,10 @@ def _emit(records, cfg: ExperimentConfig) -> None:
 
 def _rec(cfg: ExperimentConfig, quantity: str, value: float, se: Optional[float],
          n: int, theoretical: Optional[float], prov: Provenance,
-         passed: Optional[bool] = None) -> ResultRecord:
+         gate: Optional[Gate] = None) -> ResultRecord:
     return ResultRecord(
         quantity=quantity, value=value, std_error=se, n=n, theoretical=theoretical,
-        provenance=prov, passed=passed, seed=cfg.seed, config_hash=config_hash(cfg),
+        provenance=prov, passed=None, seed=cfg.seed, config_hash=config_hash(cfg), gate=gate,
     )
 
 
@@ -305,14 +306,15 @@ def _cmd_estimate(args) -> int:
         for pt in pts:
             records.append(_rec(cfg, f"laplace.lam={pt.lam:g}", pt.estimate.mean,
                                 pt.estimate.std_error, pt.estimate.n, pt.reference,
-                                Provenance.QUADRATURE, pt.within_3se))
+                                Provenance.QUADRATURE,
+                                Gate("3 se", max(3.0 * pt.estimate.std_error, 1e-12))))
     elif exp is Experiment.LAW_EQUIVALENCE:
         t = cfg.t_grid[0]
         ks = conditioned_law_equivalence_test(cfg.model, t, cfg.n, cfg.scheme,
                                               cfg.seed, threads=threads)
         records.append(_rec(cfg, f"law_equivalence.ks_statistic.t={t:g}", ks.statistic,
                             None, ks.n_x, ks.critical_1pct, Provenance.REFERENCE_LAW,
-                            not ks.rejects))
+                            Gate("KS 1 % critical value")))
         records.append(_rec(cfg, f"law_equivalence.ks_pvalue.t={t:g}", ks.p_value,
                             None, ks.n_x, None, Provenance.REFERENCE_LAW))
     _emit(records, cfg)
@@ -395,9 +397,9 @@ def _cmd_bridge(args) -> int:
         theo = float(extinction_probability(limit.z0, limit))
     except ValueError:
         theo = None
-    ok = None if theo is None else abs(freq - theo) <= 3 * se
+    gate = None if theo is None else Gate("3 se", 3 * se)
     records = [_rec(cfg, f"bridge.extinction_nscale={args.n_scale}", freq, se,
-                    args.n_reps, theo, Provenance.SIMULATION, ok)]
+                    args.n_reps, theo, Provenance.SIMULATION, gate)]
     _emit(records, cfg)
     return 0
 

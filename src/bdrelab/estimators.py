@@ -72,10 +72,9 @@ class MCEstimate:
     @staticmethod
     def from_samples(x: np.ndarray, method_tag: str) -> "MCEstimate":
         x = np.asarray(x, dtype=float)
-        n = x.size
-        mean = float(x.mean())
-        se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return MCEstimate(mean=mean, std_error=se, n=n, method_tag=method_tag)
+        _require_se_sample(x.size)
+        se = float(x.std(ddof=1) / math.sqrt(x.size))
+        return MCEstimate(mean=float(x.mean()), std_error=se, n=x.size, method_tag=method_tag)
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,6 @@ class KSReport:
     n_y: int
     critical_1pct: float
 
-    @property
-    def rejects(self) -> bool:
-        return self.statistic > self.critical_1pct
-
 
 @dataclass(frozen=True)
 class LaplacePoint:
@@ -133,11 +128,6 @@ class LaplacePoint:
     estimate: MCEstimate
     reference: float
     dt_bias: MCEstimate | None = None
-
-    @property
-    def within_3se(self) -> bool:
-        slack = max(3.0 * self.estimate.std_error, 1e-12)
-        return abs(self.estimate.mean - self.reference) <= slack
 
 
 def estimate_extinction(

@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import ConfigError
 
 __all__ = [
+    "Gate",
     "Provenance",
     "ResultRecord",
     "CSV_COLUMNS",
@@ -52,7 +53,38 @@ class Provenance(Enum):
 
 
 @dataclass(frozen=True)
+class Gate:
+    """The test a gated record takes: its value x against its reference ref.
+
+    With a width it is near, |x - ref| <= width or x == ref, and a
+    non-finite width never passes; without one it is below, x <= ref.
+    negate marks a negative control, which passes when its test fails.
+    A nan value or reference never passes, negated or not. why says where
+    the width or the bound comes from.
+    """
+
+    why: str
+    width: Optional[float] = None
+    negate: bool = False
+
+    def passes(self, value: float, reference: float) -> bool:
+        if self.width is None:
+            ok = value <= reference
+        else:
+            ok = math.isfinite(self.width) and (
+                value == reference or abs(value - reference) <= self.width)
+        return bool(ok) != self.negate and not (math.isnan(value) or math.isnan(reference))
+
+    def __str__(self) -> str:
+        test = "x <= ref" if self.width is None else f"|x - ref| <= {self.width:.3g}"
+        return f"{test} ({self.why})" + ("  must differ" if self.negate else "")
+
+
+@dataclass(frozen=True)
 class ResultRecord:
+    """One result row. With a gate, passed is the gate's verdict on value
+    against theoretical; the gate itself is never written to a data file."""
+
     quantity: str
     value: float
     std_error: Optional[float]
@@ -62,6 +94,7 @@ class ResultRecord:
     passed: Optional[bool]
     seed: int
     config_hash: str
+    gate: Optional[Gate] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         # Coerce to builtins so repr/json never see numpy scalars.
@@ -71,7 +104,9 @@ class ResultRecord:
         object.__setattr__(self, "n", int(self.n))
         if self.theoretical is not None:
             object.__setattr__(self, "theoretical", float(self.theoretical))
-        if self.passed is not None:
+        if self.gate is not None:
+            object.__setattr__(self, "passed", self.gate.passes(self.value, self.theoretical))
+        elif self.passed is not None:
             object.__setattr__(self, "passed", bool(self.passed))
         if self.std_error is not None and self.std_error < 0:
             raise ValueError("std_error must be nonnegative when present")

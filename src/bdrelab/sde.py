@@ -309,8 +309,6 @@ def _simulate(kind, params: ModelParams, cfg: SchemeConfig, rng: RngStream) -> P
 
 def simulate_bdre(params: ModelParams, cfg: SchemeConfig, rng: RngStream) -> Path:
     """One path of the unconditioned two-dimensional system."""
-    if params.sigma_b == 0 and params.z0 == 0:
-        raise ValueError("need sigma_b + z0 > 0")
     return _simulate(_Variant.BDRE, params, cfg, rng)
 
 
@@ -320,8 +318,6 @@ def simulate_conditioned_extinction(
     """One path of the extinction-conditioned two-dimensional diffusion."""
     if params.alpha <= 0:
         raise ValueError("extinction conditioning requires alpha > 0")
-    if params.sigma_b == 0 and params.z0 == 0:
-        raise ValueError("need sigma_b + z0 > 0")
     return _simulate(_Variant.COND_EXTINCTION, params, cfg, rng)
 
 
@@ -351,8 +347,6 @@ def simulate_quenched(
     survival-conditioned variant they carry the raw +alpha environment,
     since that variant has no autonomous environment representation.
     """
-    if params.sigma_b == 0 and params.z0 == 0:
-        raise ValueError("need sigma_b + z0 > 0")
     if variant is QuenchedVariant.COND_SURVIVAL and params.z0 <= 0:
         raise ValueError("survival conditioning requires z0 > 0")
     return _simulate(variant, params, cfg, rng)

@@ -7,9 +7,11 @@ limit-law Laplace suite, the exponential-functional law selection, and
 the discrete-to-continuum bridge), collects every result as a
 ResultRecord, and reports pass/fail per check. Each check only returns
 its records; run_verify walks one table of the checks, times each, and
-passes a check by a single rule: every gated record passes (a record
-whose pass is None is ungated). verify.log and the summary print each
-record by one formatter, _record_line. A tenth property, byte
+passes a check by a single rule: every gated record passes. A record is
+gated when it carries a results.Gate, whose verdict on the record's
+value against its reference is the record's pass; no check computes a
+pass of its own. verify.log and the summary print each record, its gate
+included, by one formatter, _record_line. A tenth property, byte
 reproducibility of the written outputs, is checked by running verify
 twice and comparing files, and the test suite pins the sha256 of each
 data file at the default seed; the writer here is deterministic by
@@ -35,7 +37,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -72,12 +73,7 @@ from .model import (
     rao_blackwell_se_ratio,
     survival_ratio,
 )
-from .results import (
-    Provenance,
-    ResultRecord,
-    write_decay_plot,
-    write_results,
-)
+from .results import Gate, Provenance, ResultRecord, write_decay_plot, write_results
 from .rng import RngStream
 from .sde import (
     SchemeConfig,
@@ -189,13 +185,17 @@ class _Ctx:
     def __init__(self, seed: int, cfg_hash: str, threads: int):
         self.seed = seed
         self.threads = threads
-        # rec(quantity, value, std_error, n, theoretical, provenance, passed)
-        self.rec = partial(ResultRecord, seed=seed, config_hash=cfg_hash)
+        self.cfg_hash = cfg_hash
         self.coverage: set[str] = set()
         self.rate_curves: dict = {}
         self.rate_fits: dict = {}
         # sub-timings of the check that is running, by label
         self.sub_durations: dict = {}
+
+    def rec(self, quantity, value, se, n, ref, prov, gate: Optional[Gate] = None):
+        """A record of this run; gated when gate is given, ungated otherwise."""
+        return ResultRecord(quantity, value, se, n, ref, prov, None, self.seed,
+                            self.cfg_hash, gate)
 
 
 def _seed(ctx: _Ctx, k: int, sub: int = 0) -> int:
@@ -244,12 +244,12 @@ def _criterion_1(ctx: _Ctx) -> list:
             else:
                 worst_v = max(worst_v, m)
     ctx.coverage.update({"generator_apply", "scale_U", "scale_V"})
-    tol = 1e-8
+    tol = Gate("absolute", 1e-8)
     return [
         ctx.rec("harmonicity.U.max_rel_residual", worst_u, None, n_params * n_states,
-                0.0, Provenance.CLOSED_FORM, worst_u <= tol),
+                0.0, Provenance.CLOSED_FORM, tol),
         ctx.rec("harmonicity.V.max_rel_residual", worst_v, None, n_params * n_states,
-                0.0, Provenance.CLOSED_FORM, worst_v <= tol),
+                0.0, Provenance.CLOSED_FORM, tol),
     ]
 
 
@@ -299,26 +299,24 @@ def _criterion_2(ctx: _Ctx) -> list:
     se_over_binomial = pw.std_error / binomial_se
     return [
         ctx.rec("extinction.closed_form", closed.mean, 0.0, 1, 0.25,
-                Provenance.CLOSED_FORM, abs(closed.mean - 0.25) < 1e-15),
+                Provenance.CLOSED_FORM, Gate("absolute", 1e-15)),
         ctx.rec("extinction.rao_blackwell", rb.mean, rb.std_error, rb.n, 0.25,
-                Provenance.CLOSED_FORM,
-                abs(rb.mean - 0.25) <= 3 * rb.std_error),
+                Provenance.CLOSED_FORM, Gate("3 se", 3 * rb.std_error)),
         ctx.rec("extinction.pathwise", pw.mean, pw.std_error, pw.n, 0.25,
-                Provenance.CLOSED_FORM,
-                abs(pw.mean - 0.25) <= 3 * pw.std_error),
+                Provenance.CLOSED_FORM, Gate("3 se", 3 * pw.std_error)),
         ctx.rec("extinction.max_pairwise_zscore", worst_z, None, 100_000, 3.0,
-                Provenance.SIMULATION, worst_z <= 3.0),
+                Provenance.SIMULATION, Gate("z-score bound")),
         # informational: the closed-form variance-reduction factor of plain
         # counting over Rao-Blackwell is sqrt(27/7) = 1.964 here
         ctx.rec("extinction.se_ratio_pathwise_over_rb", ratio, None, 100_000,
-                rao_blackwell_se_ratio(p.z0, p), Provenance.SIMULATION, None),
+                rao_blackwell_se_ratio(p.z0, p), Provenance.SIMULATION),
         # informational: the pathwise se over plain counting's; the
         # antithetic pairs, stratified on a decaying projection of their
         # normals, pull it to about 0.5, and the roulette's weight-20
         # paths push it up (at the default seed: 0.525, the four weight-20
         # absorptions 29 % of se^2)
         ctx.rec("extinction.pathwise.se_over_binomial", se_over_binomial, None, 100_000, None,
-                Provenance.NONE, None),
+                Provenance.NONE),
     ]
 
 
@@ -346,19 +344,16 @@ def _criterion_3(ctx: _Ctx) -> list:
         for name, ref in refs.items():
             fine_m, fine_se = data[t][name]["fine"]
             coarse_m, coarse_se = data[t][name]["coarse"]
-            diff_m, _ = data[t][name]["diff"]
+            diff_m, diff_se = data[t][name]["diff"]
             gate_se = _exact_v_se(p, t, n) if name == "V_of_S" else fine_se
-            mean_ok = abs(fine_m - ref) <= 3 * gate_se
-            comb = math.hypot(coarse_se, fine_se)
-            refine_ok = abs(diff_m) <= max(comb, 1e-12)
-            records.append(
+            comb = max(math.hypot(coarse_se, fine_se), 1e-12)
+            records += [
                 ctx.rec(f"martingale.{name}.t={t:g}.mean", fine_m, gate_se, n, ref,
-                        Provenance.CLOSED_FORM, mean_ok)
-            )
-            records.append(
-                ctx.rec(f"martingale.{name}.t={t:g}.refine_shift", diff_m, None, n, 0.0,
-                        Provenance.SIMULATION, refine_ok)
-            )
+                        Provenance.CLOSED_FORM, Gate("3 se", 3 * gate_se)),
+                # the shift carries its own se; its gate is the se of two independent runs
+                ctx.rec(f"martingale.{name}.t={t:g}.refine_shift", diff_m, diff_se, n, 0.0,
+                        Provenance.SIMULATION, Gate("coarse and fine se combined", comb)),
+            ]
     return records
 
 
@@ -376,11 +371,12 @@ def _criterion_4(ctx: _Ctx) -> list:
     ctx.coverage.add("conditioned_law_equivalence_test")
     return [
         ctx.rec("law_equivalence.ks_statistic", ks.statistic, None, ks.n_x,
-                ks.critical_1pct, Provenance.REFERENCE_LAW, not ks.rejects),
+                ks.critical_1pct, Provenance.REFERENCE_LAW, Gate("KS 1 % critical value")),
         ctx.rec("law_equivalence.ks_pvalue", ks.p_value, None, ks.n_x, None,
-                Provenance.REFERENCE_LAW, None),
+                Provenance.REFERENCE_LAW),
         ctx.rec("law_equivalence.negative_control_statistic", ctrl.statistic, None,
-                ctrl.n_x, ctrl.critical_1pct, Provenance.REFERENCE_LAW, ctrl.rejects),
+                ctrl.n_x, ctrl.critical_1pct, Provenance.REFERENCE_LAW,
+                Gate("KS 1 % critical value", negate=True)),
     ]
 
 
@@ -406,15 +402,12 @@ def _criterion_5(ctx: _Ctx) -> list:
         fit = fit_decay_rate_from_points(p, pts)
         ctx.rate_curves[alpha] = pts
         ctx.rate_fits[alpha] = fit
-        ok = abs(fit.exponential_rate - target) <= 0.10 * target
-        records.append(
+        records += [
             ctx.rec(f"decay.alpha={alpha:g}.rate", fit.exponential_rate, None, n,
-                    target, Provenance.CLOSED_FORM, ok)
-        )
-        records.append(
+                    target, Provenance.CLOSED_FORM, Gate("10 %", 0.10 * target)),
             ctx.rec(f"decay.alpha={alpha:g}.fit_rmse", fit.fit_rmse, None, n, None,
-                    Provenance.REGRESSION, None)
-        )
+                    Provenance.REGRESSION),
+        ]
         # the tilted curve against one without the tilt, on fresh noise,
         # at a t where both resolve p(t)
         um, use = environment_survival_curve(
@@ -422,38 +415,32 @@ def _criterion_5(ctx: _Ctx) -> list:
             threads=ctx.threads,
         )[4.0]
         tm, tse = pts[4.0]
-        comb = math.hypot(use, tse)
-        cross_ok = abs(um - tm) <= 5 * comb
         records.append(
             ctx.rec(f"decay.alpha={alpha:g}.untilted_t=4", um, use, n, tm,
-                    Provenance.SIMULATION, cross_ok)
+                    Provenance.SIMULATION, Gate("5 combined se", 5 * math.hypot(use, tse)))
         )
         if regime is Regime.STRONGLY_SUPERCRITICAL:
             c_ref = theorem1_constant(p, p.z0)
             pm, pse = pts[12.0]
             level = math.exp(1.5 * 12.0) * pm
             level_se = math.exp(1.5 * 12.0) * pse
-            lok = c_ref != INFINITE and abs(level - c_ref) <= 0.15 * c_ref
             records.append(
                 ctx.rec("decay.alpha=2.level_t=12", level, level_se, n, c_ref,
-                        Provenance.PRINTED_CONSTANT, lok)
+                        Provenance.PRINTED_CONSTANT, Gate("15 %", 0.15 * c_ref))
             )
             # the same level read against the closed form from the tilt
             c_closed = strong_level_limit(p, p.z0)
-            cok = abs(level - c_closed) <= 0.15 * c_closed
             records.append(
                 ctx.rec("decay.alpha=2.level_t=12.closed_form", level, level_se, n, c_closed,
-                        Provenance.CLOSED_FORM, cok)
+                        Provenance.CLOSED_FORM, Gate("15 %", 0.15 * c_closed))
             )
         if regime is Regime.INTERMEDIATE_SUPERCRITICAL:
             c_ref = theorem1_constant(p, p.z0)
             pm, pse = pts[12.0]
             level = math.exp(0.5 * 12.0) * math.sqrt(12.0) * pm
             level_se = math.exp(0.5 * 12.0) * math.sqrt(12.0) * pse
-            records.append(
-                ctx.rec("decay.alpha=1.level_t=12", level, level_se, n, c_ref,
-                        Provenance.QUADRATURE, None)
-            )
+            records.append(ctx.rec("decay.alpha=1.level_t=12", level, level_se, n, c_ref,
+                                   Provenance.QUADRATURE))
     ctx.coverage.update({"theorem1_constant", "strong_level_limit"})
     return records
 
@@ -477,20 +464,21 @@ def _criterion_6(ctx: _Ctx) -> list:
         oracle = phi_beta_tensor_oracle(a, beta)
         d = max(abs(adaptive - golden), abs(adaptive - oracle)) / max(abs(golden), 1e-300)
         worst_phi = max(worst_phi, d)
-    mig_ok = mean_inverse_gamma(2.0) == 1.0 and mean_inverse_gamma(1.0) == INFINITE
     ctx.coverage.update({"psi", "integral_a_psi", "phi_beta", "mean_inverse_gamma"})
     return [
         ctx.rec("specfun.psi.max_rel_diff", worst_psi, None, len(abscissae), 0.0,
-                Provenance.CLOSED_FORM, worst_psi <= 1e-8),
+                Provenance.CLOSED_FORM, Gate("absolute", 1e-8)),
         ctx.rec("specfun.integral_a_psi", moment, None, 1, moment_ref,
-                Provenance.CLOSED_FORM, abs(moment - moment_ref) <= 1e-6),
+                Provenance.CLOSED_FORM, Gate("absolute", 1e-6)),
         ctx.rec("specfun.integral_a_psi.two_route_diff",
                 abs(moment - moment_two_route), None, 1, 0.0,
-                Provenance.QUADRATURE, abs(moment - moment_two_route) <= 1e-8),
+                Provenance.QUADRATURE, Gate("absolute", 1e-8)),
         ctx.rec("specfun.phi_beta.max_rel_diff", worst_phi, None,
-                len(PHI_BETA_GOLDEN), 0.0, Provenance.QUADRATURE, worst_phi <= 1e-6),
-        ctx.rec("specfun.mean_inverse_gamma.spot", 1.0, None, 2, 1.0,
-                Provenance.CLOSED_FORM, mig_ok),
+                len(PHI_BETA_GOLDEN), 0.0, Provenance.QUADRATURE, Gate("absolute", 1e-6)),
+    ] + [
+        ctx.rec(f"specfun.mean_inverse_gamma.nu={nu:g}", mean_inverse_gamma(nu), None, 1,
+                ref, Provenance.CLOSED_FORM, Gate("exact", 0.0))
+        for nu, ref in ((2.0, 1.0), (1.0, INFINITE))
     ]
 
 
@@ -509,30 +497,28 @@ def _criterion_7(ctx: _Ctx) -> list:
     for pt in points:
         records.append(
             ctx.rec(f"laplace.lam={pt.lam:g}", pt.estimate.mean, pt.estimate.std_error,
-                    pt.estimate.n, pt.reference, Provenance.QUADRATURE, pt.within_3se)
+                    pt.estimate.n, pt.reference, Provenance.QUADRATURE,
+                    Gate("3 se", max(3.0 * pt.estimate.std_error, 1e-12)))
         )
         # ungated: the transform on dt minus the transform on 2 dt
         bias = pt.dt_bias
         records.append(
             ctx.rec(f"laplace.lam={pt.lam:g}.dt_bias", bias.mean, bias.std_error, bias.n,
-                    None, Provenance.NONE, None)
+                    None, Provenance.NONE)
         )
     inv_limit = laplace_Y(1e6, p.z0, p, Reading.INVERSE_GAMMA)
     ext = extinction_probability(p.z0, p)
-    inv_ok = abs(inv_limit - ext) <= 1e-4
     printed_limit = laplace_Y(1e6, p.z0, p, Reading.AS_PRINTED)
-    printed_differs = abs(printed_limit - ext) > 1e-4
     p_beta1 = ModelParams(alpha=0.5, sigma_e=1.0, sigma_b=1.0, z0=1.0)
     printed_beta1 = laplace_Y(math.inf, 1.0, p_beta1, Reading.AS_PRINTED)
     bessel_ref = float(2.0 * _bessel_kv(1, 2.0))
-    beta1_ok = abs(printed_beta1 - bessel_ref) <= 1e-8
     return records + [
         ctx.rec("laplace.inverse_gamma_limit", inv_limit, None, 1, ext,
-                Provenance.CLOSED_FORM, inv_ok),
+                Provenance.CLOSED_FORM, Gate("absolute", 1e-4)),
         ctx.rec("laplace.as_printed_limit", printed_limit, None, 1, ext,
-                Provenance.QUADRATURE, printed_differs),
+                Provenance.QUADRATURE, Gate("absolute", 1e-4, negate=True)),
         ctx.rec("laplace.as_printed_beta1", printed_beta1, None, 1, bessel_ref,
-                Provenance.QUADRATURE, beta1_ok),
+                Provenance.QUADRATURE, Gate("absolute", 1e-8)),
     ]
 
 
@@ -553,15 +539,14 @@ def _criterion_8(ctx: _Ctx) -> list:
     stat_gam, p_gam = kstest(samples, lambda x: gamma.cdf(x, a=beta, scale=scale))
     crit = KS_CRITICAL_1PCT / math.sqrt(n)
     return [
-        ctx.rec("dufresne.ks_inverse_gamma", float(stat_inv), None, n, crit,
-                Provenance.REFERENCE_LAW, stat_inv <= crit),
-        ctx.rec("dufresne.ks_inverse_gamma_pvalue", float(p_inv), None, n, None,
-                Provenance.REFERENCE_LAW, None),
-        ctx.rec("dufresne.ks_as_printed_gamma", float(stat_gam), None, n, crit,
-                Provenance.REFERENCE_LAW, stat_gam > crit),
-        ctx.rec("dufresne.sample_mean", float(samples.mean()),
-                float(samples.std(ddof=1) / math.sqrt(n)), n,
-                1.0 / (p.alpha - 0.5 * p.sigma_e**2), Provenance.CLOSED_FORM, None),
+        ctx.rec("dufresne.ks_inverse_gamma", stat_inv, None, n, crit,
+                Provenance.REFERENCE_LAW, Gate("KS 1 % critical value")),
+        ctx.rec("dufresne.ks_inverse_gamma_pvalue", p_inv, None, n, None,
+                Provenance.REFERENCE_LAW),
+        ctx.rec("dufresne.ks_as_printed_gamma", stat_gam, None, n, crit,
+                Provenance.REFERENCE_LAW, Gate("KS 1 % critical value", negate=True)),
+        ctx.rec("dufresne.sample_mean", samples.mean(), samples.std(ddof=1) / math.sqrt(n),
+                n, 1.0 / (p.alpha - 0.5 * p.sigma_e**2), Provenance.CLOSED_FORM),
     ]
 
 
@@ -577,7 +562,7 @@ def _criterion_9(ctx: _Ctx) -> list:
     )
     records = [
         ctx.rec("bridge.extinction_nscale=1000", freq, se, 10_000, target,
-                Provenance.CLOSED_FORM, abs(freq - target) <= 3 * se),
+                Provenance.CLOSED_FORM, Gate("3 se", 3 * se)),
     ]
     # ungated: how the frequency approaches the diffusion value in n_scale
     for j, n_scale in enumerate((250, 500), start=1):
@@ -586,7 +571,7 @@ def _criterion_9(ctx: _Ctx) -> list:
         )
         records.append(
             ctx.rec(f"bridge.extinction_nscale={n_scale}", f, f_se, 10_000, target,
-                    Provenance.CLOSED_FORM, None)
+                    Provenance.CLOSED_FORM)
         )
     return records
 
@@ -662,7 +647,7 @@ def run_verify(
         t0 = time.perf_counter()
         records = fn(ctx)
         duration = time.perf_counter() - t0
-        # the one pass rule: every gated record passes (None means ungated)
+        # the one pass rule: every gated record passes its gate
         passed = all(r.passed for r in records if r.passed is not None)
         out = CriterionOutcome(index, name, passed, records, duration, ctx.sub_durations)
         durations[f"criterion_{index}"] = duration
@@ -688,18 +673,8 @@ def run_verify(
     return report
 
 
-# the negative controls: each passes when its value differs from its reference
-_MUST_DIFFER = frozenset(
-    {
-        "law_equivalence.negative_control_statistic",
-        "dufresne.ks_as_printed_gamma",
-        "laplace.as_printed_limit",
-    }
-)
-
-
 def _record_line(r: ResultRecord) -> str:
-    """One record as one line: value, se, reference, provenance and gate."""
+    """One record as one line: value, se, reference, provenance, gate and verdict."""
     line = f"{r.quantity} = {r.value:.6g}"
     if r.std_error is not None:
         line += f" ± {r.std_error:.3g}"
@@ -707,8 +682,8 @@ def _record_line(r: ResultRecord) -> str:
         line += f" vs {r.theoretical:.6g}"
     if r.provenance is not Provenance.NONE:
         line += f" ({r.provenance.value})"
-    if r.quantity in _MUST_DIFFER:
-        line += "  must differ"
+    if r.gate is not None:
+        line += f"  {r.gate}"
     return line + ("  ungated" if r.passed is None else "  pass" if r.passed else "  FAIL")
 
 

@@ -1,11 +1,13 @@
 """The stated acceptance checks, one test per numbered criterion.
 
 A session fixture executes the full verification checklist twice with
-the default seed, writing outputs to two directories. Criteria 1-9 read
-the recorded outcomes of the first run; criterion 10 byte-compares the
-two runs' data files, and a pin holds the first run's files to fixed
-sha256 digests across commits. Runtime budgets are asserted from the
-recorded wall-clock durations of the same run.
+the default seed, on one thread and then on two, writing outputs to two
+directories. Criteria 1-9 read the recorded outcomes of the first run;
+criterion 10 byte-compares the two runs' data files, so it checks both
+reruns and thread-count invariance, and a pin holds the first run's
+files to fixed sha256 digests across commits. Runtime budgets are
+asserted from the recorded wall-clock durations of the first run. Every
+gated record is checked to flip one float step across its gate's bound.
 
 Two sub-checks are expected to fail and are asserted at their stated
 tolerances anyway: the weak-regime fitted rate (criterion 5, target
@@ -15,8 +17,10 @@ so the recorded disagreement is reported, not patched over.
 """
 
 import hashlib
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from bdrelab.results import Provenance, ResultRecord
@@ -45,7 +49,7 @@ def verify_runs(tmp_path_factory):
     dir_a = tmp_path_factory.mktemp("verify_a")
     dir_b = tmp_path_factory.mktemp("verify_b")
     rep_a = run_verify(output_dir=str(dir_a))
-    rep_b = run_verify(output_dir=str(dir_b))
+    rep_b = run_verify(output_dir=str(dir_b), threads=2)
     return rep_a, rep_b, dir_a, dir_b
 
 
@@ -211,7 +215,7 @@ def test_criterion_10_byte_reproducibility(verify_runs):
     for name in DATA_FILES:
         a = (dir_a / name).read_bytes()
         b = (dir_b / name).read_bytes()
-        assert a == b, f"{name} differs between identically seeded runs"
+        assert a == b, f"{name} differs between identically seeded runs on 1 and 2 threads"
     # the checklist is also required to touch every anchored operation
     missing = REQUIRED_COVERAGE - rep_a.coverage
     assert not missing, f"operations never exercised: {sorted(missing)}"
@@ -222,8 +226,8 @@ def test_criterion_10_byte_reproducibility(verify_runs):
 # or fitted constant changes a digest; a change meant to move bytes updates
 # these and says so.
 DATA_FILES_SHA256 = {
-    "results.csv": "224214780d84e0fb26b1b34b1f28e46e6bb1bb4112b1a1e9ec2353c4eeddd27f",
-    "results.jsonl": "f5c6d7b5bd72f82cef424d4a3814832d3a425ae0aecf9bb208849266b994b137",
+    "results.csv": "0b08056358d89877bf432658466109ff92a36b7ddabbc158d16f69c533ca5a88",
+    "results.jsonl": "14b6c58beffa264acac37063636e59f6cfa516236a4e8cca8f384e343f7690a8",
     "survival_curve_alpha0p5.dat": "9dbc2f612a742e2eaa7925b9c6508b5d990e29f6dc8cfdda07a31c12dfcacd40",
     "survival_curve_alpha1.dat": "60eda721b7dec973d53c9593c6ee3d08acee18c4133efe2e88329f02125b14ae",
     "survival_curve_alpha2.dat": "fb2848d2f87923ae01c57fe576d847ca4439bbe66295415eb8307b5001c93fb2",
@@ -257,6 +261,29 @@ def test_negative_controls_are_marked_in_the_log(verify_runs):
         "dufresne.ks_as_printed_gamma",
         "laplace.as_printed_limit",
     }
+
+
+def test_every_gate_can_flip(verify_runs):
+    # a gate that cannot fail tests nothing: each passes two float steps
+    # inside the edge of its test and fails two steps outside it, a
+    # negated gate the other way round. A near gate is read at its edge
+    # away from 0, where x - ref rounds no coarser than x does.
+    gated = [r for r in verify_runs[0].records if r.passed is not None]
+    assert len(gated) == 50 and all(r.gate is not None for r in gated)
+    for r in gated:
+        gate, ref = r.gate, r.theoretical
+        if gate.width is None:
+            edge, out = ref, math.inf
+        else:
+            out = math.inf if 0 <= ref < math.inf else -math.inf
+            edge = ref + math.copysign(gate.width, out)
+        inside = outside = edge
+        for _ in range(2):
+            outside = np.nextafter(outside, out)
+            if gate.width:
+                inside = np.nextafter(inside, -out)
+        assert gate.passes(inside, ref) is not gate.negate, (r.quantity, inside)
+        assert gate.passes(outside, ref) is gate.negate, (r.quantity, outside)
 
 
 def test_summary_lists_exactly_the_failing_gated_records():

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import pkgutil
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import bdrelab
@@ -27,6 +29,7 @@ from bdrelab.estimators import RateFit
 from bdrelab.model import ModelParams
 from bdrelab.results import (
     CSV_COLUMNS,
+    Gate,
     Provenance,
     ResultRecord,
     format_records_csv,
@@ -193,6 +196,64 @@ def test_decay_plot_curve_passes_through_the_window_end(tmp_path):
     assert float(values["rate"]) == 0.3 and float(values["power"]) == -1.5
     at_end = float(values["amplitude"]) * 8.0**-1.5 * math.exp(-0.3 * 8.0)
     assert at_end == pytest.approx(0.05, rel=1e-12)
+
+
+def test_gate_near_and_below():
+    near, below = Gate("3 se", 0.25), Gate("KS 1 % critical value")
+    assert near.passes(1.25, 1.0) and near.passes(0.75, 1.0) and near.passes(1.0, 1.0)
+    assert not near.passes(np.nextafter(1.25, 2.0), 1.0)
+    assert not near.passes(np.nextafter(0.75, 0.0), 1.0)
+    assert below.passes(1.0, 1.0) and below.passes(-5.0, 1.0)
+    assert not below.passes(np.nextafter(1.0, 2.0), 1.0)
+    assert str(near) == "|x - ref| <= 0.25 (3 se)"
+    assert str(below) == "x <= ref (KS 1 % critical value)"
+
+
+def test_gate_negation_flips_each_test():
+    cases = [(Gate("3 se", 0.5), 1.2), (Gate("3 se", 0.5), 2.0),
+             (Gate("bound"), 0.5), (Gate("bound"), 2.0)]
+    for gate, value in cases:
+        control = replace(gate, negate=True)
+        assert control.passes(value, 1.0) is not gate.passes(value, 1.0)
+        assert str(control) == f"{gate}  must differ"
+
+
+def test_a_nan_never_passes_a_gate():
+    # a negative control that reads nan has not shown a difference
+    for gate in (Gate("3 se", 0.25), Gate("bound")):
+        for value, ref in ((math.nan, 1.0), (1.0, math.nan)):
+            assert not gate.passes(value, ref)
+            assert not replace(gate, negate=True).passes(value, ref)
+
+
+def test_gate_at_an_infinite_reference():
+    # a relative width of an infinite reference is infinite, and a
+    # non-finite width never passes, not even at x == ref
+    relative = Gate("15 %", 0.15 * math.inf)
+    assert not relative.passes(1.0, math.inf)
+    assert not relative.passes(math.inf, math.inf)
+    assert replace(relative, negate=True).passes(math.inf, math.inf)
+    assert not Gate("absolute", math.nan).passes(1.0, 1.0)
+    # an exact gate holds inf == inf, where |x - ref| is nan
+    exact = Gate("exact", 0.0)
+    assert exact.passes(math.inf, math.inf)
+    assert not exact.passes(sys.float_info.max, math.inf)
+
+
+def test_a_gated_record_takes_its_pass_from_its_gate(tmp_path):
+    def rec(quantity, value, gate):
+        return ResultRecord(quantity, value, None, 10, 1.0, Provenance.CLOSED_FORM, None,
+                            7, "deadbeef0123", gate)
+
+    gated = [rec("g.holds", 1.2, Gate("3 se", 0.3)), rec("g.fails", 1.4, Gate("3 se", 0.3)),
+             rec("g.control", 1.4, Gate("absolute", 0.3, negate=True)),
+             rec("g.ungated", 1.4, None)]
+    assert [r.passed for r in gated] == [True, False, True, None]
+    # the gate is never written, so records read back equal without it
+    write_results(gated, str(tmp_path))
+    back = read_results_csv(str(tmp_path / "results.csv"))
+    assert back == gated
+    assert all(r.gate is None for r in back)
 
 
 def test_record_validation():

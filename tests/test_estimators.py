@@ -46,6 +46,9 @@ def test_mcestimate_from_samples():
     est = MCEstimate.from_samples(x, "demo")
     assert est.mean == pytest.approx(2.5)
     assert est.std_error == pytest.approx(x.std(ddof=1) / 2.0)
+    # one sample has no spread to measure, so it gets no error bar
+    with pytest.raises(ValueError, match="n >= 2"):
+        MCEstimate.from_samples(np.array([0.5]), "demo")
 
 
 def test_closed_form_extinction_route():
@@ -233,7 +236,8 @@ def test_laplace_points_near_the_limit():
     assert by_lam[0.0].estimate.mean == 1.0
     assert by_lam[0.0].reference == 1.0
     for p in pts:
-        assert p.within_3se, (p.lam, p.estimate.mean, p.reference)
+        slack = max(3.0 * p.estimate.std_error, 1e-12)
+        assert abs(p.estimate.mean - p.reference) <= slack, (p.lam, p.estimate.mean, p.reference)
 
 
 def test_laplace_references_fail_before_the_simulation(monkeypatch):
@@ -249,10 +253,10 @@ def test_laplace_references_fail_before_the_simulation(monkeypatch):
 def test_ks_equivalence_and_negative_control():
     cfg = scheme(horizon=0.5)
     ks = conditioned_law_equivalence_test(STD, 0.5, 2000, cfg, 443)
-    assert not ks.rejects
+    assert ks.statistic <= ks.critical_1pct
     assert ks.critical_1pct == pytest.approx(KS_CRITICAL_1PCT * math.sqrt(2 / 2000))
     ctrl = conditioned_law_equivalence_test(STD, 0.5, 2000, cfg, 443, negative_control=True)
-    assert ctrl.rejects
+    assert ctrl.statistic > ctrl.critical_1pct
 
 
 def test_ks_requires_enough_samples():
