@@ -23,30 +23,29 @@ exact likelihood ratio dP/dQ (importance sampling; Asmussen & Glynn,
 Stochastic Simulation, 2007, ch. VI). The only approximation anywhere
 here is the trapezoid rule for I_t on the simulation grid.
 
-The transform always runs, and the survival curve can run, the paired
-multilevel route (Giles, Operations Research 56, 2008; _paired_levels).
-Level 0 runs the n environments in antithetic pairs (Glasserman, Monte
-Carlo Methods in Financial Engineering, 2003, sec. 4.2) on the coarsest
-grid that holds every checkpoint, of step at most 0.08. Untilted, both
-values are monotone in every normal, so the members of a pair are
-negatively correlated (about -0.76 for e^{-z/I_t} and the transform) and
-a pair sum varies far less than two independent values; a tilt's weight
-makes the product no longer monotone, and there the gain is measured,
-not guaranteed. Each correction level l = 1..L reduces, on one S path
-per environment, its value at the trapezoid on the grid dt 2^{L-l} minus
-its value at the trapezoid on the grid twice as coarse; S_t is exact on
-every grid, so a tilt's likelihood ratio is shared by the two. On one
-Brownian path the two trapezoids differ by O(h), so a correction varies
-about 4x less per level and a few hundred to a few thousand environments
-serve it. The levels telescope to the expectation of the trapezoid on
-dt, from about a fifth (criterion 5's curves) to a twentieth (criterion
-7's transform at n = 1e5) of the path-steps of one level on dt. n counts
-level 0's environments; L and each level's N_l follow from the grid and
-n (_depth, _level_size), with no option. The Rao-Blackwell extinction
-probability and dufresne_samples stay i.i.d. on one level: criterion 8
-runs a KS test that needs independent samples of the functional itself,
-which a difference of levels is not, and the benchmark checks the RB se
-against the i.i.d. variance.
+Every environment mean runs the multilevel route (Giles, Operations
+Research 56, 2008; _levels). Level 0 runs the n environments on the
+coarsest grid that holds every checkpoint, of step at most 0.08, in
+antithetic pairs (Glasserman, Monte Carlo Methods in Financial
+Engineering, 2003, sec. 4.2) or i.i.d. Untilted, both values are monotone
+in every normal, so the members of a pair are negatively correlated
+(about -0.76 for e^{-z/I_t} and the transform) and a pair sum varies far
+less than two independent values; a tilt's weight makes the product no
+longer monotone, and there the gain is measured, not guaranteed. Each
+correction level l = 1..L reduces, on one S path per environment, its
+value at the trapezoid on the grid dt 2^{L-l} minus its value at the
+trapezoid on the grid twice as coarse; S_t is exact on every grid, so a
+tilt's likelihood ratio is shared by the two. On one Brownian path the
+two trapezoids differ by O(h), so a correction varies about 4x less per
+level and a few hundred to a few thousand environments serve it. The
+levels telescope to the expectation of the trapezoid on dt, from about a
+fifth (criterion 5's curves) to a twentieth (criterion 7's transform at
+n = 1e5) of the path-steps of one level on dt. n counts level 0's
+environments; L and each level's N_l follow from the grid and n (_depth,
+_level_size), with no option. The Rao-Blackwell extinction probability
+keeps level 0 i.i.d., as the benchmark checks its se against the i.i.d.
+variance 7/144. Only dufresne_samples stays on one level: criterion 8's
+KS test needs independent samples of the functional, not of differences.
 """
 
 from __future__ import annotations
@@ -236,7 +235,7 @@ def _level_size(n: int, level: int) -> int:
     return max(_LEVEL_LEAST, math.ceil(_LEVEL_SHARE * n * 2.0 ** (-1.5 * (level - 1))))
 
 
-def _paired_levels(
+def _levels(
     params: ModelParams,
     times: Sequence[float],
     dt: float,
@@ -245,23 +244,25 @@ def _paired_levels(
     threads: int,
     scale: float,
     values: Callable,
+    paired: bool,
 ) -> tuple:
     """Multilevel means of values(t, I_t, S_t), a list of arrays, at each time.
 
     One loop runs the levels on _environment_batches: level 0 runs n
-    environments in antithetic pairs on the grid dt 2^L (_depth), level
-    l = 1..L runs N_l (_level_size) on dt 2^{L-l}, each reducing values at
-    its trapezoid minus values at the one twice as coarse. The levels are
-    independent, so se^2 is level 0's paired se^2 plus each level's i.i.d.
-    se^2. Returns ({t: [(mean, se) per value]}, finest), finest None when
-    L = 0, else (level L's {t: [(mean, se) per value]}, N_L): the
-    trapezoid on dt minus the trapezoid on 2 dt.
+    environments on the grid dt 2^L (_depth), in antithetic pairs if
+    paired and i.i.d. if not, and level l = 1..L runs N_l (_level_size)
+    on dt 2^{L-l}, each reducing values at its trapezoid minus values at
+    the one twice as coarse. The levels are independent, so se^2 is level
+    0's se^2 plus each level's i.i.d. se^2; at L = 0 level 0 alone is the
+    single-level estimator on dt. Returns ({t: [(mean, se) per value]},
+    finest), finest None when L = 0, else (level L's {t: [(mean, se) per
+    value]}, N_L): the trapezoid on dt minus the trapezoid on 2 dt.
     """
     step, at = _grid(times, dt)
     depth = _depth(step, at)
 
-    def pairs(t, i_t, s_t):
-        return [_sums(v, True) for v in values(t, i_t, s_t)]
+    def level0(t, i_t, s_t):
+        return [_sums(v, paired) for v in values(t, i_t, s_t)]
 
     def corrections(t, fine, coarse, s_t):
         return [_sums(f - c) for f, c in zip(values(t, fine, s_t), values(t, coarse, s_t))]
@@ -272,9 +273,9 @@ def _paired_levels(
         size = _level_size(n, level) if level else n
         parts = _environment_batches(
             params, step * 2**shift, {k >> shift: t for k, t in at.items()}, size, seed,
-            threads, scale, corrections if level else pairs, not level, level,
+            threads, scale, corrections if level else level0, paired and not level, level,
         )
-        diff = {t: [_mean_se(x, size, not level) for x in zip(*(p[t] for p in parts))]
+        diff = {t: [_mean_se(x, size, paired and not level) for x in zip(*(p[t] for p in parts))]
                 for t in parts[0]}
         est = diff if est is None else {
             t: [(m + dm, math.hypot(se, dse)) for (m, se), (dm, dse) in zip(est[t], diff[t])]
@@ -326,10 +327,12 @@ def environment_survival_curve(
     exp((theta mu + theta^2 sigma_e^2 / 2) t - theta S_t), so the mean is
     the untilted one and only the variance changes.
 
-    antithetic = True runs the paired multilevel route (_paired_levels),
-    whose mean has the expectation of the trapezoid on dt; under a tilt
-    each environment carries its own likelihood ratio. n must be at least
-    2, or 4 with pairs.
+    The curve runs the multilevel route (_levels), whose mean has the
+    expectation of the trapezoid on dt; under a tilt each environment
+    carries its own likelihood ratio. antithetic selects level 0's
+    environments, antithetic pairs when True and i.i.d. when False; the
+    correction levels are i.i.d. either way. n must be at least 2, or 4
+    with pairs.
     """
     _require_se_sample(n, 4 if antithetic else 2)
     if collect not in ("survival", "extinct"):
@@ -352,15 +355,9 @@ def environment_survival_curve(
         return [q]
 
     stepped = replace(params, alpha=params.alpha + theta * params.sigma_e**2)
-    scale = params.sigma_b**2 / 2.0
-    if antithetic:
-        est, _ = _paired_levels(stepped, checkpoints, dt, n, seed, threads, scale, values)
-        return {t: v[0] for t, v in est.items()}
-    parts = _environment_batches(
-        stepped, *_grid(checkpoints, dt), n, seed, threads, scale,
-        lambda t, i_t, s_t: _sums(values(t, i_t, s_t)[0]),
-    )
-    return {t: _mean_se([p[t] for p in parts], n) for t in parts[0]}
+    est, _ = _levels(stepped, checkpoints, dt, n, seed, threads, params.sigma_b**2 / 2.0,
+                     values, antithetic)
+    return {t: v[0] for t, v in est.items()}
 
 
 def environment_laplace(
@@ -376,8 +373,8 @@ def environment_laplace(
 
     Averages exp(-z/(I_t + 1/lambda)) over environments; the branching
     randomness never needs to be simulated. The environments always run
-    the paired multilevel route (_paired_levels), n of them in antithetic
-    pairs on the coarsest grid, so n must be at least 4. Returns
+    the multilevel route (_levels) with level 0 paired, n of them in
+    antithetic pairs on the coarsest grid, so n must be at least 4. Returns
     {lambda: (mean, se, dt_bias)}: dt_bias is the finest level's
     correction (mean, se, environments), the transform with the
     trapezoid on dt minus the one on 2 dt, or None when t on dt allows
@@ -397,8 +394,8 @@ def environment_laplace(
         return [np.ones(i_t.shape) if lam == 0.0 else np.exp(-z / (i_t + 1.0 / lam))
                 for lam in lambdas]
 
-    est, finest = _paired_levels(
-        params, [t], dt, n, seed, threads, params.sigma_b**2 / 2.0, values
+    est, finest = _levels(
+        params, [t], dt, n, seed, threads, params.sigma_b**2 / 2.0, values, True
     )
     (at_t,) = est.values()
     if finest is None:

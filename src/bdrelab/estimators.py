@@ -147,8 +147,9 @@ def estimate_extinction(
     stratified on a decaying projection of their normals, whose sums give
     the se, and one Russian-roulette rung that keeps the count unbiased);
     RaoBlackwell averages the exact conditional extinction probability
-    e^{-z/I_t} over environments; ClosedForm evaluates the scale-function
-    formula and has zero spread.
+    e^{-z/I_t} over environments, n of them i.i.d. on the coarsest grid
+    plus the multilevel corrections down to cfg.dt (see envexact);
+    ClosedForm evaluates the scale-function formula and has zero spread.
     """
     if params.sigma_b <= 0:
         raise ValueError("extinction estimation needs sigma_b > 0")

@@ -47,7 +47,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _special
 
 from .errors import NotComputableError, NumericalFailure
@@ -129,7 +128,9 @@ def _quad_unit(
     NumericalFailure if QUADPACK does not converge within the subdivision
     budget.
     """
-    out = _integrate.quad(
+    from scipy.integrate import quad  # here, so that import bdrelab skips scipy.integrate
+
+    out = quad(
         g,
         0.0,
         1.0,

@@ -1,13 +1,13 @@
-"""Seed-pooled calibration of the paired multilevel environment estimators.
+"""Seed-pooled calibration of the multilevel environment estimators.
 
-`envexact.environment_survival_curve(antithetic=True)` and
-`envexact.environment_laplace` run n environments in antithetic pairs on
-the coarsest grid that holds every checkpoint, plus the coupled
-corrections down to dt, and report an estimate and a standard error:
-level 0's from the spread of its pair sums, each correction level's from
-its i.i.d. spread. A 3-se gate at one seed sees a bias only once it
-exceeds about 3 se; pooled over K seeds the same runs see about
-3 / sqrt(K) se. Per record this script runs K = 50 calls on seeds
+`envexact.environment_survival_curve` and `envexact.environment_laplace`
+run n environments on the coarsest grid that holds every checkpoint, in
+antithetic pairs or (the curve with antithetic=False) i.i.d., plus the
+coupled corrections down to dt, and report an estimate and a standard
+error: level 0's from the spread of its pair sums or of its values, each
+correction level's from its i.i.d. spread. A 3-se gate at one seed sees
+a bias only once it exceeds about 3 se; pooled over K seeds the same runs
+see about 3 / sqrt(K) se. Per record this script runs K = 50 calls on seeds
 20001-20050, which `bdrelab verify` does not use, takes
 z = (p - target) / se per call and reports:
 
@@ -18,13 +18,14 @@ z = (p - target) / se per call and reports:
 - the share of |z| > 3 (0.0027 for standard z);
 - the pooled bias, mean p - target, with its se sqrt(mean se^2 / K), and
   the same bias in units of verify's own se (the mean se scaled to
-  verify's n; for the extinct curve, which verify runs unpaired, that is
-  the se a paired call at verify's n would have).
+  verify's n; for the paired extinct curve, whose level 0 verify runs
+  i.i.d., that is the se a paired call at verify's n would have).
 
-The records, at n = 10,000 paired paths:
-- the extinct curve e^{-z/I_T} at T = 30, dt 0.01 (criterion 2's
-  Rao-Blackwell half, there unpaired at n = 1e5) at the standard
-  alpha = sigma_e = sigma_b = z0 = 1, against the closed form 1/4;
+The records, at n = 10,000 level-0 paths:
+- the extinct curve e^{-z/I_T} at T = 30, dt 0.01 at the standard
+  alpha = sigma_e = sigma_b = z0 = 1, against the closed form 1/4, with
+  level 0 i.i.d. (extinct_curve_iid, criterion 2's Rao-Blackwell half, at
+  n = 1e5 there) and paired (extinct_curve);
 - the transform exp(-z/(I_t + 1/lambda)) at t = 20, dt 0.0025 and
   lambda = 0.5, 1, 2, 10 (criterion 7, at n = 1e5) at the standard
   point, against laplace_Y under the inverse-gamma reading, a
@@ -35,7 +36,8 @@ The records, at n = 10,000 paired paths:
 - criterion 5's three tilted survival curves (alpha = 0.5, 1, 2, drift
   negated, tilt min(alpha / sigma_e^2, 1), dt 0.01, at n = 1e5 there) at
   t = 4 and t = 12, against the pooled mean of the single-level i.i.d.
-  tilted curve on dt, whose expectation the levels reproduce. That
+  tilted curve on dt, whose expectation the levels reproduce (run with
+  envexact._COARSEST_STEP at 0, which leaves no correction level). That
   reference runs 50 calls of its own on seeds 30001-30050: on a shared
   seed its first step would reuse level 0's first normals. Its own se,
   target_se = sqrt(mean se^2 / K), adds about (target_se / se)^2 to the
@@ -47,9 +49,9 @@ calibration sees against a closed form or a quadrature. Pytest does not
 collect this file (its name does not start with test_). Run it from the
 repository root:
 
-    python tests/calibrate_environment.py > CALIB_23.json
+    python tests/calibrate_environment.py > CALIB_27.json
 
-It prints one JSON object; about 60 s of CPU on a 2-core Xeon.
+It prints one JSON object; about 70 s of CPU on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from scipy.stats import chi2
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
+from bdrelab import envexact  # noqa: E402
 from bdrelab.envexact import environment_laplace, environment_survival_curve  # noqa: E402
 from bdrelab.model import ModelParams, extinction_probability  # noqa: E402
 from bdrelab.specfun import Reading, laplace_Y  # noqa: E402
@@ -102,15 +105,25 @@ def pooled(p: np.ndarray, se: np.ndarray, target: float, verify_n: int) -> dict:
     }
 
 
-def extinct_record() -> dict:
+def single_level(call):
+    """call() with no correction level: each curve is one level on dt."""
+    coarsest = envexact._COARSEST_STEP
+    envexact._COARSEST_STEP = 0.0
+    try:
+        return call()
+    finally:
+        envexact._COARSEST_STEP = coarsest
+
+
+def extinct_record(paired: bool) -> dict:
     t0 = time.process_time()
     runs = np.array([
         environment_survival_curve(STD, [EXTINCT_T], N, EXTINCT_DT, seed, collect="extinct",
-                                   antithetic=True)[EXTINCT_T]
+                                   antithetic=paired)[EXTINCT_T]
         for seed in SEEDS
     ])
     cpu = time.process_time() - t0
-    out = {"t": EXTINCT_T, "dt": EXTINCT_DT, "provenance": "closed form"}
+    out = {"t": EXTINCT_T, "dt": EXTINCT_DT, "antithetic": paired, "provenance": "closed form"}
     out.update(pooled(runs[:, 0], runs[:, 1], extinction_probability(STD.z0, STD),
                       EXTINCT_VERIFY_N))
     out["cpu_s"] = round(cpu, 1)
@@ -146,8 +159,10 @@ def curve_records() -> dict:
         calls = [environment_survival_curve(neg, CURVE_TIMES, N, CURVE_DT, seed, tilt=tilt,
                                             antithetic=True) for seed in SEEDS]
         cpu = time.process_time() - t0
-        refs = [environment_survival_curve(neg, CURVE_TIMES, N, CURVE_DT, seed, tilt=tilt)
-                for seed in REFERENCE_SEEDS]
+        refs = single_level(lambda: [
+            environment_survival_curve(neg, CURVE_TIMES, N, CURVE_DT, seed, tilt=tilt)
+            for seed in REFERENCE_SEEDS
+        ])
         for t in CURVE_TIMES:
             runs = np.array([c[t] for c in calls])
             ref = np.array([r[t] for r in refs])
@@ -166,15 +181,15 @@ def curve_records() -> dict:
 
 def main() -> None:
     out = {
-        "what": "paired multilevel environment estimators against closed form, quadrature "
+        "what": "multilevel environment estimators against closed form, quadrature "
                 "and the single-level curve, pooled over seeds",
         "n": N,
-        "antithetic": True,
         "multilevel": True,
         "seeds": f"{SEEDS.start}-{SEEDS.stop - 1}",
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        "records": {"extinct_curve.t=30": extinct_record(), **laplace_records(),
+        "records": {"extinct_curve_iid.t=30": extinct_record(False),
+                    "extinct_curve.t=30": extinct_record(True), **laplace_records(),
                     **curve_records()},
     }
     print(json.dumps(out, indent=2))

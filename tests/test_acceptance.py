@@ -226,8 +226,8 @@ def test_criterion_10_byte_reproducibility(verify_runs):
 # or fitted constant changes a digest; a change meant to move bytes updates
 # these and says so.
 DATA_FILES_SHA256 = {
-    "results.csv": "0b08056358d89877bf432658466109ff92a36b7ddabbc158d16f69c533ca5a88",
-    "results.jsonl": "14b6c58beffa264acac37063636e59f6cfa516236a4e8cca8f384e343f7690a8",
+    "results.csv": "e1b4c6ea7d81f7a272bab9e73a9c7ed5006b624a3c63687063a42a4450cf2a6d",
+    "results.jsonl": "0bc1af1e4861fb80b62f4d4e5284c4c9f49d0c5c64f915535269386032f21f10",
     "survival_curve_alpha0p5.dat": "9dbc2f612a742e2eaa7925b9c6508b5d990e29f6dc8cfdda07a31c12dfcacd40",
     "survival_curve_alpha1.dat": "60eda721b7dec973d53c9593c6ee3d08acee18c4133efe2e88329f02125b14ae",
     "survival_curve_alpha2.dat": "fb2848d2f87923ae01c57fe576d847ca4439bbe66295415eb8307b5001c93fb2",

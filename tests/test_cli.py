@@ -315,10 +315,20 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def _loaded_by_import_bdrelab(module: str) -> bool:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = "import sys, bdrelab; print('scipy.stats' in sys.modules)"
+    code = f"import sys, bdrelab; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    assert not _loaded_by_import_bdrelab("scipy.stats")
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate pulls in scipy.optimize; only the quadrature needs it
+    assert not _loaded_by_import_bdrelab("scipy.integrate")
+    assert not _loaded_by_import_bdrelab("scipy.optimize")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bdrelab import envexact
 from bdrelab.envexact import (
     _depth,
     _environment_batches,
@@ -183,7 +184,8 @@ def test_paired_se_counts_the_lone_path_of_every_odd_batch():
 
 
 def test_antithetic_and_independent_environments_agree():
-    # the same means on fresh noise, the pairs at a smaller se
+    # level 0 in pairs and i.i.d., three correction levels below each: the
+    # same means on fresh noise, the pairs at a smaller se
     times, n = [1.0, 5.0], 20_000
     paired = environment_survival_curve(STD, times, n, 0.01, 151, "extinct", antithetic=True)
     plain = environment_survival_curve(STD, times, n, 0.01, 157, "extinct")
@@ -277,17 +279,21 @@ def test_levels_stop_at_the_coarsest_grid_that_holds_every_checkpoint():
 
 
 @pytest.mark.parametrize("alpha", sorted(NEGATED))
-def test_multilevel_and_single_level_curves_agree(alpha):
-    # the levels telescope to the trapezoid on dt: the paired multilevel
-    # curve against the i.i.d. curve on dt, both tilted, on fresh noise
+def test_multilevel_and_single_level_curves_agree(alpha, monkeypatch):
+    # the levels telescope to the trapezoid on dt: the multilevel curve,
+    # level 0 paired and i.i.d., against the i.i.d. curve on dt, all
+    # tilted, on fresh noise
     times, n, theta = [2.0, 4.0], 20_000, min(alpha, 1.0)
-    levels = environment_survival_curve(
-        NEGATED[alpha], times, n, 0.01, 161, tilt=theta, antithetic=True
-    )
+    curves = [environment_survival_curve(NEGATED[alpha], times, n, 0.01, seed, tilt=theta,
+                                         antithetic=paired)
+              for seed, paired in ((161, True), (165, False))]
+    # a coarsest step below dt leaves no correction level: one level on dt
+    monkeypatch.setattr(envexact, "_COARSEST_STEP", 0.0)
     plain = environment_survival_curve(NEGATED[alpha], times, n, 0.01, 163, tilt=theta)
-    for t in times:
-        (m1, se1), (m0, se0) = levels[t], plain[t]
-        assert abs(m1 - m0) <= 4 * math.hypot(se1, se0), (t, m1, m0)
+    for levels in curves:
+        for t in times:
+            (m1, se1), (m0, se0) = levels[t], plain[t]
+            assert abs(m1 - m0) <= 4 * math.hypot(se1, se0), (t, m1, m0)
 
 
 def test_multilevel_and_single_level_transforms_agree():

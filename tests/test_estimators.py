@@ -133,6 +133,24 @@ def test_rao_blackwell_variance_reduction_factor():
     )
 
 
+def test_rao_blackwell_se_holds_the_iid_variance():
+    # Level 0 of the Rao-Blackwell route runs i.i.d. environments, so
+    # n se^2 reads Var(q) of q = exp(-x G), G ~ Gamma(beta, 1), whose raw
+    # moments are E[q^k] = extinction_probability(k z0): 1/9 - 1/16 = 7/144
+    # at the standard point. The band is 5 sd of a sample variance,
+    # sqrt((mu4 - var^2) / n) from the same moments; the correction levels
+    # add their small share of se^2. A paired level 0 would read far below.
+    n = 20_000
+    rb = estimate_extinction(STD, ExtinctionMethod.RAO_BLACKWELL, n, 30.0, scheme(horizon=30.0),
+                             233)
+    m1, m2, m3, m4 = (extinction_probability(k * STD.z0, STD) for k in (1, 2, 3, 4))
+    var = m2 - m1**2
+    assert var == pytest.approx(7 / 144, rel=1e-12)
+    mu4 = m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
+    var_sd = math.sqrt((mu4 - var**2) / n)
+    assert abs(n * rb.std_error**2 - var) <= 5 * var_sd, (n * rb.std_error**2, var, var_sd)
+
+
 def test_extinction_estimators_validate_inputs():
     with pytest.raises(ValueError):
         estimate_extinction(ModelParams(-1.0, 1.0, 1.0, 1.0),

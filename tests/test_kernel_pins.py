@@ -10,8 +10,10 @@ takes depend on which other paths are retried in the same step. The
 untilted environment pins also hold the tilt = 0 path of
 environment_survival_curve to its steps and sums from before the tilt
 existed; the tilted cases pin the weighted path, and the paired cases the
-antithetic one. environment_laplace always runs in pairs, so its pins are
-paired too.
+antithetic one. Where no correction level fits (every case on dt 0.05,
+and the checkpoint 0.05 on dt 0.01) level 0 runs alone; the cases named
+_levels pin the correction levels below an i.i.d. or a paired level 0.
+environment_laplace always runs in pairs, so its pins are paired too.
 
 The quadrature values (phi_beta, laplace_Y) are deterministic and pinned
 bit for bit, so a change that moves a last bit shows; laplace_Y's
@@ -136,6 +138,9 @@ def compute() -> dict:
             WEAK_NEGATED, [0.16, 0.32], 60_000, 0.02, seed=7, tilt=0.625, antithetic=True)),
         "extinct_curve_levels_odd_n": _curve(environment_survival_curve(
             STD, [0.0, 0.4, 0.8], 501, 0.01, seed=9, collect="extinct", antithetic=True)),
+        # level 0 i.i.d. (the Rao-Blackwell route) in two batches, three levels
+        "extinct_curve_iid_levels": _curve(environment_survival_curve(
+            STD, [0.0, 0.4, 0.8], 60_000, 0.01, seed=9, collect="extinct")),
         "laplace_levels": _transform(environment_laplace(
             STD, [0.5, 2.0], 0.8, 500, 0.01, seed=19)),
         "states_bdre": _states("bdre", STD),
@@ -279,6 +284,11 @@ PINNED = {
     'extinct_curve_levels_odd_n': [
         0.0, 0.0, 0.010029393788736955, 0.0008061618268379835, 0.05995709675627844,
         0.0024754114090140993,
+    ],
+    # computed when the i.i.d. curve ran on levels
+    'extinct_curve_iid_levels': [
+        0.0, 0.0, 0.008853328666050566, 7.759776224269157e-05, 0.05945648432797236,
+        0.00032067308136848595,
     ],
     'laplace_levels': [
         0.6497647945756269, 0.000440693640562054, 4.4802758294342285e-06,

@@ -215,6 +215,10 @@ def test_ensemble_thread_count_does_not_change_results(monkeypatch):
             tilt=1.0, antithetic=True,
         ),
         "laplace_levels": lambda th: environment_laplace(STD, [0.5, 2.0], 0.08, n, 0.01, 7, th),
+        # level 0 i.i.d., the Rao-Blackwell route's, in two batches
+        "environment_iid_levels": lambda th: environment_survival_curve(
+            STD, [0.04, 0.08], n, 0.01, seed=7, threads=th, collect="extinct"
+        ),
     }
     results = {}
     for name, run in kernels.items():
@@ -276,6 +280,8 @@ _SE_KERNELS = {
     # three correction levels below h0 = 0.08
     "environment_survival_curve_levels": (
         4, lambda n: environment_survival_curve(STD, [0.08], n, 0.01, 1, antithetic=True)),
+    "environment_survival_curve_iid_levels": (
+        2, lambda n: environment_survival_curve(STD, [0.08], n, 0.01, 1)),
     "environment_laplace_levels": (
         4, lambda n: environment_laplace(STD, [1.0], 0.08, n, 0.01, 1)),
     "survival_points": (4, lambda n: survival_points(
