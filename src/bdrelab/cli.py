@@ -24,8 +24,10 @@ from dataclasses import replace
 from typing import Optional
 
 from .config import (
+    CONFIG_KEYS,
     Experiment,
     ExperimentConfig,
+    apply_keys,
     config_hash,
     read_config,
     seed_from_environment,
@@ -78,22 +80,24 @@ from .verify import format_summary, run_verify
 __all__ = ["main"]
 
 
+# The config override flags stay text: _resolve_config parses them with the
+# config file's parsers.
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=None, help="environment drift")
-    p.add_argument("--sigma-e", type=float, default=None, help="environment volatility")
-    p.add_argument("--sigma-b", type=float, default=None, help="branching volatility")
-    p.add_argument("--z0", type=float, default=None, help="initial population mass")
+    p.add_argument("--alpha", default=None, help="environment drift")
+    p.add_argument("--sigma-e", default=None, help="environment volatility")
+    p.add_argument("--sigma-b", default=None, help="branching volatility")
+    p.add_argument("--z0", default=None, help="initial population mass")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="config file (flat dotted keys)")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (beats config and environment)")
+    p.add_argument("--seed", default=None, help="RNG seed (beats config and environment)")
     p.add_argument("--output-dir", default=None, help="directory for result files")
     p.add_argument("--threads", type=int, default=None,
                    help="batch parallelism (default: available cores); results do not depend on it")
-    p.add_argument("--dt", type=float, default=None, help="time step")
-    p.add_argument("--horizon", type=float, default=None, help="simulation horizon")
-    p.add_argument("--n", type=int, default=None, help="sample size")
+    p.add_argument("--dt", default=None, help="time step")
+    p.add_argument("--horizon", default=None, help="simulation horizon")
+    p.add_argument("--n", default=None, help="sample size")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,12 +137,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--a", type=float, default=None)
     p_spec.add_argument("--beta", type=float, default=None)
     p_spec.add_argument("--output-dir", default=None)
-    p_spec.add_argument("--seed", type=int, default=None)
+    p_spec.add_argument("--seed", default=None)
     _add_model_flags(p_spec)
     p_spec.set_defaults(func=_cmd_specfun)
 
     p_ver = sub.add_parser("verify", help="run the full verification checklist")
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--seed", default=None)
     p_ver.add_argument("--output-dir", default=None)
     p_ver.add_argument("--threads", type=int, default=None)
     p_ver.set_defaults(func=_cmd_verify)
@@ -157,33 +161,14 @@ def _resolve_config(args) -> ExperimentConfig:
     """Config file, then the seed environment variable, then flags.
 
     Every subcommand takes its config and seed from here, so the seed order
-    (flag, BDRE_LAB_SEED, config file, default) is stated once.
+    (flag, BDRE_LAB_SEED, config file, default) is stated once. An override
+    flag is named after the last part of its config key, and sets it as a
+    config file line would: --sigma-b 0.5 as "model.sigma_b = 0.5".
     """
     config = getattr(args, "config", None)
-    cfg = read_config(config) if config else ExperimentConfig()
-    cfg = seed_from_environment(cfg)
-
-    model = cfg.model
-    for field in ("alpha", "sigma_e", "sigma_b", "z0"):
-        v = getattr(args, field, None)
-        if v is not None:
-            model = replace(model, **{field: v})
-    scheme = cfg.scheme
-    if getattr(args, "dt", None) is not None:
-        scheme = replace(scheme, dt=args.dt)
-    if getattr(args, "horizon", None) is not None:
-        scheme = replace(scheme, horizon=args.horizon)
-
-    seed = args.seed if getattr(args, "seed", None) is not None else cfg.seed
-
-    updates = {"model": model, "scheme": scheme, "seed": seed}
-    if getattr(args, "n", None) is not None:
-        updates["n"] = args.n
-    if getattr(args, "output_dir", None) is not None:
-        updates["output_dir"] = args.output_dir
-    if getattr(args, "experiment", None) is not None:
-        updates["experiment"] = Experiment(args.experiment)
-    return replace(cfg, **updates)
+    cfg = seed_from_environment(read_config(config) if config else ExperimentConfig())
+    flags = {key: getattr(args, key.rpartition(".")[2], None) for key in CONFIG_KEYS}
+    return apply_keys(cfg, {key: v for key, v in flags.items() if v is not None})
 
 
 def _threads(args) -> int:

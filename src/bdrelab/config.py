@@ -4,7 +4,8 @@ The on-disk format is deliberately primitive: one `key = value` pair per
 line, dotted section prefixes (model.alpha = 1.0), '#' comments, blank
 lines ignored. It parses with no dependencies and diffs line by line.
 Floats are written with repr, so a write/read round trip reproduces every
-field bit for bit.
+field bit for bit. One table, CONFIG_KEYS, lists the keys: the text, the
+hash, the parser and the CLI's override flags all read it.
 
 The config hash covers exactly the fields that influence computed
 numbers (model, scheme, quadrature, experiment, n, seed, grids, routes).
@@ -15,9 +16,11 @@ the hash.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
 
 from .errors import ConfigError
 from .model import ModelParams
@@ -29,6 +32,8 @@ __all__ = [
     "ExperimentConfig",
     "DEFAULT_SEED",
     "ENV_SEED_VAR",
+    "CONFIG_KEYS",
+    "apply_keys",
     "config_to_text",
     "config_from_text",
     "read_config",
@@ -75,13 +80,89 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError("n must be a positive integer")
-        if not self.t_grid or any(t <= 0 for t in self.t_grid):
-            raise ConfigError("t_grid must hold positive times")
-        if any(l < 0 for l in self.lambda_grid):
+        if not self.t_grid or not all(0 < t < math.inf for t in self.t_grid):
+            raise ConfigError("t_grid must hold positive finite times")
+        # lambda = inf is the transform's extinction limit; nan is no lambda
+        if not all(l >= 0 for l in self.lambda_grid):
             raise ConfigError("lambda_grid must hold nonnegative values")
 
 
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in raw.split(",")) if raw else ()
+
+
+def _strs(raw: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in raw.split(",") if p.strip())
+
+
+def _scheme(raw: str) -> str:
+    if raw != _SCHEME:
+        raise ValueError(f"{raw!r} is not the one scheme, {_SCHEME}")
+    return raw
+
+
+# Every key of the file format, in file order, with the parser of its text.
+# "section.field" sets a field of a section of ExperimentConfig, a bare key a
+# field of ExperimentConfig itself; scheme.scheme is the one key without a
+# field. The file text and config_hash follow this order.
+CONFIG_KEYS = {
+    "model.alpha": float,
+    "model.sigma_e": float,
+    "model.sigma_b": float,
+    "model.z0": float,
+    "scheme.dt": float,
+    "scheme.horizon": float,
+    "scheme.scheme": _scheme,
+    "scheme.absorption_threshold": float,
+    "scheme.store_stride": int,
+    "quadrature.rel_tol": float,
+    "quadrature.abs_tol": float,
+    "quadrature.max_subdivisions": int,
+    "experiment": Experiment,
+    "n": int,
+    "seed": int,
+    "t_grid": _floats,
+    "lambda_grid": _floats,
+    "routes": _strs,
+    "output_dir": str,
+}
+
+
+def apply_keys(cfg: ExperimentConfig, pairs: dict[str, str]) -> ExperimentConfig:
+    """cfg with each key of pairs set to its parsed text.
+
+    Each section is replaced once, so a dataclass checks only its final
+    values: scheme.dt = 40 with scheme.horizon = 80 passes on a horizon-30
+    config, though dt 40 alone would exceed its horizon.
+    """
+    unknown = pairs.keys() - CONFIG_KEYS.keys()
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    sections: dict[str, dict] = {}
+    for key, raw in pairs.items():
+        try:
+            value = CONFIG_KEYS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+        if key != "scheme.scheme":
+            section, _, field = key.rpartition(".")
+            sections.setdefault(section, {})[field] = value
+    top = sections.pop("", {})
+    try:
+        for section, fields in sections.items():
+            top[section] = replace(getattr(cfg, section), **fields)
+        return replace(cfg, **top)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _value_text(cfg: ExperimentConfig, key: str) -> str:
+    return _SCHEME if key == "scheme.scheme" else _fmt(reduce(getattr, key.split("."), cfg))
+
+
 def _fmt(v) -> str:
+    if isinstance(v, tuple):
+        return ", ".join(_fmt(x) for x in v)
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, Enum):
@@ -89,37 +170,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _semantic_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    m, s, q = cfg.model, cfg.scheme, cfg.quadrature
-    return [
-        ("model.alpha", _fmt(m.alpha)),
-        ("model.sigma_e", _fmt(m.sigma_e)),
-        ("model.sigma_b", _fmt(m.sigma_b)),
-        ("model.z0", _fmt(m.z0)),
-        ("scheme.dt", _fmt(s.dt)),
-        ("scheme.horizon", _fmt(s.horizon)),
-        ("scheme.scheme", _SCHEME),
-        ("scheme.absorption_threshold", _fmt(s.absorption_threshold)),
-        ("scheme.store_stride", _fmt(s.store_stride)),
-        ("quadrature.rel_tol", _fmt(q.rel_tol)),
-        ("quadrature.abs_tol", _fmt(q.abs_tol)),
-        ("quadrature.max_subdivisions", _fmt(q.max_subdivisions)),
-        ("experiment", _fmt(cfg.experiment)),
-        ("n", _fmt(cfg.n)),
-        ("seed", _fmt(cfg.seed)),
-        ("t_grid", ", ".join(_fmt(t) for t in cfg.t_grid)),
-        ("lambda_grid", ", ".join(_fmt(l) for l in cfg.lambda_grid)),
-        ("routes", ", ".join(cfg.routes)),
-    ]
+def _lines(cfg: ExperimentConfig, keys) -> str:
+    return "\n".join(f"{key} = {_value_text(cfg, key)}" for key in keys)
+
+
+# output_dir is where results land, not what they are
+_HASHED_KEYS = [key for key in CONFIG_KEYS if key != "output_dir"]
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
-    lines = [f"{k} = {v}" for k, v in _semantic_items(cfg)]
-    lines.append(f"output_dir = {cfg.output_dir}")
-    return "\n".join(lines) + "\n"
+    return _lines(cfg, CONFIG_KEYS) + "\n"
 
 
 def config_from_text(text: str) -> ExperimentConfig:
+    """The config a file's text sets; a missing key keeps ExperimentConfig()'s field."""
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -132,85 +196,7 @@ def config_from_text(text: str) -> ExperimentConfig:
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         pairs[key] = val.strip()
-
-    def take(key: str, default, parse=lambda key, raw: raw):
-        # a missing key keeps the field of ExperimentConfig(); nothing here
-        # restates a default
-        return parse(key, pairs.pop(key)) if key in pairs else default
-
-    def as_float(key: str, raw: str) -> float:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not a number: {raw!r}") from exc
-
-    def as_int(key: str, raw: str) -> int:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not an integer: {raw!r}") from exc
-
-    def as_enum(enum_cls):
-        def parse(key: str, raw: str):
-            try:
-                return enum_cls(raw)
-            except ValueError as exc:
-                valid = ", ".join(e.value for e in enum_cls)
-                raise ConfigError(f"{key}: {raw!r} is not one of: {valid}") from exc
-        return parse
-
-    def as_float_tuple(key: str, raw: str) -> tuple[float, ...]:
-        if not raw:
-            return ()
-        try:
-            return tuple(float(p.strip()) for p in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: bad list: {raw!r}") from exc
-
-    def as_str_tuple(key: str, raw: str) -> tuple[str, ...]:
-        return tuple(p.strip() for p in raw.split(",") if p.strip())
-
-    d = ExperimentConfig()
-    m, s, q = d.model, d.scheme, d.quadrature
-    scheme_name = take("scheme.scheme", _SCHEME)
-    if scheme_name != _SCHEME:
-        raise ConfigError(f"scheme.scheme: {scheme_name!r} is not the one scheme, {_SCHEME}")
-    try:
-        model = ModelParams(
-            alpha=take("model.alpha", m.alpha, as_float),
-            sigma_e=take("model.sigma_e", m.sigma_e, as_float),
-            sigma_b=take("model.sigma_b", m.sigma_b, as_float),
-            z0=take("model.z0", m.z0, as_float),
-        )
-        scheme = SchemeConfig(
-            dt=take("scheme.dt", s.dt, as_float),
-            horizon=take("scheme.horizon", s.horizon, as_float),
-            absorption_threshold=take("scheme.absorption_threshold", s.absorption_threshold,
-                                      as_float),
-            store_stride=take("scheme.store_stride", s.store_stride, as_int),
-        )
-        quadrature = QuadratureConfig(
-            rel_tol=take("quadrature.rel_tol", q.rel_tol, as_float),
-            abs_tol=take("quadrature.abs_tol", q.abs_tol, as_float),
-            max_subdivisions=take("quadrature.max_subdivisions", q.max_subdivisions, as_int),
-        )
-        cfg = ExperimentConfig(
-            model=model,
-            scheme=scheme,
-            quadrature=quadrature,
-            experiment=take("experiment", d.experiment, as_enum(Experiment)),
-            n=take("n", d.n, as_int),
-            seed=take("seed", d.seed, as_int),
-            t_grid=take("t_grid", d.t_grid, as_float_tuple),
-            lambda_grid=take("lambda_grid", d.lambda_grid, as_float_tuple),
-            routes=take("routes", d.routes, as_str_tuple),
-            output_dir=take("output_dir", d.output_dir),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if pairs:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(pairs))}")
-    return cfg
+    return apply_keys(ExperimentConfig(), pairs)
 
 
 def read_config(path: str) -> ExperimentConfig:
@@ -229,8 +215,7 @@ def write_config(cfg: ExperimentConfig, path: str) -> None:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """12 hex digits of sha256 over the canonical semantic serialization."""
-    canon = "\n".join(f"{k} = {v}" for k, v in _semantic_items(cfg))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+    return hashlib.sha256(_lines(cfg, _HASHED_KEYS).encode("utf-8")).hexdigest()[:12]
 
 
 def seed_from_environment(cfg: ExperimentConfig) -> ExperimentConfig:

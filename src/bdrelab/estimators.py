@@ -28,6 +28,7 @@ from .model import (
 from .rng import _require_se_sample
 from .sde import (
     SchemeConfig,
+    _mean_se,
     absorbed_fraction,
     ensemble_final_states,
     ensemble_functional_means,
@@ -73,8 +74,8 @@ class MCEstimate:
     def from_samples(x: np.ndarray, method_tag: str) -> "MCEstimate":
         x = np.asarray(x, dtype=float)
         _require_se_sample(x.size)
-        se = float(x.std(ddof=1) / math.sqrt(x.size))
-        return MCEstimate(mean=float(x.mean()), std_error=se, n=x.size, method_tag=method_tag)
+        mean, se = _mean_se(x)
+        return MCEstimate(mean=mean, std_error=se, n=x.size, method_tag=method_tag)
 
 
 @dataclass(frozen=True)

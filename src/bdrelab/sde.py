@@ -116,13 +116,13 @@ class SchemeConfig:
     store_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.dt > self.horizon:
             raise ValueError("dt must not exceed horizon")
-        if self.absorption_threshold < 0:
+        if not self.absorption_threshold >= 0:
             raise ValueError("absorption_threshold must be nonnegative")
         if self.store_stride < 1:
             raise ValueError("store_stride must be >= 1")

@@ -48,6 +48,7 @@ from .estimators import (
     KS_CRITICAL_1PCT,
     ExtinctionMethod,
     Functional,
+    MCEstimate,
     SurvivalRoute,
     conditioned_law_equivalence_test,
     estimate_conditioned_survival,
@@ -538,6 +539,7 @@ def _criterion_8(ctx: _Ctx) -> list:
     stat_inv, p_inv = kstest(samples, lambda x: invgamma.cdf(x, a=beta, scale=scale))
     stat_gam, p_gam = kstest(samples, lambda x: gamma.cdf(x, a=beta, scale=scale))
     crit = KS_CRITICAL_1PCT / math.sqrt(n)
+    est = MCEstimate.from_samples(samples, "dufresne")
     return [
         ctx.rec("dufresne.ks_inverse_gamma", stat_inv, None, n, crit,
                 Provenance.REFERENCE_LAW, Gate("KS 1 % critical value")),
@@ -545,8 +547,8 @@ def _criterion_8(ctx: _Ctx) -> list:
                 Provenance.REFERENCE_LAW),
         ctx.rec("dufresne.ks_as_printed_gamma", stat_gam, None, n, crit,
                 Provenance.REFERENCE_LAW, Gate("KS 1 % critical value", negate=True)),
-        ctx.rec("dufresne.sample_mean", samples.mean(), samples.std(ddof=1) / math.sqrt(n),
-                n, 1.0 / (p.alpha - 0.5 * p.sigma_e**2), Provenance.CLOSED_FORM),
+        ctx.rec("dufresne.sample_mean", est.mean, est.std_error, est.n,
+                1.0 / (p.alpha - 0.5 * p.sigma_e**2), Provenance.CLOSED_FORM),
     ]
 
 

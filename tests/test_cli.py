@@ -10,7 +10,14 @@ import pytest
 
 from bdrelab import cli, estimators
 from bdrelab.cli import main
-from bdrelab.config import DEFAULT_SEED, Experiment, ExperimentConfig, config_hash, write_config
+from bdrelab.config import (
+    DEFAULT_SEED,
+    Experiment,
+    ExperimentConfig,
+    config_from_text,
+    config_hash,
+    write_config,
+)
 from bdrelab.errors import NumericalFailure
 from bdrelab.results import read_results_csv
 from bdrelab.sde import simulate_bdre
@@ -242,6 +249,64 @@ def test_a_refused_simulate_run_leaves_no_paths_file(tmp_path, capsys, monkeypat
 def test_simulate_rejects_bad_path_count(capsys):
     code, _, _ = run(capsys, ["simulate", "--n-paths", "0"])
     assert code == 2
+
+
+def test_dt_and_horizon_flags_are_checked_together(tmp_path, capsys):
+    # dt 40 alone exceeds the default horizon 30: the flags are checked together
+    code, _, err = run(capsys, ["simulate", "--dt", "40", "--horizon", "80", "--n-paths", "1",
+                                "--output-dir", str(tmp_path)])
+    assert (code, err) == (0, "")
+    assert (tmp_path / "paths.csv").exists()
+
+
+def test_model_flags_are_checked_together(tmp_path, capsys):
+    # sigma_b 0 with the file's z0 0 breaks sigma_b + z0 > 0; with --z0 2 it holds
+    cfg = tmp_path / "z0.cfg"
+    cfg.write_text("model.z0 = 0.0\n")
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg), "--sigma-b", "0", "--z0", "2",
+                                "--n-paths", "1", "--horizon", "1",
+                                "--output-dir", str(tmp_path / "out")])
+    assert (code, err) == (0, "")
+    assert (tmp_path / "out" / "paths.csv").exists()
+
+
+OVERRIDES = [("--alpha", "0.5", "model.alpha"), ("--sigma-e", "1.25", "model.sigma_e"),
+             ("--sigma-b", "0", "model.sigma_b"), ("--z0", "3.5", "model.z0"),
+             ("--dt", "0.02", "scheme.dt"), ("--horizon", "12.5", "scheme.horizon"),
+             ("--n", "123", "n"), ("--seed", "7", "seed"), ("--output-dir", "out/x", "output_dir"),
+             ("--experiment", "laplace", "experiment")]
+
+
+@pytest.mark.parametrize("flag,value,key", OVERRIDES)
+def test_an_override_flag_sets_its_config_key(flag, value, key, monkeypatch):
+    monkeypatch.delenv("BDRE_LAB_SEED", raising=False)
+    cfg = cli._resolve_config(cli._build_parser().parse_args(["estimate", flag, value]))
+    assert cfg == config_from_text(f"{key} = {value}\n")
+    assert cfg != ExperimentConfig()
+
+
+NON_FINITE = [
+    ("simulate", ["--horizon", "inf"], None, "horizon"),
+    ("simulate", ["--dt", "nan"], None, "dt"),
+    ("estimate", [], "experiment = conditioned-survival\nt_grid = inf\n", "t_grid"),
+    ("estimate", ["--experiment", "laplace"], "lambda_grid = nan, 1.0\n", "lambda_grid"),
+    # lowest <= nan never holds: absorbed_fraction would read 0 with exit 0
+    ("estimate", ["--experiment", "extinction"], "scheme.absorption_threshold = nan\n",
+     "absorption_threshold"),
+]
+
+
+@pytest.mark.parametrize("command,flags,text,name", NON_FINITE)
+def test_a_non_finite_setting_is_a_config_error(command, flags, text, name, tmp_path, capsys):
+    argv = [command, *flags, "--n", "100", "--threads", "1", "--output-dir", str(tmp_path)]
+    if text is not None:
+        (tmp_path / "bad.cfg").write_text(text)
+        argv += ["--config", str(tmp_path / "bad.cfg")]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"configuration error: {name} must ")
+    assert list(tmp_path.iterdir()) == ([tmp_path / "bad.cfg"] if text else [])
 
 
 def test_rates_emits_curve_and_plot_script(tmp_path, capsys):

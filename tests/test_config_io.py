@@ -1,5 +1,6 @@
 """Config round trips, hashing, the record file formats and the public names."""
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -8,12 +9,14 @@ import os
 import pkgutil
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bdrelab
 from bdrelab.config import (
+    CONFIG_KEYS,
     DEFAULT_SEED,
     Experiment,
     ExperimentConfig,
@@ -101,11 +104,42 @@ def test_config_format_and_hash_are_pinned():
     assert "scheme.scheme = EulerFullTruncation" in config_to_text(cfg).splitlines()
 
 
+def test_every_config_field_has_one_key():
+    # a field added without a key would be left out of the file and the hash
+    base = ExperimentConfig()
+    fields = {f.name for f in dataclasses.fields(base)}
+    sections = {"model", "scheme", "quadrature"}
+    assert sections <= fields
+    fields = (fields - sections) | {
+        f"{section}.{f.name}" for section in sections
+        for f in dataclasses.fields(getattr(base, section))
+    }
+    assert "output_dir" in fields
+    assert set(CONFIG_KEYS) - fields == {"scheme.scheme"}
+    assert fields <= set(CONFIG_KEYS)
+    assert [line.split(" = ")[0] for line in config_to_text(base).splitlines()] == list(CONFIG_KEYS)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Config files", 1)[1].split("```", 2)[1]
+    cfg = config_from_text(example)
+    assert cfg.experiment is Experiment.RATES
+    assert config_hash(cfg) == "ecb5c83ed318"
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig(n=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(t_grid=(0.0, 1.0))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(t_grid=(1.0, bad))
+    with pytest.raises(ConfigError):
+        ExperimentConfig(lambda_grid=(math.nan, 1.0))
+    # lambda = inf is the transform's extinction limit
+    assert ExperimentConfig(lambda_grid=(1.0, math.inf)).lambda_grid[1] == math.inf
 
 
 def test_seed_from_environment(monkeypatch):
