@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Optional
 
 from .config import (
     CONFIG_KEYS,
@@ -53,8 +52,8 @@ from .model import (
 from .results import (
     Gate,
     Provenance,
-    ResultRecord,
     format_records_csv,
+    stamper,
     write_decay_plot,
     write_results,
 )
@@ -186,15 +185,6 @@ def _emit(records, cfg: ExperimentConfig) -> None:
     write_results(records, cfg.output_dir)
 
 
-def _rec(cfg: ExperimentConfig, quantity: str, value: float, se: Optional[float],
-         n: int, theoretical: Optional[float], prov: Provenance,
-         gate: Optional[Gate] = None) -> ResultRecord:
-    return ResultRecord(
-        quantity=quantity, value=value, std_error=se, n=n, theoretical=theoretical,
-        provenance=prov, passed=None, seed=cfg.seed, config_hash=config_hash(cfg), gate=gate,
-    )
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -243,6 +233,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg = _resolve_config(args)
+    rec = stamper(cfg.seed, config_hash(cfg))
     exp = cfg.experiment
     threads = _threads(args)
     records = []
@@ -254,16 +245,14 @@ def _cmd_estimate(args) -> int:
         except ValueError:
             theo = None
         for method in ExtinctionMethod:
-            n = 1 if method is ExtinctionMethod.CLOSED_FORM else cfg.n
-            try:
-                est = estimate_extinction(cfg.model, method, n, cfg.scheme.horizon,
-                                          cfg.scheme, cfg.seed, threads=threads)
-            except ValueError:
-                continue  # e.g. the closed form outside the supercritical case
-            records.append(_rec(cfg, f"extinction.{method.value}", est.mean,
-                                est.std_error, est.n, theo, Provenance.SIMULATION))
-        if not records:
-            raise ConfigError("no extinction method applies to this model")
+            closed = method is ExtinctionMethod.CLOSED_FORM
+            if closed and theo is None:
+                continue  # no closed form outside the supercritical case
+            est = estimate_extinction(cfg.model, method, 1 if closed else cfg.n,
+                                      cfg.scheme.horizon, cfg.scheme, cfg.seed,
+                                      threads=threads)
+            records.append(rec(f"extinction.{method.value}", est.mean,
+                               est.std_error, est.n, theo, Provenance.SIMULATION))
     elif exp is Experiment.CONDITIONED_SURVIVAL:
         routes = tuple(SurvivalRoute(r) for r in cfg.routes) or tuple(SurvivalRoute)
         for j, route in enumerate(routes):
@@ -271,9 +260,9 @@ def _cmd_estimate(args) -> int:
                 est = estimate_conditioned_survival(
                     cfg.model, t, route, cfg.n, cfg.scheme, cfg.seed + j, threads=threads
                 )
-                records.append(_rec(cfg, f"cond_survival.{route.value}.t={t:g}",
-                                    est.mean, est.std_error, est.n, None,
-                                    Provenance.SIMULATION))
+                records.append(rec(f"cond_survival.{route.value}.t={t:g}",
+                                   est.mean, est.std_error, est.n, None,
+                                   Provenance.SIMULATION))
     elif exp is Experiment.MARTINGALE:
         cps = [t for t in cfg.t_grid if t <= cfg.scheme.horizon]
         if not cps:
@@ -282,49 +271,50 @@ def _cmd_estimate(args) -> int:
         for functional, row in ests.items():
             ref = functional_reference(functional, cfg.model)
             for est in row:
-                records.append(_rec(cfg, f"martingale.{est.method_tag}", est.mean,
-                                    est.std_error, est.n, ref, Provenance.SIMULATION))
+                records.append(rec(f"martingale.{est.method_tag}", est.mean,
+                                   est.std_error, est.n, ref, Provenance.SIMULATION))
     elif exp is Experiment.LAPLACE:
         pts = laplace_limit_test(cfg.model, cfg.lambda_grid, cfg.scheme.horizon,
                                  cfg.n, cfg.scheme, cfg.seed, q=cfg.quadrature,
                                  threads=threads)
         for pt in pts:
-            records.append(_rec(cfg, f"laplace.lam={pt.lam:g}", pt.estimate.mean,
-                                pt.estimate.std_error, pt.estimate.n, pt.reference,
-                                Provenance.QUADRATURE,
-                                Gate("3 se", max(3.0 * pt.estimate.std_error, 1e-12))))
+            records.append(rec(f"laplace.lam={pt.lam:g}", pt.estimate.mean,
+                               pt.estimate.std_error, pt.estimate.n, pt.reference,
+                               Provenance.QUADRATURE,
+                               Gate("3 se", max(3.0 * pt.estimate.std_error, 1e-12))))
     elif exp is Experiment.LAW_EQUIVALENCE:
         t = cfg.t_grid[0]
         ks = conditioned_law_equivalence_test(cfg.model, t, cfg.n, cfg.scheme,
                                               cfg.seed, threads=threads)
-        records.append(_rec(cfg, f"law_equivalence.ks_statistic.t={t:g}", ks.statistic,
-                            None, ks.n_x, ks.critical_1pct, Provenance.REFERENCE_LAW,
-                            Gate("KS 1 % critical value")))
-        records.append(_rec(cfg, f"law_equivalence.ks_pvalue.t={t:g}", ks.p_value,
-                            None, ks.n_x, None, Provenance.REFERENCE_LAW))
+        records.append(rec(f"law_equivalence.ks_statistic.t={t:g}", ks.statistic,
+                           None, ks.n_x, ks.critical_1pct, Provenance.REFERENCE_LAW,
+                           Gate("KS 1 % critical value")))
+        records.append(rec(f"law_equivalence.ks_pvalue.t={t:g}", ks.p_value,
+                           None, ks.n_x, None, Provenance.REFERENCE_LAW))
     _emit(records, cfg)
     return 0
 
 
 def _cmd_rates(args) -> int:
     cfg = _resolve_config(args)
+    rec = stamper(cfg.seed, config_hash(cfg))
     threads = _threads(args)
     pts = survival_points(cfg.model, cfg.t_grid, cfg.n,
                           SurvivalRoute.NEGATED_ALPHA_SIM, cfg.seed,
                           dt=cfg.scheme.dt, threads=threads)
     fit = fit_decay_rate_from_points(cfg.model, pts)
     records = [
-        _rec(cfg, "decay.exponential_rate", fit.exponential_rate, None, cfg.n,
-             None, Provenance.REGRESSION),
-        _rec(cfg, "decay.polynomial_power", fit.polynomial_power, None, cfg.n,
-             None, Provenance.REGRESSION),
-        _rec(cfg, "decay.fit_rmse", fit.fit_rmse, None, cfg.n, None,
-             Provenance.REGRESSION),
+        rec("decay.exponential_rate", fit.exponential_rate, None, cfg.n,
+            None, Provenance.REGRESSION),
+        rec("decay.polynomial_power", fit.polynomial_power, None, cfg.n,
+            None, Provenance.REGRESSION),
+        rec("decay.fit_rmse", fit.fit_rmse, None, cfg.n, None,
+            Provenance.REGRESSION),
     ]
     for t in sorted(pts):
         m, se = pts[t]
-        records.append(_rec(cfg, f"decay.survival.t={t:g}", m, se, cfg.n, None,
-                            Provenance.SIMULATION))
+        records.append(rec(f"decay.survival.t={t:g}", m, se, cfg.n, None,
+                           Provenance.SIMULATION))
     _emit(records, cfg)
     write_decay_plot(cfg.output_dir, "", cfg.model.alpha, pts, fit)
     return 0
@@ -332,26 +322,27 @@ def _cmd_rates(args) -> int:
 
 def _cmd_specfun(args) -> int:
     cfg = _resolve_config(args)
+    rec = stamper(cfg.seed, config_hash(cfg))
     records = []
     if args.psi:
         if args.a is None:
             raise ConfigError("--psi needs --a")
-        records.append(_rec(cfg, f"psi.a={args.a:g}", psi(args.a, DEFAULT_QUAD), None,
-                            1, psi_closed_form(args.a), Provenance.QUADRATURE))
+        records.append(rec(f"psi.a={args.a:g}", psi(args.a, DEFAULT_QUAD), None,
+                           1, psi_closed_form(args.a), Provenance.QUADRATURE))
     if args.phi_beta:
         if args.a is None or args.beta is None:
             raise ConfigError("--phi-beta needs --a and --beta")
-        records.append(_rec(cfg, f"phi_beta.a={args.a:g}.beta={args.beta:g}",
-                            phi_beta(args.a, args.beta, DEFAULT_QUAD), None, 1, None,
-                            Provenance.QUADRATURE))
+        records.append(rec(f"phi_beta.a={args.a:g}.beta={args.beta:g}",
+                           phi_beta(args.a, args.beta, DEFAULT_QUAD), None, 1, None,
+                           Provenance.QUADRATURE))
     if args.moment:
-        records.append(_rec(cfg, "integral_a_psi", integral_a_psi(DEFAULT_QUAD), None,
-                            1, 1.0 / math.sqrt(2.0 * math.pi), Provenance.QUADRATURE))
+        records.append(rec("integral_a_psi", integral_a_psi(DEFAULT_QUAD), None,
+                           1, 1.0 / math.sqrt(2.0 * math.pi), Provenance.QUADRATURE))
     if args.decay_constant:
         regime = classify_regime(cfg.model)
         value = theorem1_constant(cfg.model, cfg.model.z0, DEFAULT_QUAD)
-        records.append(_rec(cfg, f"decay_level_constant.{regime.value}", value, None,
-                            1, None, Provenance.CLOSED_FORM))
+        records.append(rec(f"decay_level_constant.{regime.value}", value, None,
+                           1, None, Provenance.CLOSED_FORM))
     if not records:
         raise ConfigError("specfun: pick at least one of --psi, --phi-beta, --moment, "
                           "--decay-constant")
@@ -371,6 +362,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bridge(args) -> int:
     cfg = _resolve_config(args)
+    rec = stamper(cfg.seed, config_hash(cfg))
     if args.n_scale < 1:
         raise ConfigError("--n-scale must be >= 1")
     freq, se = bridge_extinction_frequency(args.n_scale, cfg.model,
@@ -383,7 +375,7 @@ def _cmd_bridge(args) -> int:
     except ValueError:
         theo = None
     gate = None if theo is None else Gate("3 se", 3 * se)
-    records = [_rec(cfg, f"bridge.extinction_nscale={args.n_scale}", freq, se,
+    records = [rec(f"bridge.extinction_nscale={args.n_scale}", freq, se,
                     args.n_reps, theo, Provenance.SIMULATION, gate)]
     _emit(records, cfg)
     return 0
@@ -397,16 +389,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 2
     except (NumericalFailure, NotComputableError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    except ValueError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
 

@@ -406,6 +406,13 @@ def conditioned_law_equivalence_test(
     and under the plain system with alpha negated (the law it should
     equal), then compares marginals. With negative_control the
     second sample keeps +alpha, which must be detectably different.
+
+    The conditioned drifts satisfy drift_z + z drift_s = (sigma_e^2/2 -
+    alpha) z, the population drift of the -alpha process, and the
+    population noise is the same on both sides. So this checks only that
+    identity of the Z-marginal generators, which holds for any environment
+    law with these coefficients; the two Euler chains even take the same
+    one-step law of Z, so a bias of the chain at this dt does not show.
     """
     from scipy.stats import ks_2samp  # here, so that import bdrelab skips scipy.stats
 

@@ -156,33 +156,8 @@ def classify_regime(params: ModelParams) -> Regime:
     return Regime.STRONGLY_SUBCRITICAL
 
 
-def _state(z: ArrayLike) -> ArrayLike:
-    """A Python float as it is, any other state as a float array.
-
-    The single-path loops of sde call the drifts once per step with a
-    float. There np.asarray, np.any and np.ndim cost more than the
-    arithmetic (np.ndim(0.7) alone takes 1.8 us on a 2-core Xeon with
-    numpy 2.4), while + - * / on floats round exactly as numpy's do, so
-    each formula below runs on the float itself. Its transcendentals stay
-    numpy's, called on the float: math.log1p differs from np.log1p in the
-    last bit at some points. Where a float division by zero raises, the
-    formula reruns on a 0-d array and returns numpy's inf or nan.
-    """
-    return z if type(z) is float else np.asarray(z, dtype=float)
-
-
-def _scalar(z: ArrayLike) -> bool:
-    """Whether a _state stands for one value (a float or a 0-d array)."""
-    return type(z) is float or z.ndim == 0
-
-
-def _any(mask) -> bool:
-    """np.any of a comparison on a _state, without numpy for a float's bool."""
-    return mask if type(mask) is bool else bool(mask.any())
-
-
 def _check_state_z(z: ArrayLike) -> None:
-    if z < 0 if type(z) is float else np.any(np.asarray(z) < 0):
+    if np.any(np.asarray(z) < 0):
         raise ValueError("z must be nonnegative")
 
 
@@ -323,6 +298,61 @@ def bundle_V(params: ModelParams) -> FunctionBundle:
     return FunctionBundle(f=f, f_z=_zero, f_s=f_s, f_zz=_zero, f_ss=f_ss, f_zs=_zero)
 
 
+# Each conditioned drift is written once, as a closure bound from the
+# parameters that runs unchecked on a float or an array state. The public
+# functions check their arguments and evaluate it on an array; sde's Euler
+# steps run it bare where sigma_b^2 > 0, so no division meets zero. On a
+# float its transcendentals stay numpy's: math.log1p differs from np.log1p
+# in the last bit at some points.
+
+
+def _ratio(params: ModelParams) -> Callable[[ArrayLike], ArrayLike]:
+    """z -> R(z) of survival_ratio, bound unchecked; 0 when sigma_b = 0."""
+    if params.sigma_b == 0:
+        return np.zeros_like
+    beta, se2, sb2 = params.beta, params.sigma_e**2, params.sigma_b**2
+    return lambda z: 1.0 / np.expm1(beta * np.log1p(se2 * z / sb2))
+
+
+def _extinction_drift(params: ModelParams):
+    """z -> (drift_z, drift_s) of drift_conditioned_extinction, bound unchecked."""
+    se2, sb2, a = params.sigma_e**2, params.sigma_b**2, params.alpha
+
+    def drift(z):
+        D = se2 * z + sb2
+        return (0.5 * se2 - 2.0 * a * sb2 / D) * z, a - 2.0 * a * se2 * z / D
+
+    return drift
+
+
+def _survival_drift(params: ModelParams):
+    """z -> (drift_z, drift_s) of drift_conditioned_survival, bound unchecked."""
+    se2, sb2, a = params.sigma_e**2, params.sigma_b**2, params.alpha
+    ratio = _ratio(params)
+
+    def drift(z):
+        R = ratio(z)
+        D = se2 * z + sb2
+        return (0.5 * se2 + 2.0 * a * (sb2 / D) * R) * z, a + 2.0 * a * (se2 * z / D) * R
+
+    return drift
+
+
+def _survival_coefficient(params: ModelParams) -> Callable[[ArrayLike], ArrayLike]:
+    """z -> c(z) of quenched_drift_coefficient under survival conditioning, unchecked."""
+    se2, a = params.sigma_e**2, params.alpha
+    ratio = _ratio(params)
+    return lambda z: 0.5 * se2 + a + 2.0 * a * ratio(z)
+
+
+def _evaluate(formula, z: NDArray[np.float64]):
+    """A bound formula at the array state z, as floats for a 0-d z."""
+    out = formula(z)
+    if z.ndim:
+        return out
+    return tuple(map(float, out)) if type(out) is tuple else float(out)
+
+
 def survival_ratio(z: ArrayLike, params: ModelParams) -> ArrayLike:
     """The ratio R(z) = U(z) / (U(0) - U(z)), evaluated without cancellation.
 
@@ -332,17 +362,7 @@ def survival_ratio(z: ArrayLike, params: ModelParams) -> ArrayLike:
     every digit). For sigma_b = 0 the ratio is taken as 0: U(0) is infinite
     and survival conditioning is vacuous because extinction cannot occur.
     """
-    z = _state(z)
-    if params.sigma_b == 0:
-        out = 0.0 if type(z) is float else np.zeros_like(z)
-    else:
-        try:
-            g = params.beta * np.log1p(params.sigma_e**2 * z / params.sigma_b**2)
-        except ZeroDivisionError:
-            # sigma_b^2 underflowed to 0: numpy's inf, as on an array
-            return survival_ratio(np.asarray(z), params)
-        out = 1.0 / np.expm1(g)
-    return float(out) if _scalar(z) else out
+    return _evaluate(_ratio(params), np.asarray(z, dtype=float))
 
 
 def drift_conditioned_extinction(z: ArrayLike, params: ModelParams) -> DriftPair:
@@ -361,21 +381,11 @@ def drift_conditioned_extinction(z: ArrayLike, params: ModelParams) -> DriftPair
         raise ValueError("extinction conditioning requires alpha > 0")
     if params.sigma_e <= 0:
         raise ValueError("requires sigma_e > 0")
-    z = _state(z)
+    z = np.asarray(z, dtype=float)
     _check_state_z(z)
-    if params.sigma_b == 0 and _any(z == 0):
+    if params.sigma_b == 0 and np.any(z == 0):
         raise ValueError("state 0 invalid when sigma_b = 0")
-    se2, sb2, a = params.sigma_e**2, params.sigma_b**2, params.alpha
-    try:
-        D = se2 * z + sb2
-        drift_z = (0.5 * se2 - 2.0 * a * sb2 / D) * z
-        drift_s = a - 2.0 * a * se2 * z / D
-    except ZeroDivisionError:
-        # D underflowed to 0: numpy's inf or nan, as on an array
-        return drift_conditioned_extinction(np.asarray(z), params)
-    if _scalar(z):
-        return DriftPair(float(drift_z), float(drift_s))
-    return DriftPair(drift_z, drift_s)
+    return DriftPair(*_evaluate(_extinction_drift(params), z))
 
 
 def drift_conditioned_survival(z: ArrayLike, params: ModelParams) -> DriftPair:
@@ -396,21 +406,10 @@ def drift_conditioned_survival(z: ArrayLike, params: ModelParams) -> DriftPair:
         raise ValueError("survival conditioning requires alpha > 0")
     if params.sigma_e <= 0:
         raise ValueError("requires sigma_e > 0")
-    z = _state(z)
-    if _any(z <= 0):
+    z = np.asarray(z, dtype=float)
+    if np.any(z <= 0):
         raise ValueError("survival-conditioned drift needs z > 0")
-    se2, sb2, a = params.sigma_e**2, params.sigma_b**2, params.alpha
-    R = survival_ratio(z, params)
-    try:
-        D = se2 * z + sb2
-        drift_z = (0.5 * se2 + 2.0 * a * (sb2 / D) * R) * z
-        drift_s = a + 2.0 * a * (se2 * z / D) * R
-    except ZeroDivisionError:
-        # D underflowed to 0: numpy's nan, as on an array
-        return drift_conditioned_survival(np.asarray(z), params)
-    if _scalar(z):
-        return DriftPair(float(drift_z), float(drift_s))
-    return DriftPair(drift_z, drift_s)
+    return DriftPair(*_evaluate(_survival_drift(params), z))
 
 
 def quenched_drift_coefficient(
@@ -424,20 +423,19 @@ def quenched_drift_coefficient(
     mass.
     """
     a, se2 = params.alpha, params.sigma_e**2
-    if variant is QuenchedVariant.UNCONDITIONED:
-        c = a + 0.5 * se2
-        return np.full(np.shape(z), c) if np.ndim(z) > 0 else c
-    if variant is QuenchedVariant.COND_EXTINCTION:
-        if a <= 0:
-            raise ValueError("extinction conditioning requires alpha > 0")
-        c = 0.5 * se2 - a
-        return np.full(np.shape(z), c) if np.ndim(z) > 0 else c
     if variant is QuenchedVariant.COND_SURVIVAL:
         if a <= 0:
             raise ValueError("survival conditioning requires alpha > 0")
-        z = _state(z)
-        if _any(z <= 0):
+        z = np.asarray(z, dtype=float)
+        if np.any(z <= 0):
             raise ValueError("survival-conditioned drift needs z > 0")
-        out = 0.5 * se2 + a + 2.0 * a * survival_ratio(z, params)
-        return float(out) if _scalar(z) else out
-    raise ValueError(f"unknown variant {variant!r}")
+        return _evaluate(_survival_coefficient(params), z)
+    if variant is QuenchedVariant.UNCONDITIONED:
+        c = a + 0.5 * se2
+    elif variant is QuenchedVariant.COND_EXTINCTION:
+        if a <= 0:
+            raise ValueError("extinction conditioning requires alpha > 0")
+        c = 0.5 * se2 - a
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return np.full(np.shape(z), c) if np.ndim(z) > 0 else c

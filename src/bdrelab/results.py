@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ConfigError
 
@@ -20,6 +20,7 @@ __all__ = [
     "Gate",
     "Provenance",
     "ResultRecord",
+    "stamper",
     "CSV_COLUMNS",
     "format_records_csv",
     "write_results",
@@ -112,6 +113,13 @@ class ResultRecord:
             raise ValueError("std_error must be nonnegative when present")
         if self.n < 0:
             raise ValueError("n must be nonnegative")
+
+
+def stamper(seed: int, config_hash: str) -> Callable[..., ResultRecord]:
+    """rec(quantity, value, se, n, theoretical, provenance, gate=None): one run's
+    records, stamped with its seed and config hash, gated when gate is given."""
+    return lambda quantity, value, se, n, theoretical, provenance, gate=None: ResultRecord(
+        quantity, value, se, n, theoretical, provenance, None, seed, config_hash, gate)
 
 
 def _cell(v) -> str:

@@ -35,9 +35,12 @@ stays constant on the grid to machine precision.
 Every kernel of (Z, S) advances its paths with one full-truncation Euler
 step, bound once per call by `_stepper`: a negative population proposal
 is clamped to 0, except in the survival-conditioned variants, which retry
-it as two half steps with fresh noise. The ensembles bind it on numpy
-arrays in one loop, `_ensemble`, which also steps the coarse twins of
-`coupled_refinement_means`, clamped and absorbed as their fine paths are.
+it as two half steps with fresh noise. Binding checks the kind's
+preconditions once, by its model function at z0, and the step runs the
+model's drift formula unchecked wherever sigma_b^2 > 0. The ensembles
+bind it on numpy arrays in one loop, `_ensemble`, which also steps the
+coarse twins of `coupled_refinement_means`, clamped and absorbed as
+their fine paths are.
 The `simulate_*` loops bind it once per path on Python floats, because one
 path at a time pays numpy's per-call cost on every operation, and feed it
 the increments sqrt(dt) * normal that the ensembles form, so a path steps
@@ -69,6 +72,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,6 +83,9 @@ from .errors import ConfigError, NumericalFailure
 from .model import (
     ModelParams,
     QuenchedVariant,
+    _extinction_drift,
+    _survival_coefficient,
+    _survival_drift,
     drift_conditioned_extinction,
     drift_conditioned_survival,
     extinction_probability,
@@ -158,20 +165,28 @@ def _drifts(kind, params: ModelParams):
 
     z is a state vector or a float. For the quenched kinds drift_z is the
     coefficient c(z) of c(z) Z dt and drift_s the drift of the environment
-    the variant carries.
+    the variant carries. A conditioned kind's preconditions are checked
+    here, once, by its model function at z0. Where sigma_b^2 > 0 the drift
+    is the model's formula, bound unchecked; at sigma_b^2 = 0 it is the
+    checking model function, which at sigma_b = 0 refuses a state that
+    underflowed to 0.
     """
     if kind is _Variant.BDRE:
         half_se2, alpha = 0.5 * params.sigma_e**2, params.alpha
         return lambda z: (half_se2 * z, alpha)
+    bare = params.sigma_b**2 > 0
     if type(kind) is QuenchedVariant:
         env = -params.alpha if kind is QuenchedVariant.COND_EXTINCTION else params.alpha
-        if kind in _GUARDED:
-            return lambda z: (quenched_drift_coefficient(kind, z, params), env)
-        # c depends on z only under survival conditioning
-        c = quenched_drift_coefficient(kind, 0.0, params)
-        return lambda z: (c, env)
-    model = drift_conditioned_survival if kind in _GUARDED else drift_conditioned_extinction
-    return lambda z: model(z, params)
+        c = quenched_drift_coefficient(kind, params.z0, params)
+        if kind not in _GUARDED:
+            return lambda z: (c, env)  # c depends on z only under survival conditioning
+        coefficient = (_survival_coefficient(params) if bare
+                       else partial(quenched_drift_coefficient, kind, params=params))
+        return lambda z: (coefficient(z), env)
+    public, formula = ((drift_conditioned_survival, _survival_drift) if kind in _GUARDED
+                       else (drift_conditioned_extinction, _extinction_drift))
+    public(params.z0, params)
+    return formula(params) if bare else partial(public, params=params)
 
 
 def _stepper(kind, params: ModelParams, xp):
@@ -316,8 +331,6 @@ def simulate_conditioned_extinction(
     params: ModelParams, cfg: SchemeConfig, rng: RngStream
 ) -> Path:
     """One path of the extinction-conditioned two-dimensional diffusion."""
-    if params.alpha <= 0:
-        raise ValueError("extinction conditioning requires alpha > 0")
     return _simulate(_Variant.COND_EXTINCTION, params, cfg, rng)
 
 
@@ -325,10 +338,6 @@ def simulate_conditioned_survival(
     params: ModelParams, cfg: SchemeConfig, rng: RngStream
 ) -> Path:
     """One path of the survival-conditioned diffusion; never absorbed."""
-    if params.alpha <= 0:
-        raise ValueError("survival conditioning requires alpha > 0")
-    if params.z0 <= 0:
-        raise ValueError("survival conditioning requires z0 > 0")
     return _simulate(_Variant.COND_SURVIVAL, params, cfg, rng)
 
 
@@ -347,8 +356,6 @@ def simulate_quenched(
     survival-conditioned variant they carry the raw +alpha environment,
     since that variant has no autonomous environment representation.
     """
-    if variant is QuenchedVariant.COND_SURVIVAL and params.z0 <= 0:
-        raise ValueError("survival conditioning requires z0 > 0")
     return _simulate(variant, params, cfg, rng)
 
 
@@ -510,10 +517,7 @@ def ensemble_final_states(
     paths carry Z = 0 and keep evolving in S. The survival-conditioned
     variant retries its rare nonpositive proposals as guarded half steps.
     """
-    var = _Variant(variant)
-    if var is not _Variant.BDRE and params.alpha <= 0:
-        raise ValueError("conditioned variants require alpha > 0")
-    return _ensemble(var, params, cfg, checkpoints, n, seed, threads)
+    return _ensemble(_Variant(variant), params, cfg, checkpoints, n, seed, threads)
 
 
 def ensemble_quenched_final(
@@ -526,8 +530,6 @@ def ensemble_quenched_final(
     threads: int = 1,
 ) -> dict:
     """Vectorized ensemble of the one-dimensional quenched SDE: {t: Z}."""
-    if variant is QuenchedVariant.COND_SURVIVAL and params.z0 <= 0:
-        raise ValueError("survival conditioning requires z0 > 0")
     states = _ensemble(variant, params, cfg, checkpoints, n, seed, threads)
     return {t: z for t, (z, _) in states.items()}
 

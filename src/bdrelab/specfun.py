@@ -82,8 +82,9 @@ class QuadratureConfig:
     max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("rel_tol and abs_tol must be positive")
+        for name in ("rel_tol", "abs_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be a positive integer")
 

@@ -74,7 +74,7 @@ from .model import (
     rao_blackwell_se_ratio,
     survival_ratio,
 )
-from .results import Gate, Provenance, ResultRecord, write_decay_plot, write_results
+from .results import Gate, Provenance, ResultRecord, stamper, write_decay_plot, write_results
 from .rng import RngStream
 from .sde import (
     SchemeConfig,
@@ -186,17 +186,12 @@ class _Ctx:
     def __init__(self, seed: int, cfg_hash: str, threads: int):
         self.seed = seed
         self.threads = threads
-        self.cfg_hash = cfg_hash
+        self.rec = stamper(seed, cfg_hash)
         self.coverage: set[str] = set()
         self.rate_curves: dict = {}
         self.rate_fits: dict = {}
         # sub-timings of the check that is running, by label
         self.sub_durations: dict = {}
-
-    def rec(self, quantity, value, se, n, ref, prov, gate: Optional[Gate] = None):
-        """A record of this run; gated when gate is given, ungated otherwise."""
-        return ResultRecord(quantity, value, se, n, ref, prov, None, self.seed,
-                            self.cfg_hash, gate)
 
 
 def _seed(ctx: _Ctx, k: int, sub: int = 0) -> int:

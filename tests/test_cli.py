@@ -121,6 +121,31 @@ def test_estimate_extinction_writes_records(tmp_path, capsys):
     assert out.splitlines()[0].startswith("quantity,value")
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_a_refused_extinction_route_fails_the_run(n, tmp_path, capsys):
+    # Pathwise refuses n < 3 (and RaoBlackwell n < 2): the run stops with
+    # exit 2 and writes nothing, not a results file that lacks the route
+    code, out, err = run(capsys, [
+        "estimate", "--experiment", "extinction", "--n", n, "--horizon", "1",
+        "--seed", "5", "--output-dir", str(tmp_path), "--threads", "1",
+    ])
+    assert code == 2
+    assert out == ""
+    assert err == f"configuration error: a standard error needs n >= 3, got n={n}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_subcritical_extinction_skips_only_the_closed_form(tmp_path, capsys):
+    code, _, _ = run(capsys, [
+        "estimate", "--experiment", "extinction", "--alpha", "-0.5", "--n", "200",
+        "--horizon", "2", "--seed", "5", "--output-dir", str(tmp_path), "--threads", "1",
+    ])
+    assert code == 0
+    recs = read_results_csv(str(tmp_path / "results.csv"))
+    assert [r.quantity for r in recs] == ["extinction.Pathwise", "extinction.RaoBlackwell"]
+    assert all(r.theoretical is None for r in recs)
+
+
 def test_environment_seed_applies_and_flag_wins(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BDRE_LAB_SEED", "777")
     code, _, _ = run(capsys, [
@@ -228,7 +253,7 @@ def test_simulate_paths_csv_bytes_are_pinned(argv, digest, tmp_path, capsys):
 
 
 def test_a_refused_simulate_run_leaves_no_paths_file(tmp_path, capsys, monkeypatch):
-    # refused at the first step: extinction conditioning needs sigma_e > 0
+    # refused when its step is bound: extinction conditioning needs sigma_e > 0
     code, _, _ = run(capsys, ["simulate", "--kind", "cond-extinction", "--sigma-e", "0",
                               "--output-dir", str(tmp_path)])
     assert code == 2
@@ -293,6 +318,9 @@ NON_FINITE = [
     # lowest <= nan never holds: absorbed_fraction would read 0 with exit 0
     ("estimate", ["--experiment", "extinction"], "scheme.absorption_threshold = nan\n",
      "absorption_threshold"),
+    # an infinite tolerance would move the quadrature reference without a word
+    ("estimate", ["--experiment", "laplace"], "quadrature.rel_tol = inf\n", "rel_tol"),
+    ("estimate", ["--experiment", "laplace"], "quadrature.abs_tol = inf\n", "abs_tol"),
 ]
 
 

@@ -140,6 +140,10 @@ def test_config_validation_errors():
         ExperimentConfig(lambda_grid=(math.nan, 1.0))
     # lambda = inf is the transform's extinction limit
     assert ExperimentConfig(lambda_grid=(1.0, math.inf)).lambda_grid[1] == math.inf
+    for key in ("quadrature.rel_tol", "quadrature.abs_tol"):
+        for bad in ("inf", "nan", "0"):
+            with pytest.raises(ConfigError, match="must be positive and finite"):
+                config_from_text(f"{key} = {bad}\n")
 
 
 def test_seed_from_environment(monkeypatch):

@@ -13,6 +13,10 @@ from bdrelab.model import (
     ModelParams,
     QuenchedVariant,
     Regime,
+    _extinction_drift,
+    _ratio,
+    _survival_coefficient,
+    _survival_drift,
     bundle_U,
     bundle_V,
     classify_regime,
@@ -252,12 +256,50 @@ conditioning_st = st.builds(
 @example(ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1e-170, z0=1.0), 0.5)  # sigma_b^2 underflows
 @settings(max_examples=300, deadline=None)
 def test_a_float_state_is_a_zero_d_array_and_an_array_entry(p, z):
-    # The single-path loops pass Python floats, which the model functions
-    # keep as floats; they must give numpy's values and numpy's errors.
+    # The model functions evaluate their bound formula on a float state as
+    # a 0-d array and return floats; they must give numpy's values and
+    # numpy's errors, as on an entry of an array state.
     for f in STATE_FUNCTIONS:
         as_float = _outcome(f, z, p)
         assert _outcome(f, np.array(z), p) == as_float
         assert _outcome(f, np.array([1.0, z, 2.0]), p, entry=1) == as_float
+
+
+BOUND_FORMULAS = [
+    (drift_conditioned_extinction, _extinction_drift),
+    (drift_conditioned_survival, _survival_drift),
+    (survival_ratio, _ratio),
+    (lambda z, p: quenched_drift_coefficient(QuenchedVariant.COND_SURVIVAL, z, p),
+     _survival_coefficient),
+]
+
+
+def _bits(out, entry=None):
+    """The reprs of a formula's values (entry `entry` of array values)."""
+    values = out if isinstance(out, tuple) else (out,)
+    return tuple(repr(float(v if entry is None else v[entry])) for v in values)
+
+
+@given(conditioning_st, st.floats(-10.0, 100.0))
+@example(STD, 5e-324)  # R overflows to inf
+@example(ModelParams(alpha=1.0, sigma_e=0.5, sigma_b=0.0, z0=1.0), 5e-324)  # D underflows
+@example(ModelParams(alpha=1.0, sigma_e=1.0, sigma_b=1e-170, z0=1.0), 0.5)  # sigma_b^2 underflows
+@settings(max_examples=300, deadline=None)
+def test_a_bound_formula_gives_its_model_function_bits(p, z):
+    # The Euler steps run each formula unchecked, on a float state where a
+    # path steps alone and on arrays in the ensembles; wherever the model
+    # function returns a value, the formula gives the same bits. On a float
+    # a formula is bound only where sigma_b^2 > 0: at sigma_b^2 = 0 a float
+    # division by zero raises where numpy gives inf or nan.
+    for public, bind in BOUND_FORMULAS:
+        expected = _outcome(public, z, p)
+        if isinstance(expected, str):
+            continue
+        formula = bind(p)
+        with np.errstate(all="ignore"):
+            assert _bits(formula(np.array([1.0, z, 2.0])), entry=1) == expected
+            if p.sigma_b**2 > 0:
+                assert _bits(formula(z)) == expected
 
 
 def test_drift_pair_unpacks_as_a_pair_of_its_fields():

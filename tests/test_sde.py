@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, ks_2samp, kstest
 
-from bdrelab import rng
+from bdrelab import rng, sde
 from bdrelab.envexact import dufresne_samples, environment_laplace, environment_survival_curve
 from bdrelab.errors import ConfigError, NumericalFailure
 from bdrelab.estimators import (
@@ -160,6 +160,68 @@ def test_a_simulated_path_is_the_array_step_on_one_element(kind, simulate, param
         z, s = _one_element_replay(kind, params, cfg, RngStream(29, i))
         assert np.array_equal(path.z_values, z)
         assert np.array_equal(path.s_values, s)
+
+
+@pytest.mark.parametrize("kind,simulate", _SIMULATED_KINDS, ids=lambda k: getattr(k, "value", ""))
+def test_a_store_stride_keeps_every_stride_th_point_and_the_last(kind, simulate):
+    # CFG has 200 steps, not a multiple of 3: points 0, 3, ..., 198 and 200
+    # of the stride-1 path on the same stream
+    full = simulate(STD, CFG, RngStream(37, 1))
+    path = simulate(STD, replace(CFG, store_stride=3), RngStream(37, 1))
+    kept = [*range(0, CFG.n_steps + 1, 3), CFG.n_steps]
+    assert np.array_equal(path.times, full.times[kept])
+    assert np.array_equal(path.z_values, full.z_values[kept])
+    assert np.array_equal(path.s_values, full.s_values[kept])
+    assert path.absorbed_at == full.absorbed_at
+
+
+def test_a_state_underflowed_to_zero_at_sigma_b_zero_is_refused():
+    # with sigma_b = 0, Z = z0 e^S under the environment's -alpha drift
+    # underflows to 0, where the extinction-conditioned drift is 0 / 0: both
+    # loops refuse it rather than step on nan
+    p = replace(STD, sigma_b=0.0)
+    cfg = SchemeConfig(dt=0.05, horizon=1000.0)
+    refused = "state 0 invalid when sigma_b = 0"
+    with pytest.raises(ValueError, match=refused):
+        simulate_conditioned_extinction(p, cfg, RngStream(1, 0))
+    with pytest.raises(ValueError, match=refused):
+        ensemble_final_states("cond-extinction", p, cfg, [1000.0], 4, 1)
+
+
+class _NoDraws:
+    """An RngStream stand-in that fails the test if a path draws."""
+
+    def generator(self):
+        raise AssertionError("drew before refusing")
+
+
+@pytest.mark.parametrize("kind,change", [
+    (_Variant.COND_EXTINCTION, dict(alpha=0.0)),
+    (_Variant.COND_EXTINCTION, dict(sigma_e=0.0)),
+    (_Variant.COND_SURVIVAL, dict(alpha=-1.0)),
+    (_Variant.COND_SURVIVAL, dict(sigma_e=0.0)),
+    (_Variant.COND_SURVIVAL, dict(z0=0.0)),
+    (QuenchedVariant.COND_EXTINCTION, dict(alpha=0.0)),
+    (QuenchedVariant.COND_SURVIVAL, dict(alpha=-1.0)),
+    (QuenchedVariant.COND_SURVIVAL, dict(sigma_e=0.0)),
+    (QuenchedVariant.COND_SURVIVAL, dict(z0=0.0)),
+], ids=lambda v: getattr(v, "value", None) or ",".join(f"{k}={x}" for k, x in v.items()))
+def test_a_refused_kind_raises_before_any_draw(kind, change, monkeypatch):
+    # each kind's preconditions are checked once, when its step is bound
+    params = replace(STD, **change)
+    simulate = dict(_SIMULATED_KINDS)[kind]
+    with pytest.raises(ValueError):
+        simulate(params, CFG, _NoDraws())
+
+    def no_batches(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(sde, "_run_batches", no_batches)
+    with pytest.raises(ValueError):
+        if type(kind) is QuenchedVariant:
+            ensemble_quenched_final(kind, params, CFG, [1.0], 10, 1)
+        else:
+            ensemble_final_states(kind.value, params, CFG, [1.0], 10, 1)
 
 
 def test_quenched_environment_sign_convention():
